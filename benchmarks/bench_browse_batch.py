@@ -1,8 +1,9 @@
 """Scalar vs batch browse rasters: the batch query engine's headline number.
 
 Replays one GeoBrowsing interaction (a rows x cols raster over an aligned
-region of the world grid) against :class:`GeoBrowsingService` twice -- the
-legacy per-tile scalar loop (``use_batch=False``) and the vectorised
+region of the world grid) against two :class:`GeoBrowsingService`\ s -- one
+over the per-tile scalar loop (the estimator wrapped in
+:class:`~repro.euler.base.ScalarBatchFallback`) and one over the vectorised
 ``estimate_batch`` path -- over EulerApprox summaries of the Figure-12
 dataset profiles, and records both timings plus the speedup to
 ``BENCH_browse_batch.json`` at the repository root so future PRs can track
@@ -27,6 +28,7 @@ import time
 import numpy as np
 
 from repro.browse.service import GeoBrowsingService
+from repro.euler.base import ScalarBatchFallback
 from repro.euler.full import EulerApprox
 from repro.experiments.config import ExperimentConfig, Workbench
 from repro.grid.tiles_math import TileQuery
@@ -67,18 +69,18 @@ def run(
     workbench = Workbench(config)
     results = []
     for name in datasets:
-        service = GeoBrowsingService(EulerApprox(workbench.histogram(name)), workbench.grid)
+        estimator = EulerApprox(workbench.histogram(name))
+        service = GeoBrowsingService(estimator, workbench.grid)
+        scalar = GeoBrowsingService(ScalarBatchFallback(estimator), workbench.grid)
         for raster in rasters:
             region, rows, cols = RASTERS[raster]
-            scalar_result = service.browse(region, rows, cols, use_batch=False)
+            scalar_result = scalar.browse(region, rows, cols)
             batch_result = service.browse(region, rows, cols)
             if not np.array_equal(scalar_result.counts, batch_result.counts):
                 raise AssertionError(
                     f"batch raster diverged from scalar on {name}/{raster}"
                 )
-            scalar_s = _best_of(
-                lambda: service.browse(region, rows, cols, use_batch=False), scalar_rounds
-            )
+            scalar_s = _best_of(lambda: scalar.browse(region, rows, cols), scalar_rounds)
             batch_s = _best_of(lambda: service.browse(region, rows, cols), batch_rounds)
             entry = {
                 "dataset": name,

@@ -1,17 +1,39 @@
-"""A resilient serving layer over the browsing stack.
+"""The browse pipeline: one staged path from a request to a raster.
 
-:class:`~repro.browse.service.GeoBrowsingService` is the fast path: one
-vectorised batch per raster, nothing between an estimator exception and
-the client.  In a production GeoBrowsing deployment (hundreds of trial
-queries per interaction, Section 1) that is not acceptable: one flaky
-estimator, one pathologically large raster or one corrupt summary must
-degrade the answer, not kill the session.  :class:`ResilientBrowsingService`
-adds that failure story:
+The paper's motivating interaction (Section 1) answers a whole raster of
+tile queries -- hundreds of trial queries -- from one summary.  Both
+public services answer it here:
+:class:`ResilientBrowsingService` configures every stage, and
+:class:`~repro.browse.service.GeoBrowsingService` is the same pipeline
+with one estimator, one attempt, no pyramid and one row band per shard.
 
-- **Deadlines.**  A raster is answered in *row chunks* with a deadline
-  check between chunks.  When the budget runs out, the remaining chunks
-  are left NaN and the returned :class:`~repro.browse.service.BrowseResult`
-  carries a validity mask -- a partial choropleth beats a timeout page.
+:meth:`ResilientBrowsingService.browse` runs these stages in order; each
+opens one span on the request trace and feeds
+``repro_browse_stage_seconds{stage=<span>}``:
+
+1. ``resolve`` -- validate the region, relation and tiling;
+2. ``delta`` -- copy the tiles shared with the session's previous raster
+   (:mod:`repro.browse.delta`);
+3. ``cache_probe`` -- one vectorised :class:`~repro.cache.TileResultCache`
+   probe over the tiles still open;
+4. ``pyramid`` -- under a deadline, a coarse-first raster for the open
+   tiles from a :class:`~repro.browse.refine.PyramidSource`;
+5. ``waves`` -- the open tiles in row chunks, up to ``num_shards`` per
+   wave on a :class:`~repro.browse.sharding.ShardPool`, each through the
+   :class:`FallbackChain` (one ``chunk`` span and stage sample per
+   chunk); the deadline is checked before every wave;
+6. ``assemble`` -- the :class:`BrowseResult` with its validity mask,
+   delta scope and pyramid annotation.
+
+Tile corners are built only for the tiles that reach the cache or the
+chain.  Stages whose layer is not configured -- or that have no open
+tiles left -- are skipped.
+
+The failure story of the chain:
+
+- **Deadlines.**  When the budget runs out between waves, the remaining
+  chunks are left NaN and the result carries a validity mask -- a
+  partial choropleth beats a timeout page.
 - **Fallback chain.**  Estimators are tried in order per chunk (e.g. the
   exact evaluator first, S-EulerApprox as the cheap degradation; append
   ``ScalarBatchFallback(primary)`` to degrade the batch path to the
@@ -35,18 +57,19 @@ injectable so the whole layer is deterministic under test (see
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.browse.delta import DeltaPlan, DeltaSource, DeltaTracker, plan_delta
-from repro.browse.refine import PyramidSource, RefinementStep
-from repro.browse.service import BrowseResult, resolve_browse_request
-from repro.browse.sharding import ShardPool, batch_subset
+from repro.browse.delta import DeltaSource, DeltaTracker, plan_delta
+from repro.browse.refine import PyramidSource
+from repro.browse.sharding import ShardPool
 from repro.cache import CacheKey, TileResultCache, backing_summary, summary_generation, summary_token
 from repro.errors import (
     DeadlineExceededError,
@@ -57,7 +80,7 @@ from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_est
 from repro.euler.pyramid import HistogramPyramid
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
-from repro.grid.tiles_math import TileQuery, TileQueryBatch
+from repro.grid.tiles_math import TileQuery, TileQueryBatch, aligned_query_cells
 from repro.obs.instruments import BrowseInstrumentation, classify_failure
 from repro.obs.trace import RequestTrace
 from repro.parallel.executor import (
@@ -65,7 +88,11 @@ from repro.parallel.executor import (
     ParallelExecutor,
     ProcessBackedEstimator,
 )
-from repro.workloads.tiles import browsing_tile_batch, validate_browsing_tiling
+from repro.workloads.tiles import (
+    browsing_tile_batch_subset,
+    browsing_tiles,
+    validate_browsing_tiling,
+)
 
 __all__ = [
     "CircuitBreaker",
@@ -74,6 +101,155 @@ __all__ = [
     "ResilientBrowsingService",
     "RetryPolicy",
 ]
+
+#: Browsable relation name -> Level2Counts field.
+RELATION_FIELDS: dict[str, str] = {
+    "contains": "n_cs",
+    "contained": "n_cd",
+    "overlap": "n_o",
+    "disjoint": "n_d",
+    "intersect": "n_intersect",
+}
+
+
+@dataclass(frozen=True)
+class BrowseResult:
+    """One browsing interaction's result raster.
+
+    ``counts[r, c]`` is the (possibly estimated) number of objects in the
+    requested relation with tile ``(r, c)``; row 0 is the bottom row of the
+    region.
+
+    ``valid`` is the per-tile validity mask: ``None`` (the common case)
+    means every tile was answered; a boolean array of the raster's shape
+    marks tiles the resilient serving path could not answer before its
+    deadline -- those ``counts`` entries are NaN.
+
+    ``telemetry`` is the request's span trace when the answering service
+    was instrumented (``None`` otherwise): per-stage timings, per-chunk
+    estimator attempts and outcomes, readable via
+    ``result.telemetry.render()``.  It is excluded from equality so
+    result comparison stays about the raster.
+
+    ``delta`` records the scope this raster was answered under (summary
+    identity and generation, estimator, relation field) plus which tiles
+    are safe to copy, enabling :mod:`repro.browse.delta` reuse when the
+    result is passed back as the ``previous=`` hint of a later browse.
+    Like ``telemetry`` it is excluded from equality.
+
+    ``levels`` and ``error_bound`` are the pyramid-refinement annotation
+    (:mod:`repro.browse.refine`): per tile, the pyramid level that
+    answered it (``-1`` = authoritative full-resolution answer) and an
+    upper bound on how far the broadcast coarse count can sit from the
+    tile's full-resolution estimate.  ``None`` -- the common case -- means
+    no tile was pyramid-served.  Excluded from equality like the other
+    serving metadata.
+    """
+
+    region: TileQuery
+    relation: str
+    counts: np.ndarray
+    valid: np.ndarray | None = field(default=None)
+    telemetry: RequestTrace | None = field(default=None, compare=False, repr=False)
+    delta: DeltaSource | None = field(default=None, compare=False, repr=False)
+    levels: np.ndarray | None = field(default=None, compare=False, repr=False)
+    error_bound: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def rows(self) -> int:
+        """Number of tile rows in the raster."""
+        return self.counts.shape[0]
+
+    @property
+    def cols(self) -> int:
+        """Number of tile columns in the raster."""
+        return self.counts.shape[1]
+
+    @cached_property
+    def tiles(self) -> list[list[TileQuery]]:
+        """The per-tile queries behind the raster, ``tiles[r][c]``
+        matching ``counts[r, c]``.  Derived lazily from the region and the
+        raster shape so the batch serving path never pays for building
+        ``rows x cols`` Python objects unless a client drills down."""
+        return browsing_tiles(self.region, self.rows, self.cols)
+
+    @property
+    def total(self) -> float:
+        """Sum of the raster's counts."""
+        return float(self.counts.sum())
+
+    @property
+    def is_complete(self) -> bool:
+        """Whether every tile of the raster was answered."""
+        return self.valid is None or bool(self.valid.all())
+
+    @property
+    def full_resolution(self) -> bool:
+        """Whether every answered tile carries its full-resolution count
+        (``True`` for rasters untouched by pyramid refinement).  A
+        complete raster can still be coarse: under a tight deadline the
+        resilient service answers every tile from a coarse pyramid level,
+        giving ``is_complete`` without ``full_resolution``."""
+        return self.levels is None or bool((self.levels < 0).all())
+
+    @property
+    def valid_fraction(self) -> float:
+        """Fraction of tiles answered (1.0 for a complete raster)."""
+        if self.valid is None:
+            return 1.0
+        return float(self.valid.mean()) if self.valid.size else 1.0
+
+    def render_ascii(self, *, width: int = 4) -> str:
+        """A terminal-friendly rendering of the raster (top row first),
+        for the examples: rounded counts, right-aligned columns.  Tiles
+        whose count is non-finite (NaN from a missed deadline, or
+        corruption upstream) render as ``"?"`` instead of crashing
+        ``int(round())``.
+
+        ``width`` is a *minimum* column width: when any rendered count
+        needs more characters, every column expands to the widest cell,
+        so the raster always stays grid-aligned (a too-small ``width``
+        used to misalign only the wide columns).
+        """
+        cells = [
+            ["?" if not math.isfinite(v) else str(int(round(v))) for v in self.counts[r]]
+            for r in range(self.rows - 1, -1, -1)
+        ]
+        cell_width = max(
+            [width] + [len(cell) for row in cells for cell in row]
+        )
+        return "\n".join(
+            " ".join(cell.rjust(cell_width) for cell in row) for row in cells
+        )
+
+
+def resolve_browse_request(
+    grid: Grid, region: Rect | TileQuery, relation: str
+) -> tuple[TileQuery, str]:
+    """Validate one browse request against ``grid``.
+
+    Returns the region as a cell span plus the
+    :class:`~repro.euler.estimates.Level2Counts` field backing
+    ``relation``.  Every way the request can be malformed -- unknown
+    relation, misaligned or out-of-space world rectangle, span exceeding
+    the grid -- raises :class:`~repro.errors.InvalidRegionError` (a
+    ``ValueError`` subclass, so pre-taxonomy callers keep working).
+    """
+    if relation not in RELATION_FIELDS:
+        raise InvalidRegionError(
+            f"unknown relation {relation!r}; expected one of {sorted(RELATION_FIELDS)}"
+        )
+    if isinstance(region, Rect):
+        try:
+            region = aligned_query_cells(grid, region)
+        except ValueError as exc:
+            raise InvalidRegionError(str(exc)) from exc
+    try:
+        region.validate_against(grid)
+    except ValueError as exc:
+        raise InvalidRegionError(str(exc)) from exc
+    return region, RELATION_FIELDS[relation]
+
 
 #: ``clock()`` -> seconds; monotonic in production, fake under test.
 Clock = Callable[[], float]
@@ -342,28 +518,6 @@ class FallbackChain:
             )
         return values
 
-    def estimate_chunk(
-        self,
-        batch: TileQueryBatch,
-        field_name: str,
-        *,
-        trace: RequestTrace | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Answer one chunk of tile queries, falling through the chain.
-
-        Returns the float64 counts for ``field_name``, one per query.
-        Raises :class:`~repro.errors.EstimatorFailedError` when no tier
-        can answer.  When a trace is given, every tier attempt is
-        recorded as an ``attempt:<tier>`` span with its outcome.
-        ``timeout`` is forwarded to deadline-aware tiers (see
-        :meth:`_attempt`).
-        """
-        values, _tier = self.estimate_chunk_tiered(
-            batch, field_name, trace=trace, timeout=timeout
-        )
-        return values
-
     def estimate_chunk_tiered(
         self,
         batch: TileQueryBatch,
@@ -372,9 +526,17 @@ class FallbackChain:
         trace: RequestTrace | None = None,
         timeout: float | None = None,
     ) -> tuple[np.ndarray, EstimatorTier]:
-        """Like :meth:`estimate_chunk`, but also returns the tier that
-        answered -- callers caching results need to know whether the
-        answer is authoritative (primary tier) or degraded."""
+        """Answer one chunk of tile queries, falling through the chain.
+
+        Returns the float64 counts for ``field_name``, one per query, and
+        the tier that answered -- callers caching results need to know
+        whether the answer is authoritative (primary tier) or degraded.
+        Raises :class:`~repro.errors.EstimatorFailedError` when no tier
+        can answer.  When a trace is given, every tier attempt is
+        recorded as an ``attempt:<tier>`` span with its outcome.
+        ``timeout`` is forwarded to deadline-aware tiers (see
+        :meth:`_attempt`).
+        """
         causes: list[BaseException] = []
         obs = self._obs
         for depth, tier in enumerate(self.tiers):
@@ -445,12 +607,11 @@ class FallbackChain:
 class ResilientBrowsingService:
     """A browsing service with deadlines, fallbacks and partial answers.
 
-    Drop-in alternative to
-    :class:`~repro.browse.service.GeoBrowsingService`: same
-    ``browse(region, rows, cols, relation)`` surface, same
-    :class:`~repro.browse.service.BrowseResult`, but the raster is
-    answered in row chunks through a :class:`FallbackChain` with a
-    per-request deadline.  See the module docstring for the semantics.
+    Runs the staged browse pipeline (see the module docstring) with
+    every layer configurable: the raster is answered in row chunks
+    through a :class:`FallbackChain` under a per-request deadline.
+    :class:`~repro.browse.service.GeoBrowsingService` is this class
+    configured with one estimator and one attempt.
 
     Parameters
     ----------
@@ -495,6 +656,13 @@ class ResilientBrowsingService:
         answered by the primary tier (or copied from ones that were) are
         ever reused -- a degraded tier's counts must not outlive the
         interaction that produced them.
+    parallel:
+        A :class:`~repro.parallel.executor.ParallelConfig` or mode string
+        (``"thread"``, ``"process"``, ``"auto"``).  The primary
+        estimator is wrapped in a
+        :class:`~repro.parallel.executor.ProcessBackedEstimator`, so each
+        chunk it answers may run on the process pool; fallback tiers stay
+        inline.  Incompatible with a prebuilt ``chain``.
     pyramid:
         An optional :class:`~repro.euler.pyramid.HistogramPyramid` (or a
         prebuilt :class:`~repro.browse.refine.PyramidSource`) whose
@@ -514,6 +682,9 @@ class ResilientBrowsingService:
         Fraction of the deadline budget the refinement ladder may spend
         before yielding to the fine chunk path (default 0.35).
     """
+
+    #: The ``service`` label on every metric this service records.
+    _service = "resilient"
 
     def __init__(
         self,
@@ -550,6 +721,8 @@ class ResilientBrowsingService:
             )
         self._pyramid = pyramid
         self._refine_fraction = refine_fraction
+        if isinstance(estimators, Level2Estimator):
+            estimators = [estimators]
         # Process parallelism wraps the *primary* estimator in a
         # ProcessBackedEstimator before the chain is built, so it only
         # composes with the estimators form of construction.
@@ -560,20 +733,16 @@ class ResilientBrowsingService:
                     "parallel cannot be combined with a prebuilt chain; "
                     "pass the estimators sequence instead"
                 )
-            if isinstance(estimators, Level2Estimator):
-                estimators = [estimators]
             estimators = list(estimators)
             self._parallel = ParallelExecutor(
                 estimators[0],
                 parallel,
                 num_shards=num_shards,
                 instruments=instruments,
-                service="resilient",
+                service=self._service,
             )
             estimators[0] = ProcessBackedEstimator(estimators[0], self._parallel)
         if chain is None:
-            if isinstance(estimators, Level2Estimator):
-                estimators = [estimators]
             chain = FallbackChain(
                 estimators,
                 failure_threshold=failure_threshold,
@@ -586,7 +755,9 @@ class ResilientBrowsingService:
             )
         self._chain = chain
         self._grid = grid
-        self._chunk_rows = chunk_rows
+        #: Raster rows per chunk; ``None`` sizes chunks per request to
+        #: one row band per shard.
+        self._chunk_rows: int | None = chunk_rows
         self._clock = clock
         self._obs = instruments
         self._cache = cache
@@ -691,29 +862,37 @@ class ResilientBrowsingService:
         previous: BrowseResult | None = None,
         session: str = "default",
     ) -> BrowseResult:
-        """Run one browsing interaction with resilience semantics.
+        """Run one browsing interaction through the staged pipeline.
 
         Parameters
         ----------
-        region, rows, cols, relation:
-            As in :meth:`GeoBrowsingService.browse
-            <repro.browse.service.GeoBrowsingService.browse>`; malformed
-            requests raise :class:`~repro.errors.InvalidRegionError`.
+        region:
+            The selected region, either as a world rectangle (must be
+            grid-aligned) or directly as a cell span.
+        rows, cols:
+            The tile partitioning the user requested.
+        relation:
+            One of ``contains``, ``contained``, ``overlap``, ``disjoint``,
+            ``intersect``.  Malformed requests raise
+            :class:`~repro.errors.InvalidRegionError`.
         deadline:
             Per-request budget in seconds on the service clock; ``None``
-            means unbounded.  The budget is checked before each row
-            chunk, so a chunk in flight is never abandoned.
+            means unbounded.  The budget is checked before each wave of
+            row chunks, so a chunk in flight is never abandoned.
         on_deadline:
             ``"partial"`` (default) returns whatever was answered, with
             unanswered tiles NaN and marked ``False`` in the result's
             validity mask; ``"raise"`` raises
             :class:`~repro.errors.DeadlineExceededError` instead.
         previous:
-            An explicit viewport-delta hint (see
-            :mod:`repro.browse.delta`); overrides the tracker.
+            An explicit viewport-delta hint: a result whose overlapping
+            tiles are copied when it is tile-compatible with this request
+            (see :mod:`repro.browse.delta`).  Overrides the tracker.
         session:
             The session key under the service's
-            :class:`~repro.browse.delta.DeltaTracker`, when configured.
+            :class:`~repro.browse.delta.DeltaTracker` (when one is
+            configured): the session's last raster is the implicit
+            ``previous``, and this result replaces it.
         """
         if on_deadline not in ("partial", "raise"):
             raise ValueError(
@@ -721,345 +900,325 @@ class ResilientBrowsingService:
             )
         obs = self._obs
         trace = obs.new_trace() if obs is not None else None
-
-        def span(name: str, **attrs):
-            return trace.span(name, **attrs) if trace is not None else nullcontext()
-
-        expired = False
         started = self._clock()
-        with span("browse", relation=relation, rows=rows, cols=cols, deadline=deadline):
-            with span("resolve"):
-                region, field_name = resolve_browse_request(self._grid, region, relation)
-            with span("validate_tiling"):
-                try:
-                    validate_browsing_tiling(region, rows, cols)
-                except ValueError as exc:
-                    raise InvalidRegionError(str(exc)) from exc
-
-            # The fine tiling's corner arrays, materialised on first
-            # need: a request fully answered by deltas, cache hits or a
-            # coarse pyramid raster never pays for them.
-            batch: TileQueryBatch | None = None
-
-            def tile_batch() -> TileQueryBatch:
-                nonlocal batch
-                if batch is None:
-                    with span("build_batch"):
-                        batch = browsing_tile_batch(region, rows, cols)
-                return batch
-
-            counts = np.full((rows, cols), np.nan, dtype=np.float64)
-            valid = np.zeros((rows, cols), dtype=bool)
-            counts_flat = counts.reshape(-1)
-            valid_flat = valid.reshape(-1)
-            # Tiles whose value the primary path stands behind (cache
-            # hits, delta copies, primary-tier chunks): only these are
-            # reusable by later viewport deltas.
-            primary_flat = np.zeros(rows * cols, dtype=bool)
-            miss_flat = np.ones(rows * cols, dtype=bool)
+        expired = False
+        root_span = (
+            trace.span("browse", relation=relation, rows=rows, cols=cols, deadline=deadline)
+            if trace is not None
+            else nullcontext()
+        )
+        with root_span:
+            region, field_name = self._resolve(trace, region, rows, cols, relation)
             scope = self.cache_key(field_name)
+            counts = np.full(rows * cols, np.nan)
+            # Tiles the primary path stands behind (delta copies, cache
+            # hits, primary-tier chunks): only these are ever cached or
+            # reused by a later viewport delta.
+            primary = np.zeros(rows * cols, dtype=bool)
+            if previous is not None or self._delta is not None:
+                reused = self._reuse_delta(
+                    trace, region, rows, cols, scope, previous, session, counts
+                )
+                if reused is not None:
+                    primary |= reused
+            if self._cache is not None and not primary.all():
+                hits = self._probe_cache(
+                    trace, region, rows, cols, scope, np.flatnonzero(~primary), counts
+                )
+                primary[hits] = True
+            valid = primary.copy()
+            open_tiles = np.flatnonzero(~primary)
+            levels = bounds = None
+            if self._pyramid is not None:
+                levels = np.full(rows * cols, -1, dtype=np.int64)
+                bounds = np.zeros(rows * cols)
+                if deadline is not None and open_tiles.size and self._prefill(
+                    trace, region, rows, cols, field_name, started, deadline,
+                    open_tiles, counts, levels, bounds,
+                ):
+                    valid[open_tiles] = True
+            if open_tiles.size:
+                expired = self._run_waves(
+                    trace, region, rows, cols, field_name, scope, started, deadline,
+                    on_deadline, open_tiles, counts, valid, primary, levels, bounds,
+                )
+            result = self._assemble(
+                trace, region, relation, rows, cols, scope, session,
+                counts, valid, primary, levels, bounds,
+            )
+        if obs is not None:
+            elapsed = self._clock() - started
+            answered = int(valid.sum())
+            service = self._service
+            obs.requests.labels(service=service, relation=relation).inc()
+            obs.request_seconds.labels(service=service).observe(elapsed)
+            obs.tiles.labels(service=service, outcome="answered").inc(answered)
+            obs.tiles.labels(service=service, outcome="nan").inc(valid.size - answered)
+            if deadline is not None:
+                obs.deadline_margin.labels(service=service).set(deadline - elapsed)
+            root = trace.spans[0].attrs
+            root["valid_fraction"] = result.valid_fraction
+            root["deadline_expired"] = expired
+            if obs.accuracy is not None:
+                obs.accuracy.observe(result, trace=trace)
+        return result
 
-            # Viewport-delta probe: tiles coinciding with the session's
-            # previous raster are copied and marked valid before any
-            # deadline check runs, so a pan's overlap survives even a
-            # zero budget.
-            candidate = previous
-            if candidate is None and self._delta is not None:
-                candidate = self._delta.lookup(session)
-            plan: DeltaPlan | None = None
+    # ------------------------------------------------------------------ #
+    # pipeline stages, in order; each opens exactly one span
+    # ------------------------------------------------------------------ #
+
+    def _stage(self, trace: RequestTrace | None, name: str, **attrs):
+        """The span of one stage; on a clean exit its duration feeds
+        ``repro_browse_stage_seconds{stage=name}``."""
+        if trace is None:
+            return nullcontext()
+        return self._timed_span(trace, name, attrs)
+
+    @contextmanager
+    def _timed_span(self, trace: RequestTrace, name: str, attrs: dict):
+        with trace.span(name, **attrs) as span:
+            yield span
+        self._obs.stage_seconds.labels(service=self._service, stage=name).observe(
+            span.seconds
+        )
+
+    def _resolve(
+        self, trace, region: Rect | TileQuery, rows: int, cols: int, relation: str
+    ) -> tuple[TileQuery, str]:
+        """The request as a cell span plus its counts field."""
+        with self._stage(trace, "resolve"):
+            region, field_name = resolve_browse_request(self._grid, region, relation)
+            try:
+                validate_browsing_tiling(region, rows, cols)
+            except ValueError as exc:
+                raise InvalidRegionError(str(exc)) from exc
+        return region, field_name
+
+    def _reuse_delta(
+        self, trace, region: TileQuery, rows: int, cols: int, scope: CacheKey,
+        previous: BrowseResult | None, session: str, counts: np.ndarray,
+    ) -> np.ndarray | None:
+        """Copy the tiles this raster shares with ``previous`` (or the
+        session's last raster) into ``counts``; returns the flat mask of
+        copied tiles, ``None`` when nothing is reusable."""
+        candidate = previous if previous is not None else self._delta.lookup(session)
+        with self._stage(trace, "delta"):
+            plan = None
             if candidate is not None:
                 plan = plan_delta(candidate, region, rows, cols, scope)
             if plan is not None:
-                with span("delta_fill", tiles=plan.n_reused):
-                    plan.fill(counts_flat, candidate.counts)
-                    valid_flat[plan.reused] = True
-                    primary_flat[plan.reused] = True
-                    miss_flat[plan.reused] = False
-            if obs is not None and (previous is not None or self._delta is not None):
-                if plan is not None:
-                    outcome = "reused"
-                    obs.delta_tiles_reused.labels(service="resilient").inc(plan.n_reused)
-                else:
-                    outcome = "incompatible" if candidate is not None else "cold"
-                obs.delta_rasters.labels(service="resilient", outcome=outcome).inc()
+                plan.fill(counts, candidate.counts)
+        obs = self._obs
+        if obs is not None:
+            if plan is not None:
+                outcome = "reused"
+                obs.delta_tiles_reused.labels(service=self._service).inc(plan.n_reused)
+            else:
+                outcome = "incompatible" if candidate is not None else "cold"
+            obs.delta_rasters.labels(service=self._service, outcome=outcome).inc()
+        return None if plan is None else plan.reused
 
-            # Vectorised cache probe over the tiles the delta could not
-            # cover: one gather answers every previously-seen tile before
-            # any chunk (or deadline) runs.
-            cache = self._cache
-            cache_key = scope if cache is not None else None
-            if cache is not None:
-                remaining = np.flatnonzero(miss_flat)
-                if remaining.size:
-                    probe_batch = (
-                        tile_batch()
-                        if remaining.size == rows * cols
-                        else batch_subset(tile_batch(), remaining)
-                    )
-                    with span("cache_probe"):
-                        cached_values, hit = cache.probe(cache_key, probe_batch)
-                    n_hit = int(np.count_nonzero(hit))
-                    if obs is not None:
-                        obs.cache_hits.labels(service="resilient").inc(n_hit)
-                        obs.cache_misses.labels(service="resilient").inc(
-                            remaining.size - n_hit
-                        )
-                    if n_hit:
-                        pos = remaining[hit]
-                        counts_flat[pos] = cached_values[hit]
-                        valid_flat[pos] = True
-                        primary_flat[pos] = True
-                        miss_flat[pos] = False
-
-            # Pyramid prefill: under a deadline, every tile the delta and
-            # cache could not answer is first served from the coarsest
-            # aligned pyramid level -- a complete, coarse-but-valid
-            # raster almost immediately -- then refined level-by-level
-            # while elapsed time stays inside the refinement budget.
-            # ``miss_flat`` is deliberately left untouched: the fine
-            # chunk path still owns those tiles, and because
-            # ``primary_flat`` stays False here, pyramid-served counts
-            # can never reach the tile cache or a later viewport delta.
-            psource = self._pyramid
-            steps: tuple[RefinementStep, ...] = (
-                psource.plan(region, rows, cols) if psource is not None else ()
+    def _probe_cache(
+        self, trace, region: TileQuery, rows: int, cols: int, scope: CacheKey,
+        open_tiles: np.ndarray, counts: np.ndarray,
+    ) -> np.ndarray:
+        """Answer the ``open_tiles`` seen before with one vectorised cache
+        probe, writing them into ``counts``; returns their flat indices."""
+        with self._stage(trace, "cache_probe", tiles=open_tiles.size):
+            batch = browsing_tile_batch_subset(region, rows, cols, open_tiles)
+            values, hit = self._cache.probe(scope, batch)
+            answered = open_tiles[hit]
+            counts[answered] = values[hit]
+        if self._obs is not None:
+            self._obs.cache_hits.labels(service=self._service).inc(answered.size)
+            self._obs.cache_misses.labels(service=self._service).inc(
+                open_tiles.size - answered.size
             )
-            levels_flat: np.ndarray | None = None
-            bound_flat: np.ndarray | None = None
-            refine_rounds = 0
-            if steps and deadline is not None:
-                pending = np.flatnonzero(miss_flat)
-                whole_raster = pending.size == rows * cols
-                if pending.size:
-                    levels_flat = np.full(rows * cols, -1, dtype=np.int64)
-                    bound_flat = np.zeros(rows * cols, dtype=np.float64)
-                    for step in steps:
-                        if refine_rounds and (
-                            self._clock() - started
-                            >= deadline * self._refine_fraction
-                        ):
-                            break
-                        with span(f"pyramid[level={step.level}]", tiles=step.tiles):
-                            step_counts, step_bound = psource.raster(
-                                step, rows, cols, field_name
-                            )
-                        if whole_raster:
-                            # The common cold-viewport case: full-array
-                            # writes instead of a 4x fancy-index gather.
-                            np.copyto(counts, step_counts)
-                            valid_flat[:] = True
-                            levels_flat[:] = step.level
-                            np.copyto(bound_flat, step_bound.reshape(-1))
-                        else:
-                            counts_flat[pending] = step_counts.reshape(-1)[pending]
-                            valid_flat[pending] = True
-                            levels_flat[pending] = step.level
-                            bound_flat[pending] = step_bound.reshape(-1)[pending]
-                        refine_rounds += 1
-                        if obs is not None:
-                            obs.pyramid_level_served.labels(
-                                service="resilient", level=str(step.level)
-                            ).inc()
-                            if refine_rounds == 1:
-                                obs.pyramid_first_raster.labels(
-                                    service="resilient"
-                                ).observe(self._clock() - started)
-                if obs is not None:
-                    obs.pyramid_refine_rounds.labels(service="resilient").observe(
-                        refine_rounds
-                    )
+        return answered
 
-            # The coarsest step's raster doubles as the rescue source for
-            # chunks whose fallback chain is exhausted; computed at most
-            # once, under a lock because chunks run on shard threads.
-            rescue_lock = threading.Lock()
-            rescue_state: list = []
-
-            def coarse_rescue():
-                """(level, counts, bounds) of the coarsest planned step,
-                flattened; ``None`` when no pyramid level aligns."""
-                with rescue_lock:
-                    if not rescue_state:
-                        if not steps:
-                            rescue_state.append(None)
-                        else:
-                            step = steps[0]
-                            values2d, bound2d = psource.raster(
-                                step, rows, cols, field_name
-                            )
-                            rescue_state.append(
-                                (step.level, values2d.reshape(-1), bound2d.reshape(-1))
-                            )
-                    return rescue_state[0]
-
-            # Row chunks that still have unanswered tiles, answered in
-            # waves of up to ``num_shards`` concurrent chunks.  The
-            # deadline is checked before each wave, so work in flight is
-            # never abandoned; with one shard this is exactly the
-            # sequential per-chunk check.
-            def plan_chunks() -> list[tuple[int, int, np.ndarray]]:
-                jobs: list[tuple[int, int, np.ndarray]] = []
-                unanswered = np.flatnonzero(miss_flat)
-                if unanswered.size:
-                    blocks = unanswered // (cols * self._chunk_rows)
-                    splits = np.flatnonzero(np.diff(blocks)) + 1
-                    for idx in np.split(unanswered, splits):
-                        row_lo = (
-                            int(idx[0] // cols) // self._chunk_rows * self._chunk_rows
-                        )
-                        row_hi = min(row_lo + self._chunk_rows, rows)
-                        jobs.append((row_lo, row_hi, idx))
-                return jobs
-
-            def run_chunk(job: tuple[int, int, np.ndarray]):
-                row_lo, row_hi, idx = job
-                sub = batch_subset(tile_batch(), idx)
-                chunk_started = self._clock()
-                # Budget remaining at chunk start, for deadline-aware
-                # tiers (the process-backed primary): a slow worker wave
-                # degrades inside the pool instead of overrunning the
-                # request deadline.  Floored so a chunk admitted just
-                # before expiry still gets a sliver rather than a
-                # nonsensical non-positive budget.
-                remaining = (
-                    None
-                    if deadline is None
-                    else max(deadline - (chunk_started - started), 0.01)
-                )
-                rescue: tuple[int, np.ndarray] | None = None
-                with span(f"chunk[{row_lo}:{row_hi})", tiles=len(idx)):
-                    try:
-                        values, tier = self._chain.estimate_chunk_tiered(
-                            sub, field_name, trace=trace, timeout=remaining
-                        )
-                    except EstimatorFailedError:
-                        # Exhausted chain: rescue the chunk's tiles from
-                        # the coarsest pyramid level when one aligns --
-                        # coarse-but-valid beats failing the request.
-                        source = coarse_rescue() if psource is not None else None
-                        if source is None:
-                            raise
-                        level, rescue_counts, rescue_bounds = source
-                        values = rescue_counts[idx]
-                        tier = None
-                        rescue = (level, rescue_bounds[idx])
-                return idx, sub, values, tier, self._clock() - chunk_started, rescue
-
-            wave_size = self._pool.num_shards if self._pool is not None else 1
-            position = 0
-            chunks: list[tuple[int, int, np.ndarray]] | None = None
-            while True:
-                # Chunk jobs are planned only when the deadline still has
-                # room: an expired budget with a (coarse-)complete raster
-                # exits before paying for the fine path's bookkeeping.
-                if chunks is None and not miss_flat.any():
+    def _prefill(
+        self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
+        started: float, deadline: float, open_tiles: np.ndarray,
+        counts: np.ndarray, levels: np.ndarray, bounds: np.ndarray,
+    ) -> bool:
+        """Serve ``open_tiles`` coarse-first from the pyramid: the
+        coarsest aligned level gives a complete raster almost at once,
+        finer levels replace it while elapsed time stays inside the
+        refinement budget.  Writes ``counts``/``levels``/``bounds``;
+        returns whether any level was served.  The tiles stay open for
+        the chunk waves -- a coarse count is never primary, so it never
+        reaches the cache or a later viewport delta."""
+        obs = self._obs
+        whole_raster = open_tiles.size == counts.size
+        rounds = 0
+        with self._stage(trace, "pyramid", tiles=open_tiles.size) as span:
+            for step in self._pyramid.plan(region, rows, cols):
+                if rounds and (
+                    self._clock() - started >= deadline * self._refine_fraction
+                ):
                     break
+                step_counts, step_bound = self._pyramid.raster(
+                    step, rows, cols, field_name
+                )
+                if whole_raster:
+                    # The common cold-viewport case: full-array writes
+                    # instead of fancy-index gathers.
+                    np.copyto(counts, step_counts.reshape(-1))
+                    levels.fill(step.level)
+                    np.copyto(bounds, step_bound.reshape(-1))
+                else:
+                    counts[open_tiles] = step_counts.reshape(-1)[open_tiles]
+                    levels[open_tiles] = step.level
+                    bounds[open_tiles] = step_bound.reshape(-1)[open_tiles]
+                rounds += 1
+                if obs is not None:
+                    obs.pyramid_level_served.labels(
+                        service=self._service, level=str(step.level)
+                    ).inc()
+                    if rounds == 1:
+                        obs.pyramid_first_raster.labels(service=self._service).observe(
+                            self._clock() - started
+                        )
+            if span is not None:
+                span.attrs["rounds"] = rounds
+        if obs is not None:
+            obs.pyramid_refine_rounds.labels(service=self._service).observe(rounds)
+        return rounds > 0
+
+    def _run_waves(
+        self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
+        scope: CacheKey, started: float, deadline: float | None, on_deadline: str,
+        open_tiles: np.ndarray, counts: np.ndarray, valid: np.ndarray,
+        primary: np.ndarray, levels: np.ndarray | None, bounds: np.ndarray | None,
+    ) -> bool:
+        """Answer ``open_tiles`` in row chunks through the fallback
+        chain, up to ``num_shards`` chunks per wave, checking the deadline
+        before each wave.  Writes every answered chunk into the raster
+        arrays and caches primary-tier answers; returns whether the
+        deadline expired."""
+        obs = self._obs
+        wave_size = self.num_shards
+        chunk_rows = self._chunk_rows or -(-rows // wave_size)
+        run = partial(
+            self._estimate_chunk, trace, region, rows, cols, field_name, started, deadline
+        )
+        coarse = None
+        with self._stage(trace, "waves", tiles=open_tiles.size):
+            # Split the open tiles (row-major) at chunk boundaries.
+            blocks = open_tiles // (cols * chunk_rows)
+            chunks = (
+                [open_tiles]
+                if blocks[0] == blocks[-1]
+                else np.split(open_tiles, np.flatnonzero(np.diff(blocks)) + 1)
+            )
+            for position in range(0, len(chunks), wave_size):
                 if deadline is not None and self._clock() - started >= deadline:
-                    expired = True
                     if obs is not None:
-                        obs.deadline_expirations.labels(service="resilient").inc()
+                        obs.deadline_expirations.labels(service=self._service).inc()
                     # A pyramid-prefilled raster is complete (coarse but
                     # valid everywhere), so even ``on_deadline="raise"``
                     # degrades instead of raising.
                     if on_deadline == "raise" and not valid.all():
-                        answered = int(valid.all(axis=1).sum())
+                        answered = int(valid.reshape(rows, cols).all(axis=1).sum())
                         raise DeadlineExceededError(
                             f"deadline of {deadline:.3f}s expired after answering "
                             f"{answered} of {rows} raster rows",
                             answered_rows=answered,
                             total_rows=rows,
                         )
-                    break
-                if chunks is None:
-                    with span("plan_chunks"):
-                        chunks = plan_chunks()
-                if position >= len(chunks):
-                    break
-                # Materialised here (idempotent, main thread) so shard
-                # threads in the wave below never race the lazy build.
-                tile_batch()
+                    return True
                 wave = chunks[position : position + wave_size]
-                position += len(wave)
                 if self._pool is not None and len(wave) > 1:
-                    outcomes = self._pool.map(run_chunk, wave)
+                    outcomes = self._pool.map(run, wave)
                 else:
-                    outcomes = [run_chunk(job) for job in wave]
-                for idx, sub, values, tier, chunk_seconds, rescue in outcomes:
-                    if obs is not None:
-                        obs.stage_seconds.labels(
-                            service="resilient", stage="chunk"
-                        ).observe(chunk_seconds)
-                    counts_flat[idx] = values
-                    valid_flat[idx] = True
-                    if rescue is not None:
-                        # Pyramid-rescued: coarse-but-valid, never
-                        # primary, never cached.
-                        level, bounds = rescue
-                        if levels_flat is None:
-                            levels_flat = np.full(rows * cols, -1, dtype=np.int64)
-                            bound_flat = np.zeros(rows * cols, dtype=np.float64)
-                        levels_flat[idx] = level
-                        bound_flat[idx] = bounds
+                    outcomes = [run(idx) for idx in wave]
+                for idx, (batch, values, tier) in zip(wave, outcomes):
+                    if values is None:
+                        # Exhausted chain: coarse-but-valid from the
+                        # coarsest pyramid level, never primary or cached.
+                        if coarse is None:
+                            step = self._pyramid.plan(region, rows, cols)[0]
+                            step_counts, step_bound = self._pyramid.raster(
+                                step, rows, cols, field_name
+                            )
+                            coarse = (
+                                step.level,
+                                step_counts.reshape(-1),
+                                step_bound.reshape(-1),
+                            )
+                        level, coarse_counts, coarse_bounds = coarse
+                        values = coarse_counts[idx]
+                        levels[idx] = level
+                        bounds[idx] = coarse_bounds[idx]
                         if obs is not None:
-                            obs.pyramid_rescues.labels(service="resilient").inc()
-                        continue
-                    if levels_flat is not None:
-                        levels_flat[idx] = -1
-                        bound_flat[idx] = 0.0
-                    # Only authoritative answers are cached or reused by
-                    # later viewport deltas: a degraded tier's counts
-                    # must not keep serving once the primary recovers.
-                    if tier is self._chain.tiers[0]:
-                        primary_flat[idx] = True
-                        if cache_key is not None:
-                            cache.store(cache_key, sub, values)
+                            obs.pyramid_rescues.labels(service=self._service).inc()
+                    else:
+                        if levels is not None:
+                            levels[idx] = -1
+                            bounds[idx] = 0.0
+                        # Only authoritative answers are cached or reused:
+                        # a degraded tier's counts must not keep serving
+                        # once the primary recovers.
+                        if tier is self._chain.tiers[0]:
+                            primary[idx] = True
+                            if self._cache is not None:
+                                self._cache.store(scope, batch, values)
+                    counts[idx] = values
+                    valid[idx] = True
+        return False
 
-        if obs is not None:
-            elapsed = self._clock() - started
-            answered = int(valid.sum())
-            obs.requests.labels(service="resilient", relation=relation).inc()
-            obs.request_seconds.labels(service="resilient").observe(elapsed)
-            obs.tiles.labels(service="resilient", outcome="answered").inc(answered)
-            obs.tiles.labels(service="resilient", outcome="nan").inc(rows * cols - answered)
-            if deadline is not None:
-                obs.deadline_margin.labels(service="resilient").set(deadline - elapsed)
-        if trace is not None:
-            trace_attrs = trace.spans[0].attrs
-            trace_attrs["valid_fraction"] = float(valid.mean()) if valid.size else 1.0
-            trace_attrs["deadline_expired"] = expired
-        reusable = (valid_flat & primary_flat).reshape(rows, cols)
-        delta_source = DeltaSource(
-            scope=scope, reusable=None if bool(reusable.all()) else reusable
+    def _estimate_chunk(
+        self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
+        started: float, deadline: float | None, idx: np.ndarray,
+    ) -> tuple[TileQueryBatch, np.ndarray | None, EstimatorTier | None]:
+        """One chunk through the fallback chain (runs on wave threads):
+        its corner batch, its values and the answering tier.  The values
+        are ``None`` when the chain is exhausted but a pyramid level can
+        rescue the chunk."""
+        batch = browsing_tile_batch_subset(region, rows, cols, idx)
+        # Budget left at chunk start, for deadline-aware tiers (the
+        # process-backed primary): a slow worker wave degrades inside the
+        # pool instead of overrunning the request deadline.  Floored so a
+        # chunk admitted just before expiry still gets a sliver.
+        remaining = (
+            None if deadline is None else max(deadline - (self._clock() - started), 0.01)
         )
-        # The refinement annotation rides the result only when a pyramid
-        # level actually answered a tile the fine path never overwrote.
-        levels_arr = error_bound_arr = None
-        if levels_flat is not None and bool((levels_flat >= 0).any()):
-            levels_arr = levels_flat.reshape(rows, cols)
-            error_bound_arr = bound_flat.reshape(rows, cols)
-        if valid.all():
+        band = f"{int(idx[0]) // cols}:{int(idx[-1]) // cols + 1}"
+        with self._stage(trace, "chunk", rows=band, tiles=idx.size):
+            try:
+                values, tier = self._chain.estimate_chunk_tiered(
+                    batch, field_name, trace=trace, timeout=remaining
+                )
+            except EstimatorFailedError:
+                if self._pyramid is None or not self._pyramid.plan(region, rows, cols):
+                    raise
+                return batch, None, None
+        return batch, values, tier
+
+    def _assemble(
+        self, trace, region: TileQuery, relation: str, rows: int, cols: int,
+        scope: CacheKey, session: str, counts: np.ndarray, valid: np.ndarray,
+        primary: np.ndarray, levels: np.ndarray | None, bounds: np.ndarray | None,
+    ) -> BrowseResult:
+        """The result raster with its validity mask, delta scope and --
+        when a pyramid level answered a tile the chunks never overwrote --
+        its refinement annotation; remembered for the session's next
+        viewport delta."""
+        with self._stage(trace, "assemble"):
+            coarse = levels is not None and bool((levels >= 0).any())
             result = BrowseResult(
                 region=region,
                 relation=relation,
-                counts=counts,
+                counts=counts.reshape(rows, cols),
+                valid=None if valid.all() else valid.reshape(rows, cols),
                 telemetry=trace,
-                delta=delta_source,
-                levels=levels_arr,
-                error_bound=error_bound_arr,
+                delta=DeltaSource(
+                    scope=scope,
+                    reusable=None if primary.all() else primary.reshape(rows, cols),
+                ),
+                levels=levels.reshape(rows, cols) if coarse else None,
+                error_bound=bounds.reshape(rows, cols) if coarse else None,
             )
-        else:
-            result = BrowseResult(
-                region=region,
-                relation=relation,
-                counts=counts,
-                valid=valid,
-                telemetry=trace,
-                delta=delta_source,
-                levels=levels_arr,
-                error_bound=error_bound_arr,
-            )
-        if self._delta is not None:
-            self._delta.remember(session, result)
-        if obs is not None and obs.accuracy is not None:
-            obs.accuracy.observe(result, trace=trace)
+            if self._delta is not None:
+                self._delta.remember(session, result)
         return result

@@ -10,233 +10,75 @@ public API: it owns a dataset summary (any Level-2 estimator) and turns a
 ``browse`` call into a count raster.  The exact evaluator plugs in the
 same way, which is how the examples show estimate-vs-exact side by side.
 
-Serving path: the raster's tile corners are materialised once as a
-:class:`~repro.grid.tiles_math.TileQueryBatch` and the whole interaction
-is answered through the estimator's vectorised ``estimate_batch`` -- a
-constant number of numpy gathers regardless of ``rows x cols``.  The
-original per-tile scalar loop is kept behind ``use_batch=False`` for
-parity testing and for profiling the two paths against each other;
-estimators without a native batch path are adapted transparently via
-:func:`~repro.euler.base.as_batch_estimator`.
+It is a constructor, not a second implementation: the raster is answered
+by the staged pipeline of
+:class:`~repro.browse.resilience.ResilientBrowsingService` (resolve ->
+delta -> cache probe -> chunk waves -> assemble), configured with one
+estimator, one attempt and no pyramid.  With one shard that is a single
+vectorised ``estimate_batch`` per raster -- a constant number of numpy
+gathers regardless of ``rows x cols``.  Estimators without a native batch
+path are adapted via :func:`~repro.euler.base.as_batch_estimator`; wrap
+one in :class:`~repro.euler.base.ScalarBatchFallback` to serve rasters
+through the per-tile scalar loop (parity tests and benchmarks do).
 
-Two optional accelerations layer onto the batch path, both producing
-bit-identical rasters:
-
-- a :class:`~repro.cache.TileResultCache` (``cache=``) is probed once
-  per raster -- one vectorised gather answers every previously-seen tile
-  -- and only the miss-set reaches the estimator; results are keyed by
-  the backing summary's identity *and generation*, so maintained
-  histograms invalidate stale entries for free;
-- a shard count (``num_shards=``) splits the miss-set into contiguous
-  row bands dispatched through a
-  :class:`~repro.parallel.executor.ParallelExecutor` -- thread bands by
-  default (numpy kernels release the GIL, so shards overlap on
-  multi-core hosts and band-blocking keeps the single-core case ahead
-  too), or true process parallelism over shared-memory summaries via
-  ``parallel="process"``/``"auto"`` (:mod:`repro.parallel`);
-- a :class:`~repro.browse.delta.DeltaTracker` (``delta=``, or an explicit
-  ``previous=`` hint per call) overlays *viewport deltas*: when the new
-  raster is tile-compatible with the session's previous one (same
-  scope/generation, same tile extents, lattice-aligned offset -- see
-  :mod:`repro.browse.delta`), the overlapping tiles are copied from the
-  previous result and only the fresh band reaches the cache/estimator
-  path at all.
+The request and result types live with the pipeline and are re-exported
+here: :class:`BrowseResult`, :data:`RELATION_FIELDS` and
+:func:`resolve_browse_request`.
 """
 
 from __future__ import annotations
 
-import math
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from functools import cached_property
-
-import numpy as np
-
-from repro.browse.delta import DeltaPlan, DeltaSource, DeltaTracker, plan_delta
-from repro.browse.sharding import batch_subset
-from repro.cache import CacheKey, TileResultCache, backing_summary, summary_generation, summary_token
-from repro.errors import InvalidRegionError
-from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
-from repro.euler.estimates import Level2Counts
-from repro.geometry.rect import Rect
-from repro.grid.grid import Grid
-from repro.grid.tiles_math import TileQuery, aligned_query_cells
-from repro.obs.instruments import BrowseInstrumentation
-from repro.obs.trace import RequestTrace
-from repro.parallel.executor import ParallelConfig, ParallelExecutor
-from repro.workloads.tiles import (
-    browsing_tile_batch,
-    browsing_tile_batch_subset,
-    browsing_tiles,
+from repro.browse.delta import DeltaTracker
+from repro.browse.resilience import (
+    RELATION_FIELDS,
+    BrowseResult,
+    ResilientBrowsingService,
+    RetryPolicy,
+    resolve_browse_request,
 )
+from repro.cache import TileResultCache
+from repro.euler.base import Level2Estimator
+from repro.grid.grid import Grid
+from repro.obs.instruments import BrowseInstrumentation
+from repro.parallel.executor import ParallelConfig
 
-__all__ = ["GeoBrowsingService", "BrowseResult", "RELATION_FIELDS"]
-
-#: Browsable relation name -> Level2Counts field.
-RELATION_FIELDS: dict[str, str] = {
-    "contains": "n_cs",
-    "contained": "n_cd",
-    "overlap": "n_o",
-    "disjoint": "n_d",
-    "intersect": "n_intersect",
-}
+__all__ = ["GeoBrowsingService", "BrowseResult", "RELATION_FIELDS", "resolve_browse_request"]
 
 
-@dataclass(frozen=True)
-class BrowseResult:
-    """One browsing interaction's result raster.
-
-    ``counts[r, c]`` is the (possibly estimated) number of objects in the
-    requested relation with tile ``(r, c)``; row 0 is the bottom row of the
-    region.
-
-    ``valid`` is the per-tile validity mask: ``None`` (the common case)
-    means every tile was answered; a boolean array of the raster's shape
-    marks tiles the resilient serving path could not answer before its
-    deadline -- those ``counts`` entries are NaN.
-
-    ``telemetry`` is the request's span trace when the answering service
-    was instrumented (``None`` otherwise): per-stage timings, per-chunk
-    estimator attempts and outcomes, readable via
-    ``result.telemetry.render()``.  It is excluded from equality so
-    result comparison stays about the raster.
-
-    ``delta`` records the scope this raster was answered under (summary
-    identity and generation, estimator, relation field) plus which tiles
-    are safe to copy, enabling :mod:`repro.browse.delta` reuse when the
-    result is passed back as the ``previous=`` hint of a later browse.
-    Like ``telemetry`` it is excluded from equality.
-
-    ``levels`` and ``error_bound`` are the pyramid-refinement annotation
-    (:mod:`repro.browse.refine`): per tile, the pyramid level that
-    answered it (``-1`` = authoritative full-resolution answer) and an
-    upper bound on how far the broadcast coarse count can sit from the
-    tile's full-resolution estimate.  ``None`` -- the common case -- means
-    no tile was pyramid-served.  Excluded from equality like the other
-    serving metadata.
-    """
-
-    region: TileQuery
-    relation: str
-    counts: np.ndarray
-    valid: np.ndarray | None = field(default=None)
-    telemetry: RequestTrace | None = field(default=None, compare=False, repr=False)
-    delta: DeltaSource | None = field(default=None, compare=False, repr=False)
-    levels: np.ndarray | None = field(default=None, compare=False, repr=False)
-    error_bound: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def rows(self) -> int:
-        """Number of tile rows in the raster."""
-        return self.counts.shape[0]
-
-    @property
-    def cols(self) -> int:
-        """Number of tile columns in the raster."""
-        return self.counts.shape[1]
-
-    @cached_property
-    def tiles(self) -> list[list[TileQuery]]:
-        """The per-tile queries behind the raster, ``tiles[r][c]``
-        matching ``counts[r, c]``.  Derived lazily from the region and the
-        raster shape so the batch serving path never pays for building
-        ``rows x cols`` Python objects unless a client drills down."""
-        return browsing_tiles(self.region, self.rows, self.cols)
-
-    @property
-    def total(self) -> float:
-        """Sum of the raster's counts."""
-        return float(self.counts.sum())
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether every tile of the raster was answered."""
-        return self.valid is None or bool(self.valid.all())
-
-    @property
-    def full_resolution(self) -> bool:
-        """Whether every answered tile carries its full-resolution count
-        (``True`` for rasters untouched by pyramid refinement).  A
-        complete raster can still be coarse: under a tight deadline the
-        resilient service answers every tile from a coarse pyramid level,
-        giving ``is_complete`` without ``full_resolution``."""
-        return self.levels is None or bool((self.levels < 0).all())
-
-    @property
-    def valid_fraction(self) -> float:
-        """Fraction of tiles answered (1.0 for a complete raster)."""
-        if self.valid is None:
-            return 1.0
-        return float(self.valid.mean()) if self.valid.size else 1.0
-
-    def render_ascii(self, *, width: int = 4) -> str:
-        """A terminal-friendly rendering of the raster (top row first),
-        for the examples: rounded counts, right-aligned columns.  Tiles
-        whose count is non-finite (NaN from a missed deadline, or
-        corruption upstream) render as ``"?"`` instead of crashing
-        ``int(round())``.
-
-        ``width`` is a *minimum* column width: when any rendered count
-        needs more characters, every column expands to the widest cell,
-        so the raster always stays grid-aligned (a too-small ``width``
-        used to misalign only the wide columns).
-        """
-        cells = [
-            ["?" if not math.isfinite(v) else str(int(round(v))) for v in self.counts[r]]
-            for r in range(self.rows - 1, -1, -1)
-        ]
-        cell_width = max(
-            [width] + [len(cell) for row in cells for cell in row]
-        )
-        return "\n".join(
-            " ".join(cell.rjust(cell_width) for cell in row) for row in cells
-        )
-
-
-def resolve_browse_request(
-    grid: Grid, region: Rect | TileQuery, relation: str
-) -> tuple[TileQuery, str]:
-    """Validate one browse request against ``grid``.
-
-    Returns the region as a cell span plus the
-    :class:`~repro.euler.estimates.Level2Counts` field backing
-    ``relation``.  Every way the request can be malformed -- unknown
-    relation, misaligned or out-of-space world rectangle, span exceeding
-    the grid -- raises :class:`~repro.errors.InvalidRegionError` (a
-    ``ValueError`` subclass, so pre-taxonomy callers keep working).
-    """
-    if relation not in RELATION_FIELDS:
-        raise InvalidRegionError(
-            f"unknown relation {relation!r}; expected one of {sorted(RELATION_FIELDS)}"
-        )
-    if isinstance(region, Rect):
-        try:
-            region = aligned_query_cells(grid, region)
-        except ValueError as exc:
-            raise InvalidRegionError(str(exc)) from exc
-    try:
-        region.validate_against(grid)
-    except ValueError as exc:
-        raise InvalidRegionError(str(exc)) from exc
-    return region, RELATION_FIELDS[relation]
-
-
-class GeoBrowsingService:
+class GeoBrowsingService(ResilientBrowsingService):
     """Browse a dataset summary with tiled relation queries.
+
+    The browse pipeline with one estimator, configured for the plain
+    case.  Its failure contract:
+
+    - **One attempt.**  Each chunk gets exactly one ``estimate_batch``
+      call; there are no retries and no fallback tier.
+    - **The shared breaker.**  The estimator sits behind the pipeline's
+      circuit breaker, shared by every request of this service: after 3
+      consecutive failed chunks it is skipped for 1 s, then one probe
+      request may close it again.
+    - **Taxonomy errors only.**  A malformed request raises
+      :class:`~repro.errors.InvalidRegionError`.  An estimator exception
+      or a non-finite count raises
+      :class:`~repro.errors.EstimatorFailedError` with the cause in
+      ``causes``; a NaN never reaches a raster.
 
     Pass a :class:`~repro.obs.instruments.BrowseInstrumentation` as
     ``instruments`` to record request counts, per-stage timings and tile
-    outcomes, and to get a span trace on every result's ``telemetry``;
-    the default ``None`` keeps the fast path uninstrumented.
+    outcomes (every metric carries ``service="plain"``), and to get a
+    span trace on every result's ``telemetry``; the default ``None``
+    keeps the fast path uninstrumented.
 
     Pass a :class:`~repro.cache.TileResultCache` as ``cache`` to reuse
-    tile counts across requests (hit/miss counts are recorded when
-    instrumented), ``num_shards > 1`` to execute large rasters as
-    row-band shards on a thread pool, and a
+    tile counts across requests, and a
     :class:`~repro.browse.delta.DeltaTracker` as ``delta`` to answer each
     session's overlapping tiles by copying them from the session's
-    previous raster.  All default off, leaving the single-batch fast path
-    untouched; all are exact -- cached, sharded, delta-assembled and
+    previous raster.  ``num_shards > 1`` splits the raster into that many
+    row bands, answered concurrently on a thread pool; ``parallel``
+    (``"thread"``, ``"process"``, ``"auto"`` or a
+    :class:`~repro.parallel.executor.ParallelConfig`) additionally routes
+    each band through the process pool of :mod:`repro.parallel`.  All
+    default off; all are exact -- cached, sharded, delta-assembled and
     plain rasters are bit-identical.
     """
 
@@ -251,233 +93,17 @@ class GeoBrowsingService:
         delta: DeltaTracker | None = None,
         parallel: ParallelConfig | str | None = None,
     ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        self._estimator = estimator
-        self._batch: Level2BatchEstimator = as_batch_estimator(estimator)
-        self._grid = grid
-        self._obs = instruments
-        self._cache = cache
-        self._delta = delta
-        self._summary = backing_summary(estimator)
-        self._summary_token = summary_token(self._summary)
-        # ``parallel`` selects the shard execution strategy ("thread",
-        # "process", "auto" or a full ParallelConfig); the default thread
-        # mode reproduces the pre-executor behaviour exactly.
-        if num_shards > 1 or parallel is not None:
-            self._parallel: ParallelExecutor | None = ParallelExecutor(
-                estimator,
-                parallel,
-                num_shards=num_shards,
-                instruments=instruments,
-                service="plain",
-            )
-        else:
-            self._parallel = None
-
-    @property
-    def grid(self) -> Grid:
-        """The service's evaluation grid."""
-        return self._grid
-
-    @property
-    def estimator_name(self) -> str:
-        """The backing estimator's label."""
-        return self._estimator.name
-
-    @property
-    def cache(self) -> TileResultCache | None:
-        """The tile-result cache, when one was configured."""
-        return self._cache
-
-    @property
-    def num_shards(self) -> int:
-        """Requested raster fan-out (1 = monolithic batches)."""
-        return self._parallel.num_shards if self._parallel is not None else 1
-
-    @property
-    def parallel_executor(self) -> ParallelExecutor | None:
-        """The shard-execution router, when sharding is configured."""
-        return self._parallel
-
-    @property
-    def delta(self) -> DeltaTracker | None:
-        """The viewport-delta tracker, when one was configured."""
-        return self._delta
-
-    def cache_key(self, field_name: str) -> CacheKey:
-        """The cache key scoping this service's answers for one relation
-        field: the backing summary's identity token and *current*
-        generation plus the estimator's label."""
-        return CacheKey(
-            summary_id=self._summary_token,
-            generation=summary_generation(self._summary),
-            estimator_key=self._batch.name,
-            field=field_name,
+        self._service = "plain"
+        super().__init__(
+            [estimator],
+            grid,
+            retry=RetryPolicy(attempts=1),
+            instruments=instruments,
+            cache=cache,
+            num_shards=num_shards,
+            delta=delta,
+            parallel=parallel,
         )
-
-    def close(self) -> None:
-        """Release the shard pools (threads and, when process
-        parallelism is configured, worker processes plus their shared
-        segments; no-op when unsharded)."""
-        if self._parallel is not None:
-            self._parallel.close()
-
-    def browse(
-        self,
-        region: Rect | TileQuery,
-        rows: int,
-        cols: int,
-        relation: str = "overlap",
-        *,
-        use_batch: bool = True,
-        previous: BrowseResult | None = None,
-        session: str = "default",
-    ) -> BrowseResult:
-        """Run one browsing interaction.
-
-        Parameters
-        ----------
-        region:
-            The selected region, either as a world rectangle (must be
-            grid-aligned) or directly as a cell span.
-        rows, cols:
-            The tile partitioning the user requested.
-        relation:
-            One of ``contains``, ``contained``, ``overlap``, ``disjoint``,
-            ``intersect``.
-        use_batch:
-            ``True`` (default) answers the whole raster through the
-            vectorised ``estimate_batch`` path; ``False`` forces the
-            legacy per-tile scalar loop.  Both produce bit-identical
-            rasters -- the flag exists for parity tests and benchmarks.
-        previous:
-            An explicit viewport-delta hint: a result whose overlapping
-            tiles are copied when it is tile-compatible with this request
-            (see :mod:`repro.browse.delta`).  Overrides the tracker.
-        session:
-            The session key under the service's
-            :class:`~repro.browse.delta.DeltaTracker` (when one is
-            configured): the session's last raster is the implicit
-            ``previous``, and this result replaces it.  Delta reuse rides
-            the batch path only; ``use_batch=False`` always recomputes.
-        """
-        obs = self._obs
-        trace = obs.new_trace() if obs is not None else None
-
-        def span(name: str, **attrs):
-            return trace.span(name, **attrs) if trace is not None else nullcontext()
-
-        started = obs.clock() if obs is not None else 0.0
-        with span("browse", relation=relation, rows=rows, cols=cols):
-            with span("resolve"):
-                region, field_name = resolve_browse_request(self._grid, region, relation)
-            scope = self.cache_key(field_name)
-
-            if use_batch:
-                candidate = previous
-                if candidate is None and self._delta is not None:
-                    candidate = self._delta.lookup(session)
-                plan: DeltaPlan | None = None
-                if candidate is not None:
-                    plan = plan_delta(candidate, region, rows, cols, scope)
-                if plan is not None:
-                    # Copy the overlap and build tile queries for the
-                    # fresh band only -- never materialise the full batch
-                    # for tiles answered from the previous raster.
-                    with span("delta_fill", tiles=plan.n_reused):
-                        counts_flat = np.empty(rows * cols, dtype=np.float64)
-                        plan.fill(counts_flat, candidate.counts)
-                    fresh = np.flatnonzero(~plan.reused)
-                    if fresh.size:
-                        with span("build_batch"):
-                            fresh_batch = browsing_tile_batch_subset(
-                                region, rows, cols, fresh
-                            )
-                        counts_flat[fresh] = self._answer_batch(
-                            fresh_batch, field_name, span
-                        )
-                    counts = counts_flat.reshape(rows, cols)
-                else:
-                    with span("build_batch"):
-                        batch = browsing_tile_batch(region, rows, cols)
-                    counts = self._answer_batch(batch, field_name, span).reshape(rows, cols)
-                if obs is not None and (previous is not None or self._delta is not None):
-                    if plan is not None:
-                        outcome = "reused"
-                        obs.delta_tiles_reused.labels(service="plain").inc(plan.n_reused)
-                    else:
-                        outcome = "incompatible" if candidate is not None else "cold"
-                    obs.delta_rasters.labels(service="plain", outcome=outcome).inc()
-            else:
-                with span("estimate", tier=self._estimator.name, path="scalar"):
-                    tiles = browsing_tiles(region, rows, cols)
-                    counts = np.zeros((rows, cols), dtype=np.float64)
-                    for r, row in enumerate(tiles):
-                        for c, tile in enumerate(row):
-                            estimate: Level2Counts = self._estimator.estimate(tile)
-                            counts[r, c] = getattr(estimate, field_name)
-        if obs is not None:
-            elapsed = obs.clock() - started
-            obs.requests.labels(service="plain", relation=relation).inc()
-            obs.request_seconds.labels(service="plain").observe(elapsed)
-            for stage_span in (trace.spans if trace is not None else ()):
-                if stage_span.name in (
-                    "resolve", "build_batch", "cache_probe", "delta_fill", "estimate"
-                ):
-                    obs.stage_seconds.labels(
-                        service="plain", stage=stage_span.name
-                    ).observe(stage_span.seconds)
-            obs.tiles.labels(service="plain", outcome="answered").inc(rows * cols)
-        result = BrowseResult(
-            region=region,
-            relation=relation,
-            counts=counts,
-            telemetry=trace,
-            delta=DeltaSource(scope=scope),
-        )
-        if self._delta is not None:
-            self._delta.remember(session, result)
-        return result
-
-    # ------------------------------------------------------------------ #
-    # batch execution (cache probe + sharded estimation)
-    # ------------------------------------------------------------------ #
-
-    def _answer_batch(self, batch, field_name: str, span) -> np.ndarray:
-        """Answer one raster batch: probe the cache (one gather for all
-        hits), estimate only the miss-set -- sharded when configured --
-        and back-fill the cache.  Bit-identical to a monolithic
-        ``estimate_batch`` because every tile's value is the same
-        elementwise arithmetic either way."""
-        obs = self._obs
-        cache = self._cache
-        if cache is None:
-            with span("estimate", tier=self._batch.name):
-                return self._estimate_field(batch, field_name)
-        key = self.cache_key(field_name)
-        with span("cache_probe"):
-            values, hit = cache.probe(key, batch)
-        n_miss = len(batch) - int(np.count_nonzero(hit))
-        if obs is not None:
-            obs.cache_hits.labels(service="plain").inc(len(batch) - n_miss)
-            obs.cache_misses.labels(service="plain").inc(n_miss)
-        if n_miss == 0:
-            return values
-        miss_mask = ~hit
-        miss_batch = batch_subset(batch, miss_mask)
-        with span("estimate", tier=self._batch.name, tiles=n_miss):
-            miss_values = self._estimate_field(miss_batch, field_name)
-        cache.store(key, miss_batch, miss_values)
-        values[miss_mask] = miss_values
-        return values
-
-    def _estimate_field(self, batch, field_name: str) -> np.ndarray:
-        """The requested field's counts for ``batch``, routed through
-        the parallel executor when sharding is configured (thread bands,
-        process workers or the auto policy -- all bit-identical to the
-        monolithic batch)."""
-        if self._parallel is not None:
-            return self._parallel.estimate_field(batch, field_name)
-        estimates = self._batch.estimate_batch(batch)
-        return np.asarray(getattr(estimates, field_name), dtype=np.float64)
+        # One row band per shard: with no deadline every open tile
+        # leaves in a single wave of ``num_shards`` chunks.
+        self._chunk_rows = None

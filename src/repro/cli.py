@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="thread",
         help="shard execution strategy: GIL-overlapped threads (default), "
         "worker processes over shared-memory summaries, or auto "
-        "(processes for large rasters only); needs --shards > 1",
+        "(processes for large row bands only); needs --shards > 1",
     )
     browse.add_argument(
         "--start-method",

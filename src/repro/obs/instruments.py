@@ -29,7 +29,6 @@ name                                                   type       labels
 ``repro_pyramid_refine_rounds``                        histogram  service
 ``repro_pyramid_first_raster_seconds``                 histogram  service
 ``repro_pyramid_rescued_chunks_total``                 counter    service
-``repro_browse_shard_seconds``                         histogram  service
 ``repro_shard_pool_workers``                           gauge      service
 ``repro_parallel_dispatch_seconds``                    histogram  service
 ``repro_parallel_worker_crashes_total``                counter    service, reason
@@ -151,7 +150,7 @@ class BrowseInstrumentation:
         )
         self.stage_seconds = r.histogram(
             "repro_browse_stage_seconds",
-            help="Per-stage browse latency (resolve, build_batch, estimate, chunk)",
+            help="Per-stage browse latency (resolve, delta, cache_probe, pyramid, waves, chunk, assemble)",
             labels=("service", "stage"),
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
@@ -211,12 +210,6 @@ class BrowseInstrumentation:
             "repro_pyramid_rescued_chunks_total",
             help="Chunks whose exhausted fallback chain was rescued from the coarsest pyramid level",
             labels=("service",),
-        )
-        self.shard_seconds = r.histogram(
-            "repro_browse_shard_seconds",
-            help="Per-shard raster estimation latency",
-            labels=("service",),
-            buckets=DEFAULT_LATENCY_BUCKETS,
         )
         self.shard_pool_workers = r.gauge(
             "repro_shard_pool_workers",

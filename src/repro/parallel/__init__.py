@@ -21,9 +21,9 @@ a pool of persistent worker *processes* that attach once at startup:
   persistent pool with crash detection, automatic respawn and inline
   fallback;
 - :mod:`repro.parallel.executor` -- :class:`ParallelExecutor` and
-  :class:`ParallelConfig`, the thread/process/auto routing layer the
-  browsing services plug into, plus :class:`ProcessBackedEstimator`
-  for the resilient fallback chain.
+  :class:`ParallelConfig`, the thread/process/auto routing layer, plus
+  :class:`ProcessBackedEstimator`, the primary-tier wrapper through
+  which the browse pipeline's chunks reach the pool.
 
 Every parallel raster is bit-identical to inline execution: workers run
 the same elementwise gathers over the same arrays and results

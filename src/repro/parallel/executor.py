@@ -1,42 +1,40 @@
-"""Thread/process/auto routing between the two shard pools.
+"""Thread/process/auto routing for the browse pipeline's primary tier.
 
-:class:`ParallelExecutor` is what the browsing services actually hold:
-it owns a threaded :class:`~repro.browse.sharding.ShardPool` and --
-when the mode and the estimator allow it -- a
-:class:`~repro.parallel.pool.ProcessShardPool`, and routes each raster
-to whichever executes it fastest:
+:class:`ParallelExecutor` owns a
+:class:`~repro.parallel.pool.ProcessShardPool` -- when the mode and the
+estimator allow it -- and decides, per chunk, whether the chunk's
+estimate runs on the worker processes or inline on the calling wave
+thread (the browse pipeline's :class:`~repro.browse.sharding.ShardPool`
+already spreads chunks across threads):
 
-- ``thread`` -- always the thread pool (the pre-existing behaviour:
-  band-blocked locality plus GIL-released numpy overlap);
+- ``thread`` -- always inline (band-blocked locality plus GIL-released
+  numpy overlap across the wave's threads);
 - ``process`` -- always the process pool; an estimator that cannot be
   exported to shared memory is a configuration error here;
-- ``auto`` -- the process pool for big rasters (``n >=
+- ``auto`` -- the process pool for big chunks (``n >=
   process_threshold`` tiles, the point where kernel time dwarfs the
-  microseconds of dispatch), threads for mid-size ones, inline for
-  tiny ones; estimators that cannot export (maintained histograms,
-  custom estimators) silently stay on threads.
+  microseconds of dispatch), inline otherwise; estimators that cannot
+  export (maintained histograms, custom estimators) silently stay
+  inline.
 
-The auto policy never *blocks* on worker startup: a raster arriving
-while workers are still attaching runs on threads and the pool picks up
-the next one.  Staleness is checked on every process routing -- if the
+The auto policy never *blocks* on worker startup: a chunk arriving
+while workers are still attaching runs inline and the pool picks up the
+next one.  Staleness is checked on every process routing -- if the
 backing summary's generation has moved past the pool's exported
-snapshot, auto falls back to threads (forced ``process`` raises), and
+snapshot, auto falls back to inline (forced ``process`` raises), and
 the workers would refuse the task anyway (defence in depth; see
 DESIGN.md section 14).
 
 :class:`ProcessBackedEstimator` adapts the executor back to the batch
-estimator protocol so the resilient service's fallback chain can route
-its primary tier's chunks through the pool -- with a ``timeout`` so a
-slow worker wave degrades instead of blowing the request deadline.
+estimator protocol so the fallback chain can route its primary tier's
+chunks through the pool -- with a ``timeout`` so a slow worker wave
+degrades instead of blowing the request deadline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.browse.sharding import ShardPool, band_slices, batch_subset
 from repro.cache.keys import backing_summary, summary_generation
 from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
 from repro.euler.estimates import Level2Counts, Level2CountsBatch
@@ -58,15 +56,15 @@ MODES = ("thread", "process", "auto")
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How a browsing service executes raster shards.
+    """How a browsing service executes its primary tier's chunks.
 
     ``mode`` is usually all a caller sets (the CLI's ``--parallel``
     maps straight onto it); the rest are tuning knobs with defaults
     measured on the world-grid benchmark
     (``benchmarks/bench_browse_parallel.py``).
 
-    - ``process_threshold``: minimum raster tiles before ``auto`` routes
-      to processes; below it thread/inline execution wins on dispatch
+    - ``process_threshold``: minimum chunk tiles before ``auto`` routes
+      to processes; below it inline execution wins on dispatch
       overhead.
     - ``startup_timeout``: how long a *forced* ``process`` mode waits
       for the first worker to attach; ``auto`` never waits.
@@ -106,12 +104,11 @@ class ParallelConfig:
 
 
 class ParallelExecutor:
-    """Routes raster batches across the thread and process pools.
+    """Routes chunk batches to the process pool or inline.
 
-    Owns both pools; :meth:`estimate_field` is the browsing services'
-    shard-execution entry point and :meth:`estimate_counts` the full
-    four-field variant the resilient chain consumes.  Both are
-    bit-identical to inline ``estimate_batch`` regardless of route.
+    Owns the process pool; :meth:`estimate_counts` is the entry point
+    :class:`ProcessBackedEstimator` forwards to, bit-identical to inline
+    ``estimate_batch`` regardless of route.
     """
 
     def __init__(
@@ -127,12 +124,10 @@ class ParallelExecutor:
             raise ValueError("num_shards must be at least 1")
         self.config = ParallelConfig.coerce(config)
         self.num_shards = num_shards
-        self._estimator = estimator
         self._batch: Level2BatchEstimator = as_batch_estimator(estimator)
         self._summary = backing_summary(estimator)
         self._obs = instruments
         self._service = service
-        self._thread_pool = ShardPool(num_shards, max_workers=self.config.max_workers)
         self._process_pool: ProcessShardPool | None = None
         self._process_awaited = False
         if self.config.mode in ("process", "auto") and num_shards > 1:
@@ -154,7 +149,7 @@ class ParallelExecutor:
                         f"parallel mode 'process' cannot serve estimator "
                         f"{estimator.name!r}: {exc}"
                     ) from exc
-                # auto: this estimator stays on threads.
+                # auto: this estimator stays inline.
         elif self.config.mode == "process" and num_shards <= 1:
             raise ValueError("parallel mode 'process' requires num_shards > 1")
         if instruments is not None:
@@ -173,8 +168,7 @@ class ParallelExecutor:
         return self.config.mode
 
     def close(self) -> None:
-        """Release both pools (idempotent)."""
-        self._thread_pool.close()
+        """Release the process pool (idempotent)."""
         if self._process_pool is not None:
             self._process_pool.close()
             if self._obs is not None:
@@ -213,28 +207,12 @@ class ParallelExecutor:
         pool.ensure_ready(0.0)
         return pool.ready_count() > 0
 
-    def estimate_field(
-        self, batch: TileQueryBatch, field_name: str, *, timeout: float | None = None
-    ) -> np.ndarray:
-        """One count field for ``batch``, routed per the mode (see the
-        module docstring); always bit-identical to inline."""
-        n = len(batch)
-        if self._route_to_process(n):
-            try:
-                return self._process_pool.estimate_field(
-                    batch, field_name, timeout=timeout
-                )
-            except PoolUnavailableError:
-                pass  # closed under us: degrade to threads
-        return self._thread_estimate_field(batch, field_name)
-
     def estimate_counts(
         self, batch: TileQueryBatch, *, timeout: float | None = None
     ) -> Level2CountsBatch:
-        """All four count fields for ``batch`` -- the resilient chain's
-        chunk path.  Process-routed when eligible, else inline (thread
-        sharding is pointless here: the resilient service already
-        parallelises across chunks)."""
+        """All four count fields for ``batch`` -- one chunk of the
+        primary tier.  Process-routed when eligible, else inline (the
+        browse pipeline already spreads chunks across wave threads)."""
         if self._route_to_process(len(batch)):
             try:
                 return self._process_pool.estimate_batch(batch, timeout=timeout)
@@ -242,30 +220,11 @@ class ParallelExecutor:
                 pass
         return self._batch.estimate_batch(batch)
 
-    def _thread_estimate_field(self, batch: TileQueryBatch, field_name: str) -> np.ndarray:
-        slices = band_slices(len(batch), self.num_shards)
-        if len(slices) > 1:
-            return np.concatenate(
-                self._thread_pool.map(
-                    lambda sl: self._estimate_shard(batch, sl, field_name), slices
-                )
-            )
-        return self._estimate_shard(batch, slice(0, len(batch)), field_name)
-
-    def _estimate_shard(self, batch: TileQueryBatch, sl: slice, field_name: str) -> np.ndarray:
-        obs = self._obs
-        started = obs.clock() if obs is not None else 0.0
-        estimates = self._batch.estimate_batch(batch_subset(batch, sl))
-        values = np.asarray(getattr(estimates, field_name), dtype=np.float64)
-        if obs is not None:
-            obs.shard_seconds.labels(service=self._service).observe(obs.clock() - started)
-        return values
-
 
 class ProcessBackedEstimator:
     """The executor wearing the batch-estimator protocol.
 
-    Drops into the resilient service's fallback chain as the primary
+    Drops into the browse pipeline's fallback chain as the primary
     tier: ``estimate_batch`` routes through the executor (and so the
     process pool when eligible) and ``estimate_batch_within`` adds the
     deadline the chain's wave loop computes -- a slow worker wave

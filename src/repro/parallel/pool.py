@@ -382,14 +382,6 @@ class ProcessShardPool:
             )
         return Level2CountsBatch(out[0], out[1], out[2], out[3])
 
-    def estimate_field(
-        self, batch: TileQueryBatch, field_name: str, *, timeout: float | None = None
-    ) -> np.ndarray:
-        """One count field for ``batch`` (including the derived
-        ``n_intersect``), as the browsing services consume it."""
-        counts = self.estimate_batch(batch, timeout=timeout)
-        return np.asarray(getattr(counts, field_name), dtype=np.float64)
-
     def _dispatch_round(
         self,
         batch: TileQueryBatch,

@@ -40,18 +40,19 @@ class TestBatchBrowseParity:
             ExactEvaluator(data, grid),
         ):
             service = GeoBrowsingService(estimator, grid)
+            scalar = GeoBrowsingService(ScalarBatchFallback(estimator), grid)
             region = TileQuery(0, 12, 0, 8)
             fast = service.browse(region, rows=4, cols=6, relation=relation)
-            slow = service.browse(
-                region, rows=4, cols=6, relation=relation, use_batch=False
-            )
+            slow = scalar.browse(region, rows=4, cols=6, relation=relation)
             np.testing.assert_array_equal(fast.counts, slow.counts)
 
     def test_sub_region_raster(self, grid, data):
-        service = GeoBrowsingService(ExactEvaluator(data, grid), grid)
+        exact = ExactEvaluator(data, grid)
         region = TileQuery(2, 10, 1, 7)
-        fast = service.browse(region, rows=3, cols=4)
-        slow = service.browse(region, rows=3, cols=4, use_batch=False)
+        fast = GeoBrowsingService(exact, grid).browse(region, rows=3, cols=4)
+        slow = GeoBrowsingService(ScalarBatchFallback(exact), grid).browse(
+            region, rows=3, cols=4
+        )
         np.testing.assert_array_equal(fast.counts, slow.counts)
 
     def test_lazy_tiles_match_tiling(self, grid, data):
@@ -118,13 +119,14 @@ class TestSaveLoadBatchBrowse:
         for edge in (QueryEdge.LEFT, QueryEdge.ALL):
             before = GeoBrowsingService(EulerApprox(original, edge), grid)
             after = GeoBrowsingService(EulerApprox(reloaded, edge), grid)
+            scalar_after = GeoBrowsingService(
+                ScalarBatchFallback(EulerApprox(reloaded, edge)), grid
+            )
             for relation in sorted(RELATION_FIELDS):
                 want = before.browse(region, rows=4, cols=6, relation=relation)
                 got = after.browse(region, rows=4, cols=6, relation=relation)
                 np.testing.assert_array_equal(got.counts, want.counts)
                 # And the batch raster from the reloaded cube still equals
                 # the reloaded scalar path (full parity after the rebuild).
-                slow = after.browse(
-                    region, rows=4, cols=6, relation=relation, use_batch=False
-                )
+                slow = scalar_after.browse(region, rows=4, cols=6, relation=relation)
                 np.testing.assert_array_equal(got.counts, slow.counts)

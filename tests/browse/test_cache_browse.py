@@ -237,7 +237,8 @@ class TestCacheMetrics:
         assert instruments.cache_misses.labels(service="resilient").value == 24
         assert instruments.cache_hits.labels(service="resilient").value == 24
 
-    def test_shard_seconds_observed(self, hist):
+    def test_chunk_stage_seconds_observed(self, hist):
+        """Each shard's row band is one chunk, timed by the chunk stage."""
         instruments = BrowseInstrumentation()
         service = GeoBrowsingService(
             SEulerApprox(hist), GRID, num_shards=2, instruments=instruments
@@ -246,5 +247,5 @@ class TestCacheMetrics:
             service.browse(TileQuery(0, 12, 0, 8), 8, 12)
         finally:
             service.close()
-        shard_obs = instruments.shard_seconds.labels(service="plain")
-        assert shard_obs.count >= 1
+        chunk_obs = instruments.stage_seconds.labels(service="plain", stage="chunk")
+        assert chunk_obs.count == 2

@@ -10,8 +10,11 @@ Prometheus text and JSON.
 import numpy as np
 import pytest
 
+from repro.browse.delta import DeltaTracker
 from repro.browse.resilience import ResilientBrowsingService, RetryPolicy
 from repro.browse.service import GeoBrowsingService
+from repro.cache import TileResultCache
+from repro.euler.base import ScalarBatchFallback
 from repro.euler.histogram import EulerHistogram
 from repro.euler.simple import SEulerApprox
 from repro.exact.evaluator import ExactEvaluator
@@ -95,12 +98,16 @@ class TestPlainServiceTelemetry:
         result = service.browse(REGION, rows=4, cols=6)
         assert result.telemetry is not None
         names = [s.name for s in result.telemetry.spans]
-        assert names == ["browse", "resolve", "build_batch", "estimate"]
-        assert result.telemetry.spans[3].attrs["tier"] == "Exact"
+        assert names == ["browse", "resolve", "waves", "chunk", "attempt:Exact", "assemble"]
+        # One row band per shard: a single chunk spans the whole raster.
+        assert result.telemetry.spans[3].attrs == {"rows": "0:4", "tiles": 24}
 
     def test_request_and_stage_metrics(self, grid, exact):
         instruments = BrowseInstrumentation()
-        service = GeoBrowsingService(exact, grid, instruments=instruments)
+        service = GeoBrowsingService(
+            exact, grid, instruments=instruments,
+            cache=TileResultCache(), delta=DeltaTracker(),
+        )
         service.browse(REGION, rows=4, cols=6)
         service.browse(REGION, rows=4, cols=6, relation="contains")
         reg = instruments.registry
@@ -111,7 +118,9 @@ class TestPlainServiceTelemetry:
             service="plain", relation="contains"
         ).value == 1
         assert instruments.request_seconds.labels(service="plain").count == 2
-        for stage in ("resolve", "build_batch", "estimate"):
+        # Every stage the plain form runs (it has no pyramid; see
+        # test_refine for that stage) fed its stage histogram per request.
+        for stage in ("resolve", "delta", "cache_probe", "waves", "chunk", "assemble"):
             assert instruments.stage_seconds.labels(service="plain", stage=stage).count == 2
         assert instruments.tiles.labels(service="plain", outcome="answered").value == 48
 
@@ -121,10 +130,13 @@ class TestPlainServiceTelemetry:
 
     def test_scalar_path_is_traced_too(self, grid, exact):
         instruments = BrowseInstrumentation()
-        service = GeoBrowsingService(exact, grid, instruments=instruments)
-        result = service.browse(REGION, rows=4, cols=6, use_batch=False)
-        estimate = [s for s in result.telemetry.spans if s.name == "estimate"][0]
-        assert estimate.attrs["path"] == "scalar"
+        service = GeoBrowsingService(
+            ScalarBatchFallback(exact), grid, instruments=instruments
+        )
+        result = service.browse(REGION, rows=4, cols=6)
+        attempts = [s.name for s in result.telemetry.spans if s.name.startswith("attempt:")]
+        assert attempts == ["attempt:Exact"]
+        assert isinstance(service.chain.tiers[0].estimator, ScalarBatchFallback)
 
 
 class TestDegradedBrowseTelemetry:

@@ -160,6 +160,8 @@ class TestCoarseFirstServing:
         assert served.labels(service="resilient", level="3").value == 1.0
         rounds = instruments.registry.get("repro_pyramid_refine_rounds")
         assert rounds.labels(service="resilient").count == 1
+        # The prefill is the pyramid stage: one span, one stage sample.
+        assert instruments.stage_seconds.labels(service="resilient", stage="pyramid").count == 1
 
 
 class TestCoarseNeverReused:

@@ -431,8 +431,8 @@ class TestFallbackChain:
         )
         result = service.browse(REGION, rows=4, cols=6)
         assert result.is_complete
-        expected = GeoBrowsingService(SEulerApprox(hist), grid).browse(
-            REGION, rows=4, cols=6, use_batch=False
+        expected = GeoBrowsingService(ScalarBatchFallback(SEulerApprox(hist)), grid).browse(
+            REGION, rows=4, cols=6
         )
         np.testing.assert_array_equal(result.counts, expected.counts)
 
@@ -514,6 +514,24 @@ class TestErrorTaxonomy:
             service.browse(REGION, rows=4, cols=6, relation="touches")
         with pytest.raises(ValueError):
             service.browse(REGION, rows=4, cols=6, relation="touches")
+
+    def test_plain_service_rejects_non_finite_answers(self, grid, exact):
+        """A NaN-corrupted batch fails the plain form's single attempt
+        instead of reaching the client as a 'complete' raster."""
+        faulty = FaultyBatchEstimator(exact, FaultSchedule(script=("nan",)))
+        with pytest.raises(EstimatorFailedError) as excinfo:
+            GeoBrowsingService(faulty, grid).browse(REGION, rows=4, cols=6)
+        (cause,) = excinfo.value.causes
+        assert isinstance(cause, ValueError) and "non-finite" in str(cause)
+        assert faulty.calls == 1
+
+    def test_plain_service_wraps_estimator_exceptions(self, grid, exact):
+        faulty = FaultyBatchEstimator(exact, FaultSchedule(script=("error",)))
+        with pytest.raises(EstimatorFailedError) as excinfo:
+            GeoBrowsingService(faulty, grid).browse(REGION, rows=4, cols=6)
+        (cause,) = excinfo.value.causes
+        assert isinstance(cause, InjectedFault)
+        assert faulty.calls == 1
 
     def test_every_chain_failure_is_a_browse_error(self, grid, exact):
         """Nothing outside the taxonomy escapes the serving layer."""

@@ -91,14 +91,11 @@ def test_multiworker_dispatch_is_bit_identical(estimator, raster, inline):
         assert pool.crashes == 0
 
 
-def test_estimate_field_matches_batch_column(estimator, raster, inline):
+def test_derived_intersect_matches_batch_columns(estimator, raster, inline):
     with make_pool(estimator) as pool:
         pool.ensure_ready(20.0)
         np.testing.assert_array_equal(
-            pool.estimate_field(raster, "n_o"), inline.n_o
-        )
-        np.testing.assert_array_equal(
-            pool.estimate_field(raster, "n_intersect"),
+            pool.estimate_batch(raster).n_intersect,
             np.asarray(inline.n_cs) + np.asarray(inline.n_cd) + np.asarray(inline.n_o),
         )
 
