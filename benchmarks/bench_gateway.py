@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         if served_or_shed != entry["requests"]:
             failures.append(f"{entry['label']}: responses unaccounted for")
     if overload["shed"] + overload["degraded"] == 0 and overload["gateway_stats"][
-        "degraded_admissions"
+        "reduced_budget_admissions"
     ] == 0:
         failures.append("overload run never degraded nor shed")
     for failure in failures:

@@ -21,14 +21,19 @@ queued, one of three things:
 Everything here is pure synchronous logic on an injectable clock -- no
 asyncio, no threads -- so the triage rules are unit-testable with a fake
 clock, exactly like the circuit breakers in
-:mod:`repro.browse.resilience`.  The gateway calls it from the event
-loop, which serialises all state access.
+:mod:`repro.browse.resilience`.  The gateway calls it only from the
+event loop, which serialises all state access: the window keeps no lock,
+and every read trims it.  Each call costs a constant number of Python
+steps (the window's bisect, insert and delete run in C over at most
+``max_samples`` floats), because it runs once or twice per arrival on
+the loop that also decodes and encodes every request.
 """
 
 from __future__ import annotations
 
-import statistics
+import math
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -51,6 +56,10 @@ class ServiceTimeWindow:
     of pessimising triage forever.  Before any sample lands, ``p50()``
     returns ``default_p50``: a small optimistic prior, so a cold gateway
     admits rather than sheds while it learns.
+
+    The samples are kept twice: in arrival order (for eviction) and in a
+    sorted list maintained by bisection (for the percentiles), so a read
+    indexes instead of sorting.  Only one thread may use a window.
     """
 
     def __init__(
@@ -68,22 +77,33 @@ class ServiceTimeWindow:
         if default_p50 <= 0:
             raise ValueError("default_p50 must be positive")
         self._window_s = window_s
+        self._max_samples = max_samples
         self._default_p50 = default_p50
         self._clock = clock
-        self._samples: deque[tuple[float, float]] = deque(maxlen=max_samples)
+        self._samples: deque[tuple[float, float]] = deque()
+        self._sorted: list[float] = []
+
+    def _evict_oldest(self) -> None:
+        _, seconds = self._samples.popleft()
+        del self._sorted[bisect_left(self._sorted, seconds)]
 
     def _trim(self, now: float) -> None:
         horizon = now - self._window_s
         samples = self._samples
         while samples and samples[0][0] < horizon:
-            samples.popleft()
+            self._evict_oldest()
 
     def observe(self, seconds: float) -> None:
         """Record one completed request's service time."""
+        if not math.isfinite(seconds):
+            raise ValueError("service time must be finite")
         if seconds < 0:
             raise ValueError("service time must be non-negative")
         now = self._clock()
+        if len(self._samples) == self._max_samples:
+            self._evict_oldest()
         self._samples.append((now, seconds))
+        insort(self._sorted, seconds)
         self._trim(now)
 
     def __len__(self) -> int:
@@ -92,20 +112,25 @@ class ServiceTimeWindow:
         return len(self._samples)
 
     def p50(self) -> float:
-        """Median service time over the window (the prior when empty)."""
+        """Median service time over the window (the prior when empty);
+        the same value ``statistics.median`` gives over the samples."""
         self._trim(self._clock())
-        if not self._samples:
+        ordered = self._sorted
+        n = len(ordered)
+        if not n:
             return self._default_p50
-        return statistics.median(s for _, s in self._samples)
+        if n % 2:
+            return ordered[n // 2]
+        return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
 
     def quantile(self, q: float) -> float:
         """The ``q``-quantile (nearest-rank) over the window."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
         self._trim(self._clock())
-        if not self._samples:
+        ordered = self._sorted
+        if not ordered:
             return self._default_p50
-        ordered = sorted(s for _, s in self._samples)
         rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
         return ordered[rank]
 
@@ -195,8 +220,11 @@ class AdmissionController:
         """Predicted queue wait for a new arrival with ``pending``
         computations already admitted: the requests that must retire
         before a worker frees up, each costing the windowed p50."""
+        return self._wait(pending, self.window.p50())
+
+    def _wait(self, pending: int, p50: float) -> float:
         queued_ahead = max(0, pending - self.workers + 1)
-        return queued_ahead * self.window.p50() / self.workers
+        return queued_ahead * p50 / self.workers
 
     def degrade_factor(self, pending: int) -> float:
         """The budget fraction surviving at the current pressure:
@@ -232,7 +260,7 @@ class AdmissionController:
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative when given")
         p50 = self.window.p50()
-        wait = self.estimated_wait(pending)
+        wait = self._wait(pending, p50)
         if pending >= self.max_pending:
             return AdmissionDecision(
                 admitted=False,

@@ -147,7 +147,11 @@ class GatewayResponse:
         return self.result.valid_fraction
 
     def to_wire(self) -> dict:
-        """A JSON-safe rendering (the TCP server's response line)."""
+        """A JSON-safe rendering (the TCP server's response line).
+
+        ``counts`` is a list of rows of JSON floats, with ``null`` for
+        every non-finite tile (a NaN outside a partial raster's mask).
+        """
         doc: dict = {
             "status": self.status,
             "coalesced": self.coalesced,
@@ -157,11 +161,15 @@ class GatewayResponse:
             "total_s": round(self.total_s, 6),
         }
         if self.result is not None:
-            counts = self.result.counts
-            doc["counts"] = [
-                [None if not np.isfinite(v) else float(v) for v in row]
-                for row in counts
-            ]
+            # One tolist() renders every count as a Python float; only the
+            # non-finite tiles are then patched, so the JSON bytes equal a
+            # per-tile float()/None rendering at a fraction of its cost.
+            counts = np.asarray(self.result.counts, dtype=np.float64)
+            rows = counts.tolist()
+            bad_rows, bad_cols = np.nonzero(~np.isfinite(counts))
+            for r, c in zip(bad_rows.tolist(), bad_cols.tolist()):
+                rows[r][c] = None
+            doc["counts"] = rows
             doc["valid_fraction"] = round(self.result.valid_fraction, 4)
             if self.result.levels is not None:
                 # Pyramid-refined raster: surface the coarsest level any
@@ -301,6 +309,9 @@ class Gateway:
         self._closed = False
         #: Plain counters for the load generator and benchmarks (event
         #: loop only, so no locking): admissions, sheds by site, etc.
+        #: ``reduced_budget_admissions`` counts admissions whose budget
+        #: triage shrank (``degrade_factor < 1``); ``degraded_responses``
+        #: counts responses whose ``status`` is ``"degraded"``.
         self.stats: dict[str, int] = {
             "requests": 0,
             "admitted": 0,
@@ -312,7 +323,8 @@ class Gateway:
             "quota_rejections": 0,
             "coalesced_leaders": 0,
             "coalesced_followers": 0,
-            "degraded_admissions": 0,
+            "reduced_budget_admissions": 0,
+            "degraded_responses": 0,
             "coarse_admissions": 0,
             "errors": 0,
         }
@@ -369,6 +381,8 @@ class Gateway:
         # still a degraded answer: every tile has a value, not every
         # tile is at the requested resolution.
         status = "ok" if result.is_complete and result.full_resolution else "degraded"
+        if status == "degraded":
+            self.stats["degraded_responses"] += 1
         if obs is not None:
             obs.gateway_requests.labels(
                 tenant=request.tenant, outcome=status
@@ -456,7 +470,7 @@ class Gateway:
             )
         self.stats["admitted"] += 1
         if decision.degrade_factor < 1.0:
-            self.stats["degraded_admissions"] += 1
+            self.stats["reduced_budget_admissions"] += 1
         if decision.coarse:
             self.stats["coarse_admissions"] += 1
         if obs is not None:
@@ -528,6 +542,9 @@ class Gateway:
         """The shared (leader) computation: one executor dispatch."""
         admitted_at = self._clock()
         clock = self._clock
+        # The window is loop-only (it trims itself on every read), so
+        # the backstop's retry hint is read here, never on the worker.
+        retry_after_s = round(self._window.p50(), 4)
 
         def work() -> tuple[BrowseResult, float, float]:
             started = clock()
@@ -541,7 +558,7 @@ class Gateway:
                 raise OverloadedError(
                     f"budget of {budget:.3f}s expired after "
                     f"{queue_wait:.3f}s in queue",
-                    retry_after_s=round(self._window.p50(), 4),
+                    retry_after_s=retry_after_s,
                 )
             remaining = None
             if decision.effective_deadline is not None:

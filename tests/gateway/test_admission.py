@@ -4,7 +4,12 @@ Everything runs on a fake clock -- the controller is pure logic, which is
 the point of keeping it out of the event loop.
 """
 
+import math
+import statistics
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway.admission import (
     AdmissionController,
@@ -88,6 +93,94 @@ class TestServiceTimeWindow:
             window.observe(-1.0)
         with pytest.raises(ValueError):
             window.quantile(1.5)
+
+
+class ReferenceWindow:
+    """The window as a plain list of ``(time, seconds)``, read through
+    ``statistics.median`` and a full sort."""
+
+    def __init__(self, *, window_s, max_samples, default_p50, clock):
+        self.window_s = window_s
+        self.max_samples = max_samples
+        self.default_p50 = default_p50
+        self.clock = clock
+        self.samples = []
+
+    def _live(self):
+        horizon = self.clock() - self.window_s
+        self.samples = [(t, s) for t, s in self.samples if t >= horizon]
+        return [s for _, s in self.samples]
+
+    def observe(self, seconds):
+        self.samples.append((self.clock(), seconds))
+        del self.samples[: -self.max_samples]
+
+    def __len__(self):
+        return len(self._live())
+
+    def p50(self):
+        live = self._live()
+        return statistics.median(live) if live else self.default_p50
+
+    def quantile(self, q):
+        ordered = sorted(self._live())
+        if not ordered:
+            return self.default_p50
+        return ordered[min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))]
+
+
+#: A few distinct service times, so duplicates (and their evictions) are
+#: common, plus arbitrary non-negative floats.
+service_times = st.one_of(
+    st.sampled_from([0.0, 0.001, 0.02, 0.02, 0.5, 3.0]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), service_times),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])),
+        st.tuples(st.just("read"), st.floats(min_value=0.0, max_value=1.0)),
+    ),
+    max_size=120,
+)
+
+
+class TestWindowParity:
+    """The sorted-list window against the plain list it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=operations,
+        max_samples=st.integers(1, 6),
+        window_s=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_matches_median_and_nearest_rank(self, ops, max_samples, window_s):
+        clock = FakeClock()
+        window = ServiceTimeWindow(
+            window_s=window_s, max_samples=max_samples, default_p50=0.02, clock=clock
+        )
+        reference = ReferenceWindow(
+            window_s=window_s, max_samples=max_samples, default_p50=0.02, clock=clock
+        )
+        for op, value in ops:
+            if op == "observe":
+                window.observe(value)
+                reference.observe(value)
+            elif op == "advance":
+                clock.advance(value)
+            else:
+                assert window.quantile(value) == reference.quantile(value)
+            assert window.p50() == reference.p50()
+            assert len(window) == len(reference)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_service_times_are_rejected(self, bad):
+        window = ServiceTimeWindow(clock=FakeClock())
+        window.observe(0.1)
+        with pytest.raises(ValueError):
+            window.observe(bad)
+        assert len(window) == 1
+        assert window.p50() == 0.1
 
 
 class TestWaitEstimate:

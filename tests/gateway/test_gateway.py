@@ -8,6 +8,7 @@ magnitude above scheduler jitter.
 """
 
 import asyncio
+import json
 import threading
 
 import numpy as np
@@ -64,6 +65,30 @@ class GatedEstimator:
     def estimate_batch(self, queries):
         self._block()
         return self._inner.estimate_batch(queries)
+
+
+class ThreadRecordingWindow(ServiceTimeWindow):
+    """A service-time window that records the thread of every call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.callers: list[int] = []
+
+    def observe(self, seconds: float) -> None:
+        self.callers.append(threading.get_ident())
+        super().observe(seconds)
+
+    def p50(self) -> float:
+        self.callers.append(threading.get_ident())
+        return super().p50()
+
+    def quantile(self, q: float) -> float:
+        self.callers.append(threading.get_ident())
+        return super().quantile(q)
+
+    def __len__(self) -> int:
+        self.callers.append(threading.get_ident())
+        return super().__len__()
 
 
 def make_gateway(
@@ -134,8 +159,6 @@ class TestServing:
         assert np.isfinite(direct).all()
 
     def test_wire_form_is_json_safe(self, estimator):
-        import json
-
         async def main():
             gateway = make_gateway(estimator)
             try:
@@ -412,9 +435,12 @@ class TestSheddingAndDegradation:
 
     def test_dispatch_backstop_sheds_instead_of_serving_expired(self, estimator):
         gated = GatedEstimator(estimator)
+        window = ThreadRecordingWindow()
+        admission = AdmissionController(workers=1, max_pending=8, window=window)
 
         async def main():
-            gateway = make_gateway(gated, workers=1)
+            loop_thread = threading.get_ident()
+            gateway = make_gateway(gated, workers=1, admission=admission)
             try:
                 leader = asyncio.ensure_future(gateway.submit(request()))
                 await wait_for(gated.entered.is_set)
@@ -426,16 +452,20 @@ class TestSheddingAndDegradation:
                 )
                 await asyncio.sleep(0.3)
                 gated.gate.set()
-                return await late, await leader, gateway.stats.copy()
+                return await late, await leader, gateway.stats.copy(), loop_thread
             finally:
                 await gateway.close()
 
-        late, leader, stats = asyncio.run(main())
+        late, leader, stats, loop_thread = asyncio.run(main())
         assert leader.status == "ok"
         assert late.status == "error"
         assert late.error["code"] == "overloaded"
         assert late.error["retry_after_s"] is not None
         assert stats["shed_dispatch"] == 1
+        # The window keeps no lock: the backstop's retry hint must have
+        # been read on the loop, never on the executor thread.
+        assert window.callers
+        assert set(window.callers) == {loop_thread}
 
     def test_degradation_kicks_in_before_shedding(self, estimator):
         window = ServiceTimeWindow()
@@ -476,7 +506,8 @@ class TestSheddingAndDegradation:
         # pressure response was degradation, not rejection.
         assert stats["shed_queue_full"] == 0
         assert stats["shed_deadline"] == 0
-        assert stats["degraded_admissions"] >= 1
+        assert stats["reduced_budget_admissions"] >= 1
+        assert stats["degraded_responses"] == sum(r.status == "degraded" for r in responses)
         final = responses[-1]
         assert final.ok
         assert final.degrade_factor < 1.0
@@ -514,6 +545,33 @@ class TestSheddingAndDegradation:
         assert response.result is not None
         assert response.result.valid_fraction == 0.0
         assert np.isnan(response.result.counts).all()
+
+    def test_partial_raster_carries_null_exactly_at_invalid_tiles(self, estimator):
+        cache = TileResultCache(1 << 20)
+
+        async def main():
+            gateway = make_gateway(estimator, cache=cache)
+            try:
+                # Warm the cache with the lower-left quarter (the same
+                # 4x4-cell tiles the full raster uses), then ask for the
+                # whole raster with no budget: only cached tiles answer.
+                await gateway.submit(request(OTHER_REGION, rows=2, cols=2, session="warm"))
+                partial = await gateway.submit(request(deadline=0.0, session="cold"))
+                return partial, gateway.stats.copy()
+            finally:
+                await gateway.close()
+
+        partial, stats = asyncio.run(main())
+        assert partial.status == "degraded"
+        valid = partial.result.valid
+        assert valid is not None and valid.any() and not valid.all()
+        wire = json.loads(json.dumps(partial.to_wire()))
+        nulls = np.array([[v is None for v in row] for row in wire["counts"]])
+        assert np.array_equal(nulls, ~valid)
+        on_wire = np.array([[np.nan if v is None else v for v in row] for row in wire["counts"]])
+        assert np.array_equal(on_wire, partial.result.counts, equal_nan=True)
+        assert wire["valid_fraction"] == round(float(valid.mean()), 4)
+        assert stats["degraded_responses"] == 1
 
     def test_zero_deadline_while_busy_is_shed(self, estimator):
         gated = GatedEstimator(estimator)
