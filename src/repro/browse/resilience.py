@@ -83,11 +83,6 @@ from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery, TileQueryBatch, aligned_query_cells
 from repro.obs.instruments import BrowseInstrumentation, classify_failure
 from repro.obs.trace import RequestTrace
-from repro.parallel.executor import (
-    ParallelConfig,
-    ParallelExecutor,
-    ProcessBackedEstimator,
-)
 from repro.workloads.tiles import (
     browsing_tile_batch_subset,
     browsing_tiles,
@@ -478,27 +473,11 @@ class FallbackChain:
         return tuple(tier.name for tier in self.tiers)
 
     def _attempt(
-        self,
-        tier: EstimatorTier,
-        batch: TileQueryBatch,
-        field_name: str,
-        timeout: float | None = None,
+        self, tier: EstimatorTier, batch: TileQueryBatch, field_name: str
     ) -> np.ndarray:
-        """One attempt on one tier; raises on any injected/real failure.
-
-        ``timeout`` is the request budget remaining when the attempt
-        started.  Tiers that can bound their own execution (the
-        process-backed primary exposes ``estimate_batch_within``)
-        receive it so a slow worker wave degrades inside the pool
-        instead of blocking past the deadline; plain tiers ignore it and
-        rely on the post-hoc ``attempt_timeout`` check.
-        """
+        """One attempt on one tier; raises on any injected/real failure."""
         started = self._clock()
-        estimator = tier.estimator
-        if timeout is not None and hasattr(estimator, "estimate_batch_within"):
-            estimates = estimator.estimate_batch_within(batch, timeout)
-        else:
-            estimates = estimator.estimate_batch(batch)
+        estimates = tier.estimator.estimate_batch(batch)
         elapsed = self._clock() - started
         if self._attempt_timeout is not None and elapsed > self._attempt_timeout:
             raise TimeoutError(
@@ -524,7 +503,6 @@ class FallbackChain:
         field_name: str,
         *,
         trace: RequestTrace | None = None,
-        timeout: float | None = None,
     ) -> tuple[np.ndarray, EstimatorTier]:
         """Answer one chunk of tile queries, falling through the chain.
 
@@ -534,8 +512,6 @@ class FallbackChain:
         Raises :class:`~repro.errors.EstimatorFailedError` when no tier
         can answer.  When a trace is given, every tier attempt is
         recorded as an ``attempt:<tier>`` span with its outcome.
-        ``timeout`` is forwarded to deadline-aware tiers (see
-        :meth:`_attempt`).
         """
         causes: list[BaseException] = []
         obs = self._obs
@@ -562,7 +538,7 @@ class FallbackChain:
                 )
                 try:
                     with span_cm:
-                        values = self._attempt(tier, batch, field_name, timeout)
+                        values = self._attempt(tier, batch, field_name)
                 except Exception as exc:
                     tier.note_failure()
                     tier.breaker.record_failure()
@@ -656,13 +632,6 @@ class ResilientBrowsingService:
         answered by the primary tier (or copied from ones that were) are
         ever reused -- a degraded tier's counts must not outlive the
         interaction that produced them.
-    parallel:
-        A :class:`~repro.parallel.executor.ParallelConfig` or mode string
-        (``"thread"``, ``"process"``, ``"auto"``).  The primary
-        estimator is wrapped in a
-        :class:`~repro.parallel.executor.ProcessBackedEstimator`, so each
-        chunk it answers may run on the process pool; fallback tiers stay
-        inline.  Incompatible with a prebuilt ``chain``.
     pyramid:
         An optional :class:`~repro.euler.pyramid.HistogramPyramid` (or a
         prebuilt :class:`~repro.browse.refine.PyramidSource`) whose
@@ -703,7 +672,6 @@ class ResilientBrowsingService:
         cache: TileResultCache | None = None,
         num_shards: int = 1,
         delta: DeltaTracker | None = None,
-        parallel: ParallelConfig | str | None = None,
         pyramid: HistogramPyramid | PyramidSource | None = None,
         refine_fraction: float = 0.35,
     ) -> None:
@@ -723,25 +691,6 @@ class ResilientBrowsingService:
         self._refine_fraction = refine_fraction
         if isinstance(estimators, Level2Estimator):
             estimators = [estimators]
-        # Process parallelism wraps the *primary* estimator in a
-        # ProcessBackedEstimator before the chain is built, so it only
-        # composes with the estimators form of construction.
-        self._parallel: ParallelExecutor | None = None
-        if parallel is not None:
-            if chain is not None:
-                raise ValueError(
-                    "parallel cannot be combined with a prebuilt chain; "
-                    "pass the estimators sequence instead"
-                )
-            estimators = list(estimators)
-            self._parallel = ParallelExecutor(
-                estimators[0],
-                parallel,
-                num_shards=num_shards,
-                instruments=instruments,
-                service=self._service,
-            )
-            estimators[0] = ProcessBackedEstimator(estimators[0], self._parallel)
         if chain is None:
             chain = FallbackChain(
                 estimators,
@@ -815,21 +764,13 @@ class ResilientBrowsingService:
         )
 
     @property
-    def parallel_executor(self) -> "ParallelExecutor | None":
-        """The primary tier's parallel router, when ``parallel`` was
-        configured (tests and diagnostics)."""
-        return self._parallel
-
-    @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run (or is running)."""
         with self._close_lock:
             return self._closed
 
     def close(self) -> None:
-        """Release the wave pool's threads and, when process
-        parallelism is configured, the primary tier's worker processes
-        and shared segments (no-op when unsharded).
+        """Release the wave pool's threads (no-op when unsharded).
 
         Idempotent and safe to race: gateway shutdown paths close the
         service from the event loop while executor threads may still be
@@ -838,8 +779,7 @@ class ResilientBrowsingService:
         caller performs the teardown; every later or concurrent caller
         returns immediately.  In-flight waves survive the race because
         :class:`~repro.browse.sharding.ShardPool` degrades to inline
-        execution after close and the process pool drains its dispatch
-        lock before releasing segments.
+        execution after close.
         """
         with self._close_lock:
             if self._closed:
@@ -847,8 +787,6 @@ class ResilientBrowsingService:
             self._closed = True
         if self._pool is not None:
             self._pool.close()
-        if self._parallel is not None:
-            self._parallel.close()
 
     def browse(
         self,
@@ -1099,9 +1037,7 @@ class ResilientBrowsingService:
         obs = self._obs
         wave_size = self.num_shards
         chunk_rows = self._chunk_rows or -(-rows // wave_size)
-        run = partial(
-            self._estimate_chunk, trace, region, rows, cols, field_name, started, deadline
-        )
+        run = partial(self._estimate_chunk, trace, region, rows, cols, field_name)
         coarse = None
         with self._stage(trace, "waves", tiles=open_tiles.size):
             # Split the open tiles (row-major) at chunk boundaries.
@@ -1169,25 +1105,18 @@ class ResilientBrowsingService:
 
     def _estimate_chunk(
         self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
-        started: float, deadline: float | None, idx: np.ndarray,
+        idx: np.ndarray,
     ) -> tuple[TileQueryBatch, np.ndarray | None, EstimatorTier | None]:
         """One chunk through the fallback chain (runs on wave threads):
         its corner batch, its values and the answering tier.  The values
         are ``None`` when the chain is exhausted but a pyramid level can
         rescue the chunk."""
         batch = browsing_tile_batch_subset(region, rows, cols, idx)
-        # Budget left at chunk start, for deadline-aware tiers (the
-        # process-backed primary): a slow worker wave degrades inside the
-        # pool instead of overrunning the request deadline.  Floored so a
-        # chunk admitted just before expiry still gets a sliver.
-        remaining = (
-            None if deadline is None else max(deadline - (self._clock() - started), 0.01)
-        )
         band = f"{int(idx[0]) // cols}:{int(idx[-1]) // cols + 1}"
         with self._stage(trace, "chunk", rows=band, tiles=idx.size):
             try:
                 values, tier = self._chain.estimate_chunk_tiered(
-                    batch, field_name, trace=trace, timeout=remaining
+                    batch, field_name, trace=trace
                 )
             except EstimatorFailedError:
                 if self._pyramid is None or not self._pyramid.plan(region, rows, cols):

@@ -40,7 +40,6 @@ from repro.cache import TileResultCache
 from repro.euler.base import Level2Estimator
 from repro.grid.grid import Grid
 from repro.obs.instruments import BrowseInstrumentation
-from repro.parallel.executor import ParallelConfig
 
 __all__ = ["GeoBrowsingService", "BrowseResult", "RELATION_FIELDS", "resolve_browse_request"]
 
@@ -74,12 +73,9 @@ class GeoBrowsingService(ResilientBrowsingService):
     :class:`~repro.browse.delta.DeltaTracker` as ``delta`` to answer each
     session's overlapping tiles by copying them from the session's
     previous raster.  ``num_shards > 1`` splits the raster into that many
-    row bands, answered concurrently on a thread pool; ``parallel``
-    (``"thread"``, ``"process"``, ``"auto"`` or a
-    :class:`~repro.parallel.executor.ParallelConfig`) additionally routes
-    each band through the process pool of :mod:`repro.parallel`.  All
-    default off; all are exact -- cached, sharded, delta-assembled and
-    plain rasters are bit-identical.
+    row bands, answered concurrently on a thread pool.  All default off;
+    all are exact -- cached, sharded, delta-assembled and plain rasters
+    are bit-identical.
     """
 
     def __init__(
@@ -91,7 +87,6 @@ class GeoBrowsingService(ResilientBrowsingService):
         cache: TileResultCache | None = None,
         num_shards: int = 1,
         delta: DeltaTracker | None = None,
-        parallel: ParallelConfig | str | None = None,
     ) -> None:
         self._service = "plain"
         super().__init__(
@@ -102,7 +97,6 @@ class GeoBrowsingService(ResilientBrowsingService):
             cache=cache,
             num_shards=num_shards,
             delta=delta,
-            parallel=parallel,
         )
         # One row band per shard: with no deadline every open tile
         # leaves in a single wave of ``num_shards`` chunks.

@@ -131,20 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="row-band shards per raster (default: 1, sequential)",
     )
     browse.add_argument(
-        "--parallel",
-        choices=("thread", "process", "auto"),
-        default="thread",
-        help="shard execution strategy: GIL-overlapped threads (default), "
-        "worker processes over shared-memory summaries, or auto "
-        "(processes for large row bands only); needs --shards > 1",
-    )
-    browse.add_argument(
-        "--start-method",
-        choices=("spawn", "fork"),
-        default="spawn",
-        help="multiprocessing start method for --parallel=process/auto",
-    )
-    browse.add_argument(
         "--cache-mb",
         type=float,
         default=0.0,
@@ -193,18 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="row chunks dispatched concurrently per wave (default: 1)",
-    )
-    stats.add_argument(
-        "--parallel",
-        choices=("thread", "process", "auto"),
-        default="thread",
-        help="primary-tier shard execution strategy (see browse --parallel)",
-    )
-    stats.add_argument(
-        "--start-method",
-        choices=("spawn", "fork"),
-        default="spawn",
-        help="multiprocessing start method for --parallel=process/auto",
     )
     stats.add_argument(
         "--cache-mb",
@@ -547,17 +521,6 @@ def _cmd_build_zoned(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parallel_config(args: argparse.Namespace):
-    """The executor config for ``--parallel``/``--start-method``, or
-    ``None`` for the plain thread default (keeps single-shard services
-    on the unsharded fast path)."""
-    from repro.parallel import ParallelConfig
-
-    if args.parallel == "thread":
-        return None
-    return ParallelConfig(mode=args.parallel, start_method=args.start_method)
-
-
 def _cmd_browse(args: argparse.Namespace) -> int:
     from repro.browse.delta import DeltaTracker
     from repro.cache import TileResultCache
@@ -568,9 +531,6 @@ def _cmd_browse(args: argparse.Namespace) -> int:
         return 2
     if args.repeat < 1:
         print("error: --repeat must be positive", file=sys.stderr)
-        return 2
-    if args.parallel == "process" and args.shards < 2:
-        print("error: --parallel=process needs --shards > 1", file=sys.stderr)
         return 2
     try:
         histogram = EulerHistogram.load(args.histogram)
@@ -587,7 +547,6 @@ def _cmd_browse(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         delta=tracker,
         instruments=instruments,
-        parallel=_parallel_config(args),
     )
     region = Rect(args.region[0], args.region[1], args.region[2], args.region[3])
     try:
@@ -648,9 +607,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.repeat < 1:
         print("error: --repeat must be positive", file=sys.stderr)
         return 2
-    if args.parallel == "process" and args.shards < 2:
-        print("error: --parallel=process needs --shards > 1", file=sys.stderr)
-        return 2
     if args.pyramid and args.dataset is None:
         print("error: --pyramid needs --dataset to build the levels", file=sys.stderr)
         return 2
@@ -694,7 +650,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             cache=cache,
             num_shards=args.shards,
             delta=DeltaTracker() if args.delta else None,
-            parallel=_parallel_config(args),
             pyramid=pyramid,
         )
         region = Rect(args.region[0], args.region[1], args.region[2], args.region[3])

@@ -51,42 +51,6 @@ class PrefixSumCube:
         # rather than per call (the scalar range sums are hot paths).
         self._zero: int | float = cum.dtype.type(0).item()
 
-    @classmethod
-    def from_cumulative(cls, cum: np.ndarray, shape: Sequence[int]) -> "PrefixSumCube":
-        """Wrap an existing zero-padded cumulative array without copying.
-
-        ``cum`` must be exactly what :meth:`cumulative` exposes for a cube
-        over a ``shape``-shaped source: one zero-padded layer at the low
-        end of every axis, already cumulated along every axis.  The array
-        is adopted as-is (no copy, no re-validation of its sums), which is
-        what lets process-pool workers rebuild a queryable cube over a
-        shared-memory mapping in O(1) (:mod:`repro.parallel.shm`).
-        """
-        cum = np.asarray(cum)
-        shape = tuple(int(s) for s in shape)
-        if not shape:
-            raise ValueError("PrefixSumCube requires an array of dimension >= 1")
-        if cum.shape != tuple(s + 1 for s in shape):
-            raise ValueError(
-                f"cumulative array shape {cum.shape} does not match source "
-                f"shape {shape} (expected one zero-padded layer per axis)"
-            )
-        cube = cls.__new__(cls)
-        cube._cum = cum
-        cube._shape = shape
-        cube._zero = cum.dtype.type(0).item()
-        return cube
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        """The zero-padded cumulative array itself.
-
-        Treat as read-only: mutating it corrupts every future range sum.
-        This is the array :meth:`from_cumulative` adopts on the other side
-        of a shared-memory export.
-        """
-        return self._cum
-
     @property
     def shape(self) -> tuple[int, ...]:
         """Shape of the source array."""

@@ -333,50 +333,6 @@ class EulerHistogram(BatchRegionSums):
         builder.add_dataset(dataset)
         return builder.build()
 
-    @classmethod
-    def from_prefix_cube(
-        cls, grid: Grid, cube: PrefixSumCube, num_objects: int
-    ) -> "EulerHistogram":
-        """A queryable histogram over an existing prefix-sum cube, without
-        the bucket array.
-
-        The query path (every ``lattice_range_sum*`` and the batch
-        estimators built on it) only ever touches the cube, so a
-        cube-only histogram answers queries bit-identically to the one it
-        was derived from.  This is the attach side of the shared-memory
-        export (:mod:`repro.parallel`): workers map the cumulative array
-        zero-copy and reconstruct the histogram in O(1).  Bucket-array
-        operations (:meth:`buckets`, :meth:`verify`, :meth:`save`) are
-        unavailable and raise ``RuntimeError``.
-        """
-        if cube.shape != grid.lattice_shape:
-            raise ValueError(
-                f"cube shape {cube.shape} does not match lattice {grid.lattice_shape}"
-            )
-        if num_objects < 0:
-            raise ValueError("num_objects must be non-negative")
-        hist = cls.__new__(cls)
-        hist._grid = grid
-        hist._buckets = None
-        hist._cube = cube
-        hist._num_objects = int(num_objects)
-        return hist
-
-    def _require_buckets(self, operation: str) -> np.ndarray:
-        if self._buckets is None:
-            raise RuntimeError(
-                f"cannot {operation}: this histogram was reconstructed from a "
-                "prefix-sum cube only (shared-memory attach) and carries no "
-                "bucket array"
-            )
-        return self._buckets
-
-    @property
-    def prefix_cube(self) -> PrefixSumCube:
-        """The query-side prefix-sum cube (the shared-memory export
-        payload -- see :mod:`repro.parallel.spec`)."""
-        return self._cube
-
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
@@ -408,12 +364,11 @@ class EulerHistogram(BatchRegionSums):
     @property
     def nbytes(self) -> int:
         """Memory footprint of buckets plus the prefix-sum cube."""
-        buckets_nbytes = 0 if self._buckets is None else int(self._buckets.nbytes)
-        return buckets_nbytes + self._cube.nbytes
+        return int(self._buckets.nbytes) + self._cube.nbytes
 
     def buckets(self) -> np.ndarray:
         """A read-only view of the signed bucket array (edges negated)."""
-        view = self._require_buckets("read the bucket array").view()
+        view = self._buckets.view()
         view.setflags(write=False)
         return view
 
@@ -504,7 +459,6 @@ class EulerHistogram(BatchRegionSums):
         Outcomes are recorded as ``repro_persistence_ops_total{op="verify"}``
         when a default observability registry is installed.
         """
-        self._require_buckets("verify structural invariants")
         try:
             expected = self._grid.lattice_shape
             if self._buckets.shape != expected:
@@ -536,7 +490,7 @@ class EulerHistogram(BatchRegionSums):
         save_verified_npz(
             path,
             {
-                "buckets": self._require_buckets("save to disk"),
+                "buckets": self._buckets,
                 "extent": np.array(self._grid.extent.as_tuple(), dtype=np.float64),
                 "cells": np.array([self._grid.n1, self._grid.n2], dtype=np.int64),
                 "num_objects": np.int64(self._num_objects),

@@ -127,10 +127,9 @@ class MEulerApprox:
         The dataset-free constructor: ``histograms[i]`` must be the Euler
         histogram of area group ``i`` under ``area_thresholds`` (one per
         threshold) and ``num_objects`` the total object count across
-        groups.  Query answers are identical to building from the dataset
-        -- this is the reconstruction path process-pool workers use after
-        attaching the group histograms over shared memory
-        (:mod:`repro.parallel.spec`).
+        groups.  Query answers are identical to building from the dataset,
+        which is how per-group histograms built out of core
+        (:mod:`repro.ingest`) are assembled into the estimator.
         """
         thresholds = validate_thresholds(area_thresholds)
         histograms = list(histograms)

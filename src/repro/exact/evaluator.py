@@ -54,53 +54,9 @@ class ExactEvaluator:
             grid.n2,
         )
 
-    @classmethod
-    def from_snapped(
-        cls,
-        grid: Grid,
-        a_lo: np.ndarray,
-        a_hi: np.ndarray,
-        b_lo: np.ndarray,
-        b_hi: np.ndarray,
-        num_objects: int,
-    ) -> "ExactEvaluator":
-        """An evaluator over already-snapped lattice-span columns.
-
-        The dataset-free constructor: the four columns must be exactly
-        what the primary constructor's ``snap_rects`` pass produces, one
-        entry per object.  Adopted without copying, which lets
-        process-pool workers evaluate over shared-memory mappings of the
-        columns (:mod:`repro.parallel.spec`).
-        """
-        columns = (a_lo, a_hi, b_lo, b_hi)
-        lengths = {np.asarray(c).shape for c in columns}
-        if len(lengths) != 1 or np.asarray(a_lo).ndim != 1:
-            raise ValueError(
-                f"snapped columns must be 1-d and equal-length, got shapes "
-                f"{[np.asarray(c).shape for c in columns]}"
-            )
-        if num_objects != len(np.asarray(a_lo)):
-            raise ValueError(
-                f"num_objects {num_objects} does not match column length "
-                f"{len(np.asarray(a_lo))}"
-            )
-        self = cls.__new__(cls)
-        self._grid = grid
-        self._num_objects = int(num_objects)
-        self._a_lo, self._a_hi, self._b_lo, self._b_hi = (
-            np.asarray(c) for c in columns
-        )
-        return self
-
     @property
     def name(self) -> str:
         return "Exact"
-
-    @property
-    def snapped_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The snapped lattice-span columns ``(a_lo, a_hi, b_lo, b_hi)``
-        (the shared-memory export payload -- treat as read-only)."""
-        return self._a_lo, self._a_hi, self._b_lo, self._b_hi
 
     @property
     def grid(self) -> Grid:

@@ -197,7 +197,7 @@ def build_zoned(
         # Every worker must afford at least one builder out of its share
         # of the budget; clamp the fan-out rather than failing.
         num_workers = min(int(workers), budget_bytes // builder_nbytes)
-        pool: ZoneBuildPool | None = None
+        result = None
         if num_workers > 1:
             pool = ZoneBuildPool(
                 zone_map,
@@ -208,24 +208,24 @@ def build_zoned(
                 dispatch_timeout=dispatch_timeout,
                 label=source.name,
             )
-            if pool.ensure_ready() == 0:
-                # No worker came up: degrade to inline construction.
-                pool.close()
-                pool = None
-
-        if pool is not None:
+            # The readiness wait is inside the ``try`` too: an interrupt
+            # or a failed respawn there must not leave workers running.
+            # With no worker ready, the build degrades to inline below.
             try:
-                for index, chunk in source:
-                    if len(chunk) == 0:
-                        continue
-                    if pool.dispatch(index, chunk):
-                        chunks_pool += 1
-                    else:
-                        _accumulate_inline(inline_accumulator(), zone_map, chunk)
-                        chunks_inline += 1
-                result = pool.drain()
+                if pool.ensure_ready() > 0:
+                    for index, chunk in source:
+                        if len(chunk) == 0:
+                            continue
+                        if pool.dispatch(index, chunk):
+                            chunks_pool += 1
+                        else:
+                            _accumulate_inline(inline_accumulator(), zone_map, chunk)
+                            chunks_inline += 1
+                    result = pool.drain()
             finally:
                 pool.close()
+
+        if result is not None:
             partials.extend(result.partials)
             spill_paths.extend(result.spill_paths)
             crashes = result.crashes

@@ -3,8 +3,8 @@
 :class:`ZoneBuildPool` deals raw coordinate chunks round-robin to
 :func:`~repro.ingest.worker.build_worker_main` workers with bounded
 in-flight depth, then drains per-worker zone partials in a finish pass.
-The failure model mirrors :class:`repro.parallel.pool.ProcessShardPool`,
-adapted to *stateful* workers:
+It is the codebase's one process pool.  Its failure model is built for
+*stateful* workers:
 
 - **crash** -- a worker accumulates state across every chunk it was
   dealt, so losing it loses all of that state, including spill files of
@@ -14,8 +14,8 @@ adapted to *stateful* workers:
   chunks.  The pipeline replays lost chunks inline from the replayable
   source -- the build always completes, bit-identical.
 - **stall** -- a dispatch or drain that sees no progress within the
-  timeout treats the busy workers as crashed (terminate, lose, replay):
-  a hung worker must never hang the build.
+  timeout treats the busy workers as crashed (reap, lose, replay): a
+  hung worker must never hang the build, nor outlive it.
 - **worker error** -- an ``error`` reply is a data or accumulator bug
   that would equally fail inline, so it aborts the build as
   :class:`IngestWorkerError` rather than triggering replay.
@@ -44,6 +44,9 @@ __all__ = ["IngestWorkerError", "ZoneBuildPool", "ZonePoolResult"]
 #: How long ``close`` waits for a worker to exit after ``stop``.
 _JOIN_TIMEOUT = 2.0
 
+#: How long a condemned worker gets to exit on SIGTERM before SIGKILL.
+_TERM_GRACE = 0.1
+
 #: Chunks a single worker may have queued before dispatch blocks.
 MAX_INFLIGHT = 4
 
@@ -65,6 +68,20 @@ class ZonePoolResult:
     spills: int = 0
     peak_bytes: int = 0
     objects: int = 0
+
+
+def _reap(process) -> None:
+    """End ``process`` for good: SIGTERM, a short grace, then SIGKILL.
+
+    A stopped (SIGSTOP) or SIGTERM-deaf worker ignores the first signal,
+    so escalating is what guarantees a condemned worker does not keep
+    running after the pool gives up on it."""
+    if process.is_alive():
+        process.terminate()
+        process.join(_TERM_GRACE)
+        if process.is_alive():
+            process.kill()
+    process.join(_JOIN_TIMEOUT)
 
 
 class _BuildWorker:
@@ -148,9 +165,7 @@ class ZoneBuildPool:
             worker.conn.close()
         except OSError:  # pragma: no cover
             pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(_JOIN_TIMEOUT)
+        _reap(worker.process)
         for path in glob.glob(os.path.join(self._spill_dir, f"{worker.label}-*.npz")):
             try:
                 os.unlink(path)
@@ -206,9 +221,7 @@ class ZoneBuildPool:
         handed_over = set(self.result.spill_paths)
         for w in self._workers:
             w.process.join(_JOIN_TIMEOUT)
-            if w.process.is_alive():  # pragma: no cover - stuck worker
-                w.process.terminate()
-                w.process.join(_JOIN_TIMEOUT)
+            _reap(w.process)
             try:
                 w.conn.close()
             except OSError:  # pragma: no cover

@@ -5,12 +5,11 @@ most overlaps this query?" two ways:
 
 - **Exhaustive** -- one vectorised kernel call over the stacked blocks
   (optionally sharded into contiguous summary bands over the same
-  threaded :class:`~repro.browse.sharding.ShardPool` machinery
-  ``repro.parallel``'s executor routes rasters through; shard results
-  concatenate in band order, so a sharded scan is bit-identical to the
-  monolithic one).  Region-mode searches are always exhaustive: the
-  prefix-cube kernel is O(1) per candidate, so there is nothing for a
-  coarse filter to save.
+  threaded :class:`~repro.browse.sharding.ShardPool` that shards browse
+  rasters; shard results concatenate in band order, so a sharded scan is
+  bit-identical to the monolithic one).  Region-mode searches are always
+  exhaustive: the prefix-cube kernel is O(1) per candidate, so there is
+  nothing for a coarse filter to save.
 
 - **Pyramid-pruned** (dataset mode) -- the planner scores the catalog's
   *coarsest* level first and only fully scores candidates whose coarse
@@ -71,7 +70,6 @@ from repro.joins.scoring import (
     score_region_batch,
 )
 from repro.joins.sketch import JoinSketch
-from repro.parallel.executor import ParallelConfig
 
 __all__ = ["JoinSearchEngine", "JoinSearchResult", "LevelStats"]
 
@@ -135,10 +133,7 @@ class JoinSearchEngine:
         invalidate cached scores via the generation in the key).
     num_shards:
         Requested fan-out for exhaustive scans; bands below
-        ``32`` summaries run inline.  ``parallel`` (a
-        :class:`~repro.parallel.executor.ParallelConfig` or mode string)
-        caps the worker count the same way the raster executor's thread
-        path does.  Process routing is deliberately not used: the
+        ``32`` summaries run inline.  The bands run on threads: the
         stacked blocks live in this process and the scan kernels release
         the GIL, so threads already scale it.
     cache:
@@ -157,7 +152,6 @@ class JoinSearchEngine:
         catalog: SummaryCatalog,
         *,
         num_shards: int = 1,
-        parallel: "ParallelConfig | str | None" = None,
         cache=None,
         instrumentation=None,
         seed_pool: int | None = None,
@@ -167,12 +161,7 @@ class JoinSearchEngine:
         if seed_pool is not None and seed_pool < 1:
             raise ValueError("seed_pool must be at least 1")
         self._catalog = catalog
-        self._config = ParallelConfig.coerce(parallel)
-        self._pool = (
-            ShardPool(num_shards, max_workers=self._config.max_workers)
-            if num_shards > 1
-            else None
-        )
+        self._pool = ShardPool(num_shards) if num_shards > 1 else None
         self._num_shards = num_shards
         self._cache = cache
         self._instr = instrumentation

@@ -29,9 +29,6 @@ name                                                   type       labels
 ``repro_pyramid_refine_rounds``                        histogram  service
 ``repro_pyramid_first_raster_seconds``                 histogram  service
 ``repro_pyramid_rescued_chunks_total``                 counter    service
-``repro_shard_pool_workers``                           gauge      service
-``repro_parallel_dispatch_seconds``                    histogram  service
-``repro_parallel_worker_crashes_total``                counter    service, reason
 ``repro_tier_attempts_total``                          counter    tier
 ``repro_tier_retries_total``                           counter    tier
 ``repro_tier_successes_total``                         counter    tier
@@ -210,22 +207,6 @@ class BrowseInstrumentation:
             "repro_pyramid_rescued_chunks_total",
             help="Chunks whose exhausted fallback chain was rescued from the coarsest pyramid level",
             labels=("service",),
-        )
-        self.shard_pool_workers = r.gauge(
-            "repro_shard_pool_workers",
-            help="Worker processes configured in the process shard pool (0 = thread-only)",
-            labels=("service",),
-        )
-        self.parallel_dispatch_seconds = r.histogram(
-            "repro_parallel_dispatch_seconds",
-            help="End-to-end process-pool dispatch latency per raster batch",
-            labels=("service",),
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self.worker_crashes = r.counter(
-            "repro_parallel_worker_crashes_total",
-            help="Pool workers lost and respawned, by reason (crash, init_error, timeout)",
-            labels=("service", "reason"),
         )
         self.fallback_depth = r.histogram(
             "repro_browse_fallback_depth",

@@ -19,11 +19,9 @@ way to rehearse failure drills.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,8 +34,6 @@ __all__ = [
     "FaultyBatchEstimator",
     "FaultyEstimator",
     "InjectedFault",
-    "WorkerCrashSpec",
-    "WorkerLatencySpec",
 ]
 
 #: The fault kinds a schedule can emit.
@@ -247,94 +243,3 @@ class FaultyBatchEstimator(FaultyEstimator):
                 corrupted[field_name] = column
             return Level2CountsBatch(**corrupted)
         return counts
-
-
-# --------------------------------------------------------------------- #
-# process-pool fault specs
-# --------------------------------------------------------------------- #
-#
-# The :class:`~repro.parallel.pool.ProcessShardPool` accepts a
-# ``spec_transform`` hook that rewrites the exported estimator spec
-# before workers receive it.  These wrapper specs ride that hook: they
-# pickle into real worker processes (spec classes only need to be
-# importable, and this module is part of the library) and misbehave on
-# the *worker* side, which is the only honest way to drive the pool's
-# crash-detection, respawn and inline-fallback machinery.
-
-
-class _CrashingEstimator:
-    """Worker-side proxy that hard-kills the process on the N-th batch.
-
-    ``os._exit`` on purpose: a Python exception would surface through
-    the worker loop's orderly ``("error", ...)`` reply, which is a
-    *different* failure mode than the process-death path under test.
-    """
-
-    def __init__(self, inner, crash_on_call: int) -> None:
-        self._inner = as_batch_estimator(inner)
-        self._crash_on_call = crash_on_call
-        self._calls = 0
-
-    @property
-    def name(self) -> str:
-        return f"Crashing({self._inner.name})"
-
-    def estimate(self, query: TileQuery) -> Level2Counts:
-        return self._inner.estimate(query)
-
-    def estimate_batch(self, queries: TileQueryBatch) -> Level2CountsBatch:
-        self._calls += 1
-        if self._calls >= self._crash_on_call:
-            os._exit(17)
-        return self._inner.estimate_batch(queries)
-
-
-@dataclass(frozen=True)
-class WorkerCrashSpec:
-    """A spec wrapper whose built estimator kills its worker process.
-
-    ``crash_on_call`` is 1-based: 1 crashes on the first dispatched
-    band, 2 lets one band succeed first, and so on.  Each worker counts
-    its own calls, so with N workers the first N-1 dispatches can be
-    answered while one worker dies mid-raster -- exactly the
-    crash-recovery scenario the pool must survive.
-    """
-
-    inner: object
-    crash_on_call: int = 1
-
-    def build(self, arrays: Mapping[str, np.ndarray]) -> _CrashingEstimator:
-        return _CrashingEstimator(self.inner.build(arrays), self.crash_on_call)
-
-
-class _SleepyEstimator:
-    """Worker-side proxy that sleeps before every batch (timeout tests)."""
-
-    def __init__(self, inner, delay: float) -> None:
-        self._inner = as_batch_estimator(inner)
-        self._delay = delay
-
-    @property
-    def name(self) -> str:
-        return f"Sleepy({self._inner.name})"
-
-    def estimate(self, query: TileQuery) -> Level2Counts:
-        return self._inner.estimate(query)
-
-    def estimate_batch(self, queries: TileQueryBatch) -> Level2CountsBatch:
-        time.sleep(self._delay)
-        return self._inner.estimate_batch(queries)
-
-
-@dataclass(frozen=True)
-class WorkerLatencySpec:
-    """A spec wrapper that delays every worker-side batch by ``delay``
-    seconds -- a real ``time.sleep`` in a real worker process, for
-    exercising the pool's dispatch-timeout path (straggler termination,
-    respawn, inline recomputation)."""
-
-    inner: object
-    delay: float
-
-    def build(self, arrays: Mapping[str, np.ndarray]) -> _SleepyEstimator:
-        return _SleepyEstimator(self.inner.build(arrays), self.delay)

@@ -9,6 +9,8 @@ is the core correctness evidence.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,21 @@ from repro.geometry.relations import Level2Relation, classify_level2_shrunk
 from repro.geometry.snapping import snap_rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_processes():
+    """Fail any test that leaves a ``multiprocessing`` child running.
+
+    Leaked workers are killed before the failure is reported, so one
+    leak does not cascade into every later test."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.kill()
+        child.join(5.0)
+    if leaked:
+        pytest.fail(f"test left child processes running: {[c.name for c in leaked]}")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ suite (one example is enough to round-trip the ZoneMap and worker args
 through a fresh interpreter).
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -41,6 +42,14 @@ def grid(source):
 @pytest.fixture(scope="module")
 def direct(source, grid):
     return EulerHistogram.from_dataset(source.materialize(), grid)
+
+
+def _pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def test_pool_build_matches_direct(source, grid, direct):
@@ -188,6 +197,12 @@ def test_stalled_dispatch_falls_back_inline(source, grid, direct, tmp_path, monk
             source, grid, zones=8, workers=2, start_method="fork",
             memory_mb=64, spill_dir=tmp_path, dispatch_timeout=1.0,
         )
+        # Condemned workers are reaped, not left stopped: SIGTERM alone
+        # never reaches a SIGSTOPped process.
+        stopped = [pid for pool in pools for pid in getattr(pool, "stopped", [])]
+        assert len(stopped) == 2
+        assert [pid for pid in stopped if _pid_exists(pid)] == []
+        assert multiprocessing.active_children() == []
     finally:
         for pool in pools:
             for pid in getattr(pool, "stopped", []):
@@ -199,6 +214,33 @@ def test_stalled_dispatch_falls_back_inline(source, grid, direct, tmp_path, monk
     np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
     report = result.report
     assert report.chunks_pool + report.chunks_inline + report.chunks_replayed == source.num_chunks
+
+
+def test_failed_readiness_wait_leaves_no_worker_running(source, grid, tmp_path, monkeypatch):
+    # The readiness wait can raise after the workers started (an
+    # interrupt, or an OSError from a respawn); the pool must still close.
+    class _FailWhenReady(ZoneBuildPool):
+        def ensure_ready(self, timeout=10.0):
+            super().ensure_ready(timeout)
+            self.started = [w.process for w in self._workers]
+            raise OSError("respawn failed")
+
+    pools = []
+
+    def make_pool(*a, **kw):
+        pools.append(_FailWhenReady(*a, **kw))
+        return pools[-1]
+
+    monkeypatch.setattr("repro.ingest.pipeline.ZoneBuildPool", make_pool)
+    with pytest.raises(OSError, match="respawn failed"):
+        build_zoned(
+            source, grid, zones=8, workers=2, start_method="fork",
+            memory_mb=64, spill_dir=tmp_path,
+        )
+    (pool,) = pools
+    assert len(pool.started) == 2
+    assert [p.name for p in pool.started if p.is_alive()] == []
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_spills_are_deleted_on_close(grid, tmp_path):
