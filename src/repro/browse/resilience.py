@@ -16,10 +16,11 @@ opens one span on the request trace and feeds
    (:mod:`repro.browse.delta`);
 3. ``cache_probe`` -- one vectorised :class:`~repro.cache.TileResultCache`
    probe over the tiles still open;
-4. ``pyramid`` -- under a deadline, a coarse-first raster for the open
-   tiles from a :class:`~repro.browse.refine.PyramidSource`;
-5. ``waves`` -- the open tiles in row chunks, up to ``num_shards`` per
-   wave on a :class:`~repro.browse.sharding.ShardPool`, each through the
+4. ``pyramid`` -- when the fine path may miss the deadline, a
+   coarse-first raster for the open tiles from a
+   :class:`~repro.browse.refine.PyramidSource`;
+5. ``waves`` -- the open tiles in chunks, up to ``num_shards`` per wave
+   on a :class:`~repro.browse.sharding.ShardPool`, each through the
    :class:`FallbackChain` (one ``chunk`` span and stage sample per
    chunk); the deadline is checked before every wave;
 6. ``assemble`` -- the :class:`BrowseResult` with its validity mask,
@@ -29,11 +30,24 @@ Tile corners are built only for the tiles that reach the cache or the
 chain.  Stages whose layer is not configured -- or that have no open
 tiles left -- are skipped.
 
+Waves are sized from the remaining budget.  The service learns a
+seconds-per-tile cost from the chunks it answers, on its own clock
+(:class:`ChunkCost`).  When the predicted cost of the open tiles, times
+:data:`WAVE_HEADROOM`, fits a positive remaining budget (no deadline is
+an unbounded one) and each row band also fits ``attempt_timeout``, the
+open tiles leave in one wave of one row band per shard and the pyramid
+prefill is skipped (plan ``budget``).  A cold service (no cost sample
+yet, plan ``cold``) and a tight or expired budget (plan ``pressure``)
+answer in ``chunk_rows`` row chunks, after the coarse-first prefill
+when a pyramid and a deadline are given.
+
 The failure story of the chain:
 
 - **Deadlines.**  When the budget runs out between waves, the remaining
   chunks are left NaN and the result carries a validity mask -- a
-  partial choropleth beats a timeout page.
+  partial choropleth beats a timeout page.  Row chunks are the
+  granularity under pressure; when the whole raster fits the budget it
+  is one wave.
 - **Fallback chain.**  Estimators are tried in order per chunk (e.g. the
   exact evaluator first, S-EulerApprox as the cheap degradation; append
   ``ScalarBatchFallback(primary)`` to degrade the batch path to the
@@ -90,6 +104,7 @@ from repro.workloads.tiles import (
 )
 
 __all__ = [
+    "ChunkCost",
     "CircuitBreaker",
     "EstimatorTier",
     "FallbackChain",
@@ -248,6 +263,61 @@ def resolve_browse_request(
 
 #: ``clock()`` -> seconds; monotonic in production, fake under test.
 Clock = Callable[[], float]
+
+#: Safety factor on a predicted wave: the open tiles leave in one wave
+#: only when their measured cost times this fits the remaining budget
+#: (and each row band's cost times this fits ``attempt_timeout``).
+WAVE_HEADROOM = 4.0
+
+#: Weight an older chunk keeps in :class:`ChunkCost` per newer chunk.
+COST_DECAY = 0.9
+
+
+class ChunkCost:
+    """A service's measured seconds per tile, learned from its chunks.
+
+    A tile-weighted, decayed average of chunk seconds over chunk tiles:
+    each observation adds its seconds and its tiles to two running sums
+    after scaling both by :data:`COST_DECAY`.  A large chunk therefore
+    outweighs a small one, so one overhead-dominated 2-tile chunk cannot
+    make the next full raster look expensive.  Lock-guarded: the chunks
+    of concurrent requests and of every shard thread record into one
+    instance.  ``chunks`` and ``tiles`` count every observation.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._seconds = 0.0
+        self._weight = 0.0
+        self._chunks = 0
+        self._tiles = 0
+
+    def observe(self, seconds: float, tiles: int) -> None:
+        """Record one answered chunk of ``tiles`` tiles."""
+        with self._lock:
+            self._seconds = self._seconds * COST_DECAY + seconds
+            self._weight = self._weight * COST_DECAY + tiles
+            self._chunks += 1
+            self._tiles += tiles
+
+    @property
+    def seconds_per_tile(self) -> float | None:
+        """The predicted seconds per tile; ``None`` until a chunk was
+        observed (a cold service)."""
+        with self._lock:
+            return self._seconds / self._weight if self._chunks else None
+
+    @property
+    def chunks(self) -> int:
+        """Chunks observed."""
+        with self._lock:
+            return self._chunks
+
+    @property
+    def tiles(self) -> int:
+        """Tiles in the chunks observed."""
+        with self._lock:
+            return self._tiles
 
 
 @dataclass(frozen=True)
@@ -472,6 +542,11 @@ class FallbackChain:
         """Tier labels, primary first."""
         return tuple(tier.name for tier in self.tiers)
 
+    @property
+    def attempt_timeout(self) -> float | None:
+        """Seconds one attempt may take (``None``: no limit)."""
+        return self._attempt_timeout
+
     def _attempt(
         self, tier: EstimatorTier, batch: TileQueryBatch, field_name: str
     ) -> np.ndarray:
@@ -584,8 +659,10 @@ class ResilientBrowsingService:
     """A browsing service with deadlines, fallbacks and partial answers.
 
     Runs the staged browse pipeline (see the module docstring) with
-    every layer configurable: the raster is answered in row chunks
-    through a :class:`FallbackChain` under a per-request deadline.
+    every layer configurable: the raster is answered in chunks through a
+    :class:`FallbackChain` under a per-request deadline -- one wave of
+    one row band per shard when the measured cost fits the remaining
+    budget, row chunks otherwise.
     :class:`~repro.browse.service.GeoBrowsingService` is this class
     configured with one estimator and one attempt.
 
@@ -597,7 +674,11 @@ class ResilientBrowsingService:
     grid:
         The service's evaluation grid.
     chunk_rows:
-        Raster rows answered per chunk -- the deadline-check granularity.
+        Raster rows per chunk when the budget is tight -- the
+        deadline-check granularity under pressure.  A cold service (no
+        chunk measured yet) uses it too; once the measured cost of the
+        open tiles, times :data:`WAVE_HEADROOM`, fits the remaining
+        budget, they leave in one wave of one row band per shard.
     clock, sleep:
         Injectable time sources (monotonic seconds / backoff sleeper);
         tests substitute fakes for determinism.
@@ -636,8 +717,9 @@ class ResilientBrowsingService:
         An optional :class:`~repro.euler.pyramid.HistogramPyramid` (or a
         prebuilt :class:`~repro.browse.refine.PyramidSource`) whose
         finest grid must equal the service grid.  It becomes a new
-        degradation tier: under a deadline, every tile not already
-        answered by delta/cache is first served from the coarsest
+        degradation tier: under a deadline the fine path may miss (a
+        cold service, or a tight or expired budget), every tile not
+        already answered by delta/cache is first served from the coarsest
         aligned pyramid level -- a complete, coarse-but-valid raster
         almost immediately -- then refined level-by-level while elapsed
         time stays under ``refine_fraction`` of the budget, and the fine
@@ -704,9 +786,10 @@ class ResilientBrowsingService:
             )
         self._chain = chain
         self._grid = grid
-        #: Raster rows per chunk; ``None`` sizes chunks per request to
-        #: one row band per shard.
+        #: Raster rows per chunk under pressure; ``None`` sizes chunks
+        #: per request to one row band per shard.
         self._chunk_rows: int | None = chunk_rows
+        self._cost = ChunkCost()
         self._clock = clock
         self._obs = instruments
         self._cache = cache
@@ -751,6 +834,11 @@ class ResilientBrowsingService:
     def pyramid(self) -> PyramidSource | None:
         """The pyramid refinement source, when one was configured."""
         return self._pyramid
+
+    @property
+    def chunk_cost(self) -> ChunkCost:
+        """The seconds-per-tile cost learned from answered chunks."""
+        return self._cost
 
     def cache_key(self, field_name: str) -> CacheKey:
         """The cache key for this service's *primary-tier* answers: the
@@ -815,8 +903,9 @@ class ResilientBrowsingService:
             :class:`~repro.errors.InvalidRegionError`.
         deadline:
             Per-request budget in seconds on the service clock; ``None``
-            means unbounded.  The budget is checked before each wave of
-            row chunks, so a chunk in flight is never abandoned.
+            means unbounded.  The budget is checked before each wave, so
+            a chunk in flight is never abandoned; when the whole raster
+            fits it, the raster is one wave.
         on_deadline:
             ``"partial"`` (default) returns whatever was answered, with
             unanswered tiles NaN and marked ``False`` in the result's
@@ -870,15 +959,26 @@ class ResilientBrowsingService:
             if self._pyramid is not None:
                 levels = np.full(rows * cols, -1, dtype=np.int64)
                 bounds = np.zeros(rows * cols)
-                if deadline is not None and open_tiles.size and self._prefill(
-                    trace, region, rows, cols, field_name, started, deadline,
-                    open_tiles, counts, levels, bounds,
+            if open_tiles.size:
+                plan, chunk_rows = self._plan_waves(
+                    rows, cols, open_tiles.size, started, deadline
+                )
+                # The coarse-first prefill only pays when the fine path
+                # may miss the deadline.
+                if (
+                    self._pyramid is not None
+                    and deadline is not None
+                    and plan != "budget"
+                    and self._prefill(
+                        trace, region, rows, cols, field_name, started, deadline,
+                        open_tiles, counts, levels, bounds,
+                    )
                 ):
                     valid[open_tiles] = True
-            if open_tiles.size:
                 expired = self._run_waves(
                     trace, region, rows, cols, field_name, scope, started, deadline,
-                    on_deadline, open_tiles, counts, valid, primary, levels, bounds,
+                    on_deadline, plan, chunk_rows, open_tiles, counts, valid,
+                    primary, levels, bounds,
                 )
             result = self._assemble(
                 trace, region, relation, rows, cols, scope, session,
@@ -900,6 +1000,31 @@ class ResilientBrowsingService:
             if obs.accuracy is not None:
                 obs.accuracy.observe(result, trace=trace)
         return result
+
+    def _plan_waves(
+        self, rows: int, cols: int, n_open: int, started: float, deadline: float | None
+    ) -> tuple[str, int]:
+        """How ``n_open`` open tiles leave: the plan label and the rows
+        per chunk.  ``budget`` -- one row band per shard, one wave -- when
+        the measured cost of the open tiles times :data:`WAVE_HEADROOM`
+        fits a positive remaining budget and each band's cost times it
+        fits ``attempt_timeout``; otherwise ``chunk_rows`` chunks, under
+        ``cold`` (no cost sample yet) or ``pressure``."""
+        band_rows = -(-rows // self.num_shards)
+        chunk_rows = self._chunk_rows or band_rows
+        per_tile = self._cost.seconds_per_tile
+        if per_tile is None:
+            return "cold", chunk_rows
+        per_tile *= WAVE_HEADROOM
+        remaining = math.inf if deadline is None else deadline - (self._clock() - started)
+        timeout = self._chain.attempt_timeout
+        if (
+            remaining > 0
+            and per_tile * n_open <= remaining
+            and (timeout is None or per_tile * min(n_open, band_rows * cols) <= timeout)
+        ):
+            return "budget", band_rows
+        return "pressure", chunk_rows
 
     # ------------------------------------------------------------------ #
     # pipeline stages, in order; each opens exactly one span
@@ -1026,20 +1151,20 @@ class ResilientBrowsingService:
     def _run_waves(
         self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
         scope: CacheKey, started: float, deadline: float | None, on_deadline: str,
-        open_tiles: np.ndarray, counts: np.ndarray, valid: np.ndarray,
-        primary: np.ndarray, levels: np.ndarray | None, bounds: np.ndarray | None,
+        plan: str, chunk_rows: int, open_tiles: np.ndarray, counts: np.ndarray,
+        valid: np.ndarray, primary: np.ndarray, levels: np.ndarray | None,
+        bounds: np.ndarray | None,
     ) -> bool:
-        """Answer ``open_tiles`` in row chunks through the fallback
-        chain, up to ``num_shards`` chunks per wave, checking the deadline
-        before each wave.  Writes every answered chunk into the raster
-        arrays and caches primary-tier answers; returns whether the
-        deadline expired."""
+        """Answer ``open_tiles`` in chunks of ``chunk_rows`` rows through
+        the fallback chain, up to ``num_shards`` chunks per wave, checking
+        the deadline before each wave.  Writes every answered chunk into
+        the raster arrays and caches primary-tier answers; returns whether
+        the deadline expired."""
         obs = self._obs
         wave_size = self.num_shards
-        chunk_rows = self._chunk_rows or -(-rows // wave_size)
         run = partial(self._estimate_chunk, trace, region, rows, cols, field_name)
         coarse = None
-        with self._stage(trace, "waves", tiles=open_tiles.size):
+        with self._stage(trace, "waves", tiles=open_tiles.size, plan=plan) as span:
             # Split the open tiles (row-major) at chunk boundaries.
             blocks = open_tiles // (cols * chunk_rows)
             chunks = (
@@ -1047,6 +1172,8 @@ class ResilientBrowsingService:
                 if blocks[0] == blocks[-1]
                 else np.split(open_tiles, np.flatnonzero(np.diff(blocks)) + 1)
             )
+            if span is not None:
+                span.attrs["chunks"] = len(chunks)
             for position in range(0, len(chunks), wave_size):
                 if deadline is not None and self._clock() - started >= deadline:
                     if obs is not None:
@@ -1110,7 +1237,9 @@ class ResilientBrowsingService:
         """One chunk through the fallback chain (runs on wave threads):
         its corner batch, its values and the answering tier.  The values
         are ``None`` when the chain is exhausted but a pyramid level can
-        rescue the chunk."""
+        rescue the chunk.  An answered chunk's seconds on the service
+        clock feed the cost the wave plan predicts from."""
+        chunk_started = self._clock()
         batch = browsing_tile_batch_subset(region, rows, cols, idx)
         band = f"{int(idx[0]) // cols}:{int(idx[-1]) // cols + 1}"
         with self._stage(trace, "chunk", rows=band, tiles=idx.size):
@@ -1122,6 +1251,7 @@ class ResilientBrowsingService:
                 if self._pyramid is None or not self._pyramid.plan(region, rows, cols):
                     raise
                 return batch, None, None
+        self._cost.observe(self._clock() - chunk_started, idx.size)
         return batch, values, tier
 
     def _assemble(

@@ -98,6 +98,6 @@ class GeoBrowsingService(ResilientBrowsingService):
             num_shards=num_shards,
             delta=delta,
         )
-        # One row band per shard: with no deadline every open tile
-        # leaves in a single wave of ``num_shards`` chunks.
+        # One row band per shard whatever the wave plan: every open
+        # tile leaves in a single wave of ``num_shards`` chunks.
         self._chunk_rows = None

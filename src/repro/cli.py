@@ -172,7 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, help="per-request budget in seconds"
     )
     stats.add_argument(
-        "--chunk-rows", type=int, default=4, help="raster rows answered per chunk"
+        "--chunk-rows",
+        type=int,
+        default=4,
+        help="raster rows per chunk when the budget is tight",
     )
     stats.add_argument(
         "--shards",
@@ -258,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission queue bound; arrivals beyond it are shed (default: 64)",
     )
     serve.add_argument(
-        "--chunk-rows", type=int, default=4, help="raster rows answered per chunk"
+        "--chunk-rows",
+        type=int,
+        default=4,
+        help="raster rows per chunk when the budget is tight",
     )
     serve.add_argument(
         "--cache-mb",
@@ -297,7 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument("--workers", type=int, default=2)
     loadgen.add_argument("--max-pending", type=int, default=64)
-    loadgen.add_argument("--chunk-rows", type=int, default=4)
+    loadgen.add_argument(
+        "--chunk-rows",
+        type=int,
+        default=4,
+        help="raster rows per chunk when the budget is tight",
+    )
     loadgen.add_argument("--cache-mb", type=float, default=8.0)
     loadgen.add_argument("--seed", type=int, default=0)
     loadgen.add_argument(

@@ -5,7 +5,10 @@ Both forms are driven through identical sessions under every combination
 of tile cache, viewport delta, shard count and a scalar-loop estimator.
 The oracle is one direct ``estimate_batch`` over the raster's full tile
 batch -- it shares no code with either service's pipeline (no delta
-plan, cache probe, chunk planner or shard pool).
+plan, cache probe, chunk planner or shard pool).  The deadline axis is
+a third, pyramid-backed resilient service browsed with a roomy budget:
+once it has measured a chunk, every raster leaves in one wave without
+the coarse prefill.
 """
 
 import numpy as np
@@ -19,10 +22,12 @@ from repro.browse.service import RELATION_FIELDS, GeoBrowsingService
 from repro.cache import TileResultCache
 from repro.euler.base import ScalarBatchFallback
 from repro.euler.histogram import EulerHistogram
+from repro.euler.pyramid import HistogramPyramid
 from repro.euler.simple import SEulerApprox
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
+from repro.obs import BrowseInstrumentation
 from repro.workloads.tiles import browsing_tile_batch
 
 from tests.conftest import random_dataset
@@ -31,9 +36,18 @@ GRID = Grid(Rect(0.0, 24.0, 0.0, 16.0), 24, 16)
 
 
 @pytest.fixture(scope="module")
-def hist():
-    data = random_dataset(np.random.default_rng(12), GRID, 400, max_size_cells=4.0)
+def data():
+    return random_dataset(np.random.default_rng(12), GRID, 400, max_size_cells=4.0)
+
+
+@pytest.fixture(scope="module")
+def hist(data):
     return EulerHistogram.from_dataset(data, GRID)
+
+
+@pytest.fixture(scope="module")
+def pyramid(data):
+    return HistogramPyramid(data, GRID, min_cells=2)
 
 
 @st.composite
@@ -79,7 +93,9 @@ def oracle(estimator, region, rows, cols, relation):
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
 @given(session=sessions())
 @settings(max_examples=12, deadline=None)
-def test_plain_and_resilient_forms_agree(hist, cached, delta, num_shards, scalar, session):
+def test_plain_and_resilient_forms_agree(
+    hist, pyramid, cached, delta, num_shards, scalar, session
+):
     relation, steps = session
     estimator = SEulerApprox(hist)
     if scalar:
@@ -94,15 +110,29 @@ def test_plain_and_resilient_forms_agree(hist, cached, delta, num_shards, scalar
 
     plain = GeoBrowsingService(estimator, GRID, **options())
     resilient = ResilientBrowsingService(estimator, GRID, **options())
+    timed = ResilientBrowsingService(
+        estimator, GRID, pyramid=pyramid, instruments=BrowseInstrumentation(), **options()
+    )
     try:
+        # Warm the wave plan's cost on a raster outside the session.
+        timed.browse(TileQuery(0, 24, 0, 16), 2, 2, relation, session="warm")
         for region, rows, cols in steps:
             want = oracle(estimator, region, rows, cols, relation)
             a = plain.browse(region, rows, cols, relation)
             b = resilient.browse(region, rows, cols, relation, deadline=None)
-            for result in (a, b):
+            c = timed.browse(region, rows, cols, relation, deadline=60.0)
+            for result in (a, b, c):
                 assert result.valid is None
                 np.testing.assert_array_equal(result.counts, want)
-            assert a.delta.reusable is None and b.delta.reusable is None
+                assert result.delta.reusable is None
+            # One wave, no coarse prefill, nothing left coarse.
+            assert c.levels is None
+            stages = {span.name: span for span in c.telemetry.spans}
+            assert "pyramid" not in stages
+            if "waves" in stages:
+                assert stages["waves"].attrs["plan"] == "budget"
     finally:
         plain.close()
         resilient.close()
+        timed.close()
+

@@ -191,6 +191,14 @@ class TestDegradedBrowseTelemetry:
         assert chunk.count > 0
         assert chunk.sum > 0.0  # the injected latency is on the same clock
 
+    def test_waves_span_says_why_the_raster_was_chunked(self, snapshot):
+        result, _ = snapshot
+        # A cold service (no chunk measured yet) answers in chunk_rows
+        # chunks; the span and its rendering name the plan.
+        waves = next(s for s in result.telemetry.spans if s.name == "waves")
+        assert (waves.attrs["plan"], waves.attrs["chunks"]) == ("cold", 8)
+        assert "plan=cold chunks=8" in result.telemetry.render()
+
     def test_trace_has_attempt_spans_with_errors(self, snapshot):
         result, _ = snapshot
         attempts = [s for s in result.telemetry.spans if s.name.startswith("attempt:")]

@@ -23,11 +23,13 @@ from repro.errors import (
 )
 from repro.euler.base import ScalarBatchFallback
 from repro.euler.histogram import EulerHistogram
+from repro.euler.pyramid import HistogramPyramid
 from repro.euler.simple import SEulerApprox
 from repro.exact.evaluator import ExactEvaluator
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
+from repro.obs import BrowseInstrumentation
 from repro.testing.faults import (
     FaultSchedule,
     FaultyBatchEstimator,
@@ -39,6 +41,8 @@ from repro.workloads.tiles import browsing_tile_batch
 from tests.conftest import random_dataset
 
 REGION = TileQuery(0, 12, 0, 8)
+WIDE = Grid(Rect(0.0, 64.0, 0.0, 32.0), 64, 32)
+WIDE_REGION = TileQuery(0, 64, 0, 32)
 
 
 class FakeClock:
@@ -52,6 +56,30 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+class PerTileLatency:
+    """A batch estimator whose every call advances a fake clock by
+    ``fixed + per_tile * len(batch)`` seconds, counting its calls."""
+
+    def __init__(self, estimator, clock, *, per_tile, fixed=0.0):
+        self._inner = estimator
+        self._clock = clock
+        self._per_tile = per_tile
+        self._fixed = fixed
+        self.calls = 0
+
+    @property
+    def name(self):
+        return self._inner.name
+
+    def estimate(self, query):
+        return self._inner.estimate(query)
+
+    def estimate_batch(self, queries):
+        self.calls += 1
+        self._clock.advance(self._fixed + self._per_tile * len(queries))
+        return self._inner.estimate_batch(queries)
 
 
 @pytest.fixture
@@ -78,6 +106,10 @@ def reference_counts(exact, grid, rows=4, cols=6, relation="overlap"):
     return GeoBrowsingService(exact, grid).browse(
         REGION, rows=rows, cols=cols, relation=relation
     ).counts
+
+
+def waves_span(result):
+    return next(s for s in result.telemetry.spans if s.name == "waves")
 
 
 class TestFaultSchedule:
@@ -549,3 +581,146 @@ class TestErrorTaxonomy:
                 assert isinstance(exc, BrowseError)
             else:
                 assert np.isfinite(result.counts).all()
+
+
+class TestWavePlan:
+    """Waves are sized from the remaining budget: one wave of one row
+    band per shard when the measured cost fits, ``chunk_rows`` chunks
+    and the pyramid prefill when the service is cold or pressed."""
+
+    @pytest.fixture
+    def wide_data(self, rng):
+        return random_dataset(rng, WIDE, 250, max_size_cells=4.0)
+
+    @pytest.fixture
+    def wide(self, wide_data):
+        return SEulerApprox(EulerHistogram.from_dataset(wide_data, WIDE))
+
+    @pytest.fixture
+    def pyramid(self, wide_data):
+        # 64x32 -> 32x16 -> 16x8 -> 8x4: the coarsest level is 3.
+        return HistogramPyramid(wide_data, WIDE, min_cells=4)
+
+    def test_zero_budget_never_fits_a_free_cost_sample(self, wide, pyramid):
+        """A warmed service whose chunks cost 0 s on its clock still
+        treats a zero budget as expired: the prefill runs and the raster
+        comes back complete and coarse."""
+        service = ResilientBrowsingService(wide, WIDE, pyramid=pyramid, clock=FakeClock())
+        service.browse(WIDE_REGION, rows=32, cols=64)
+        assert service.chunk_cost.seconds_per_tile == 0.0
+        result = service.browse(WIDE_REGION, rows=32, cols=64, deadline=0.0)
+        assert result.is_complete and result.valid_fraction == 1.0
+        assert not result.full_resolution
+        assert (result.levels == 3).all()
+
+    def test_a_wave_never_outgrows_the_attempt_timeout(self, wide):
+        """0.1 ms per tile: each 4-row chunk of a 32x64 raster takes
+        25.6 ms, inside the 50 ms attempt limit, but one merged attempt
+        would take 204.8 ms and fail the healthy primary over."""
+        clock = FakeClock()
+        primary = PerTileLatency(wide, clock, per_tile=1e-4)
+        service = ResilientBrowsingService(
+            [primary, wide], WIDE, chunk_rows=4, attempt_timeout=0.05,
+            retry=RetryPolicy(attempts=1), clock=clock, sleep=lambda s: None,
+        )
+        want = service.browse(WIDE_REGION, rows=32, cols=64).counts
+        result = service.browse(WIDE_REGION, rows=32, cols=64, deadline=10.0)
+        assert primary.calls == 16
+        primary_tier, fallback_tier = service.chain.tiers
+        assert primary_tier.failures == 0 and fallback_tier.attempts == 0
+        np.testing.assert_array_equal(result.counts, want)
+
+    def test_cold_service_chunks_and_prefills(self, wide, pyramid):
+        instruments = BrowseInstrumentation()
+        counting = FaultyBatchEstimator(wide, FaultSchedule())
+        service = ResilientBrowsingService(
+            counting, WIDE, chunk_rows=4, pyramid=pyramid,
+            clock=FakeClock(), instruments=instruments,
+        )
+        result = service.browse(WIDE_REGION, rows=32, cols=64, deadline=1.0)
+        assert counting.calls == 8
+        assert waves_span(result).attrs == {"tiles": 2048, "plan": "cold", "chunks": 8}
+        assert instruments.stage_seconds.labels(service="resilient", stage="pyramid").count == 1
+        assert result.full_resolution and result.levels is None
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_warm_service_answers_one_wave_per_shard(self, wide, pyramid, num_shards):
+        instruments = BrowseInstrumentation()
+        counting = FaultyBatchEstimator(wide, FaultSchedule())
+        service = ResilientBrowsingService(
+            counting, WIDE, chunk_rows=1, num_shards=num_shards, pyramid=pyramid,
+            clock=FakeClock(), instruments=instruments,
+        )
+        try:
+            want = service.browse(WIDE_REGION, rows=32, cols=64).counts
+            calls = counting.calls
+            result = service.browse(WIDE_REGION, rows=32, cols=64, deadline=1.0)
+        finally:
+            service.close()
+        assert counting.calls - calls == num_shards
+        assert waves_span(result).attrs == {
+            "tiles": 2048, "plan": "budget", "chunks": num_shards,
+        }
+        # The prefill was skipped: no pyramid stage sample at all.
+        assert instruments.stage_seconds.labels(service="resilient", stage="pyramid").count == 0
+        assert result.full_resolution and result.levels is None
+        np.testing.assert_array_equal(result.counts, want)
+
+    def test_pressure_keeps_chunks_and_the_prefill(self, wide, pyramid):
+        clock = FakeClock()
+        slow = FaultyBatchEstimator(
+            wide, FaultSchedule(script=("latency",), cycle=True, latency=0.6),
+            sleep=clock.advance,
+        )
+        instruments = BrowseInstrumentation()
+        service = ResilientBrowsingService(
+            slow, WIDE, chunk_rows=2, pyramid=pyramid, clock=clock, instruments=instruments,
+        )
+        want = service.browse(WIDE_REGION, rows=8, cols=8).counts  # warm: 0.6 s / 16 tiles
+        result = service.browse(WIDE_REGION, rows=8, cols=8, deadline=1.0)
+        assert waves_span(result).attrs == {"tiles": 64, "plan": "pressure", "chunks": 4}
+        assert instruments.stage_seconds.labels(service="resilient", stage="pyramid").count == 1
+        # Two chunks fit before the budget ran out; the prefill covers
+        # the rest with coarse counts.
+        assert result.is_complete
+        np.testing.assert_array_equal(result.levels[:4], -1)
+        assert (result.levels[4:] >= 0).all()
+        np.testing.assert_array_equal(result.counts[:4], want[:4])
+
+    def test_pressure_keeps_mid_request_row_masking(self, grid, exact):
+        clock = FakeClock()
+        slow = FaultyBatchEstimator(
+            exact,
+            FaultSchedule(script=("latency",), cycle=True, latency=0.6),
+            sleep=clock.advance,
+        )
+        service = ResilientBrowsingService([slow], grid, chunk_rows=1, clock=clock)
+        service.browse(REGION, rows=4, cols=6)
+        assert service.chunk_cost.seconds_per_tile == pytest.approx(0.1)
+        result = service.browse(REGION, rows=4, cols=6, deadline=1.0)
+        np.testing.assert_array_equal(result.valid.all(axis=1), [True, True, False, False])
+        np.testing.assert_array_equal(
+            result.counts[:2], reference_counts(exact, grid, rows=4, cols=6)[:2]
+        )
+        assert np.isnan(result.counts[2:]).all()
+
+    def test_a_small_chunk_does_not_chunk_the_next_full_raster(self, rng):
+        """The cost is a tile-weighted average over many chunks, so one
+        overhead-dominated 2-tile chunk (0.5 ms per tile on its own)
+        cannot make a 2,025-tile raster look like it misses 250 ms."""
+        square = Grid(Rect(0.0, 45.0, 0.0, 45.0), 45, 45)
+        whole = TileQuery(0, 45, 0, 45)
+        hist = EulerHistogram.from_dataset(random_dataset(rng, square, 200), square)
+        clock = FakeClock()
+        timed = PerTileLatency(SEulerApprox(hist), clock, per_tile=1e-6, fixed=1e-3)
+        instruments = BrowseInstrumentation()
+        service = ResilientBrowsingService(
+            timed, square, chunk_rows=4, clock=clock, instruments=instruments
+        )
+        service.browse(whole, rows=45, cols=45, deadline=0.25)  # cold: 12 chunks
+        service.browse(TileQuery(0, 2, 0, 1), rows=1, cols=2, deadline=0.25)
+        calls = timed.calls
+        result = service.browse(whole, rows=45, cols=45, deadline=0.25)
+        assert timed.calls - calls == 1
+        assert waves_span(result).attrs["plan"] == "budget"
+        assert result.is_complete
