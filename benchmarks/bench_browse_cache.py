@@ -1,19 +1,13 @@
-"""Cache and shard benchmarks for the browse stack: PR 4's headline numbers.
+"""Tile-cache benchmark for the browse stack.
 
-Two measurements, both over Euler summaries of a Figure-12 dataset on the
-paper's 360x180 world grid:
-
-1. **Session replay, cold vs warm.**  Replays reproducible zoom sessions
-   (:func:`repro.workloads.sessions.generate_sessions`) through a
-   :class:`GeoBrowsingService` backed by a
-   :class:`~repro.cache.TileResultCache`.  The first replay populates the
-   cache (cold); the second answers the identical interactions from it
-   (warm).  An uncached replay of the same trace checks that the default
-   path is untouched and that cached rasters are bit-identical.
-2. **Shard sweep.**  Times one full-grid 180x360 raster (64,800 tiles)
-   at 1, 2, 4 and 8 row-band shards, asserting raster equality against
-   the unsharded answer.  On a single core the win is cache locality of
-   the band-sized temporaries; on multicore hosts the shards overlap.
+Session replay, cold vs warm, over Euler summaries of a Figure-12
+dataset on the paper's 360x180 world grid: reproducible zoom sessions
+(:func:`repro.workloads.sessions.generate_sessions`) replay through a
+:class:`GeoBrowsingService` backed by a
+:class:`~repro.cache.TileResultCache`.  The first replay populates the
+cache (cold); the second answers the identical interactions from it
+(warm).  An uncached replay of the same trace checks that the default
+path is untouched and that cached rasters are bit-identical.
 
 Results go to ``BENCH_browse_cache.json`` at the repository root.  Run
 directly::
@@ -21,9 +15,8 @@ directly::
     PYTHONPATH=src python benchmarks/bench_browse_cache.py          # full
     PYTHONPATH=src python benchmarks/bench_browse_cache.py --quick  # CI smoke
 
-Full mode gates on the PR's acceptance numbers (warm speedup >= 5x,
-best shard speedup > 1x); quick mode gates on warm speedup > 1x and
-parity only, so CI stays robust on loaded runners.
+Full mode gates on warm speedup >= 5x; quick mode gates on warm speedup
+> 1x and parity only, so CI stays robust on loaded runners.
 """
 
 from __future__ import annotations
@@ -38,24 +31,10 @@ import numpy as np
 from repro.browse.service import GeoBrowsingService
 from repro.cache import TileResultCache
 from repro.experiments.config import ExperimentConfig, Workbench
-from repro.grid.tiles_math import TileQuery
 from repro.workloads.sessions import generate_sessions
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_browse_cache.json"
-
-#: Shard counts the sweep compares against the sequential baseline.
-SHARD_COUNTS = (2, 4, 8)
-
-
-def _best_of(fn, rounds: int) -> float:
-    """Minimum wall clock over ``rounds`` calls of ``fn`` (seconds)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _replay(service: GeoBrowsingService, sessions) -> tuple[float, list[np.ndarray]]:
@@ -109,66 +88,13 @@ def run_sessions(workbench: Workbench, dataset: str, *, num_sessions: int, seed:
     return entry
 
 
-def run_shards(
-    workbench: Workbench, dataset: str, *, rows: int, cols: int, rounds: int
-) -> dict:
-    """Time a full raster at 1 vs N row-band shards, asserting parity."""
-    estimator = workbench.euler(dataset)
-    grid = workbench.grid
-    region = TileQuery(0, grid.n1, 0, grid.n2)
-
-    services = {
-        n: GeoBrowsingService(estimator, grid, num_shards=n) for n in (1, *SHARD_COUNTS)
-    }
-    try:
-        reference = services[1].browse(region, rows, cols).counts
-        for num_shards in SHARD_COUNTS:
-            sharded = services[num_shards].browse(region, rows, cols).counts
-            if not np.array_equal(sharded, reference):
-                raise AssertionError(
-                    f"{num_shards}-shard raster diverged from sequential on {dataset}"
-                )
-        # Interleave the configurations within each timing round so load
-        # drift on the host hits them all equally.
-        best = {n: float("inf") for n in services}
-        for _ in range(rounds):
-            for n, service in services.items():
-                start = time.perf_counter()
-                service.browse(region, rows, cols)
-                best[n] = min(best[n], time.perf_counter() - start)
-    finally:
-        for service in services.values():
-            service.close()
-
-    timings = {n: round(s, 6) for n, s in best.items()}
-    base_s = timings[1]
-    best_shards = min(SHARD_COUNTS, key=lambda n: timings[n])
-    entry = {
-        "dataset": dataset,
-        "raster": f"{rows}x{cols}",
-        "tiles": rows * cols,
-        "seconds_by_shards": {str(n): s for n, s in timings.items()},
-        "best_shards": best_shards,
-        "shard_speedup": round(base_s / timings[best_shards], 2),
-    }
-    print(
-        f"{dataset:>8} {rows}x{cols} raster: "
-        + "  ".join(f"{n}sh {timings[n] * 1000:7.2f} ms" for n in sorted(timings))
-        + f"  -> {entry['shard_speedup']:.2f}x at {best_shards} shards"
-    )
-    return entry
-
-
 def run(
     datasets: tuple[str, ...],
     *,
     scale: float | None = None,
     num_sessions: int = 10,
-    shard_rows: int = 180,
-    shard_cols: int = 360,
-    shard_rounds: int = 5,
 ) -> dict:
-    """Run both benchmarks and return the result document."""
+    """Run the session replay and return the result document."""
     config = ExperimentConfig() if scale is None else ExperimentConfig(scale=scale)
     workbench = Workbench(config)
     document = {
@@ -178,10 +104,6 @@ def run(
         "scale": workbench.config.scale,
         "sessions": [
             run_sessions(workbench, name, num_sessions=num_sessions, seed=7)
-            for name in datasets
-        ],
-        "shards": [
-            run_shards(workbench, name, rows=shard_rows, cols=shard_cols, rounds=shard_rounds)
             for name in datasets
         ],
     }
@@ -205,9 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        document = run(
-            ("adl",), scale=0.02, num_sessions=4, shard_rows=60, shard_cols=120, shard_rounds=2
-        )
+        document = run(("adl",), scale=0.02, num_sessions=4)
     else:
         document = run(("sp_skew", "adl"))
 
@@ -217,11 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     warm_floor = 1.0 if args.quick else 5.0
     if any(entry["warm_speedup"] < warm_floor for entry in document["sessions"]):
         print(f"FAIL: warm session replay below the {warm_floor:g}x floor")
-        return 1
-    if not args.quick and any(
-        entry["shard_speedup"] <= 1.0 for entry in document["shards"]
-    ):
-        print("FAIL: no shard count beats the sequential raster")
         return 1
     return 0
 

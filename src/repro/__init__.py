@@ -30,7 +30,6 @@ from repro.baselines import (
 from repro.browse import (
     AttributeCatalog,
     BrowseResult,
-    ZoneScatterGatherSummary,
     CircuitBreaker,
     DeltaSource,
     DeltaTracker,
@@ -39,7 +38,6 @@ from repro.browse import (
     PyramidSource,
     ResilientBrowsingService,
     RetryPolicy,
-    ShardPool,
 )
 from repro.cache import CacheKey, TileResultCache
 from repro.datasets import (
@@ -201,10 +199,9 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "PyramidSource",
-    # cache, sharding & viewport deltas
+    # cache & viewport deltas
     "TileResultCache",
     "CacheKey",
-    "ShardPool",
     "DeltaTracker",
     "DeltaSource",
     "BrowseError",
@@ -238,5 +235,4 @@ __all__ = [
     "ZoneMap",
     "SyntheticChunkSource",
     "open_chunk_source",
-    "ZoneScatterGatherSummary",
 ]

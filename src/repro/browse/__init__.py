@@ -1,7 +1,7 @@
 """The GeoBrowsing-style service facade, attribute catalog and the
 resilient serving layer."""
 
-from repro.browse.catalog import AttributeCatalog, SummedEstimator, ZoneScatterGatherSummary
+from repro.browse.catalog import AttributeCatalog, SummedEstimator
 from repro.browse.delta import DeltaPlan, DeltaSource, DeltaTracker, plan_delta
 from repro.browse.refine import PyramidSource, RefinementStep
 from repro.browse.resilience import (
@@ -16,23 +16,18 @@ from repro.browse.service import (
     GeoBrowsingService,
     resolve_browse_request,
 )
-from repro.browse.sharding import ShardPool, band_slices, batch_subset
 
 __all__ = [
     "GeoBrowsingService",
     "BrowseResult",
     "AttributeCatalog",
     "SummedEstimator",
-    "ZoneScatterGatherSummary",
     "ResilientBrowsingService",
     "FallbackChain",
     "CircuitBreaker",
     "EstimatorTier",
     "RetryPolicy",
     "resolve_browse_request",
-    "ShardPool",
-    "band_slices",
-    "batch_subset",
     "DeltaPlan",
     "DeltaSource",
     "DeltaTracker",

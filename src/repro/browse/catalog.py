@@ -20,18 +20,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from typing import Mapping
-
 from repro.browse.service import GeoBrowsingService
 from repro.datasets.base import RectDataset
 from repro.euler.base import Level2Estimator, as_batch_estimator
 from repro.euler.estimates import Level2Counts, Level2CountsBatch
-from repro.euler.histogram import BatchRegionSums, EulerHistogram
+from repro.euler.histogram import EulerHistogram
 from repro.euler.simple import SEulerApprox
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery, TileQueryBatch
 
-__all__ = ["AttributeCatalog", "SummedEstimator", "ZoneScatterGatherSummary"]
+__all__ = ["AttributeCatalog", "SummedEstimator"]
 
 #: Builds one estimator for one category's objects.
 EstimatorFactory = Callable[[RectDataset, Grid], Level2Estimator]
@@ -76,101 +74,6 @@ class SummedEstimator:
             n_cd = n_cd + part.n_cd
             n_o = n_o + part.n_o
         return Level2CountsBatch(n_d=n_d, n_cs=n_cs, n_cd=n_cd, n_o=n_o)
-
-
-class ZoneScatterGatherSummary(BatchRegionSums):
-    """The query surface of one Euler histogram, scatter-gathered over
-    per-zone summaries.
-
-    A zoned out-of-core build (:func:`repro.ingest.build_zoned` with
-    ``keep_zone_summaries=True``) partitions the objects into zones, each
-    with its own histogram.  Bucket arrays over disjoint object sets are
-    additive, so every lattice-box sum of the (never materialised) global
-    histogram is exactly the int64 sum of the zones' lattice-box sums --
-    which makes this class *bit-identical* to querying a direct
-    single-builder histogram, not an approximation.  The whole
-    Section-5.2/5.3 region-sum surface follows via the shared
-    :class:`~repro.euler.histogram.BatchRegionSums` mixin, so estimators
-    like :class:`~repro.euler.simple.SEulerApprox` accept this summary
-    anywhere they accept a histogram.
-    """
-
-    def __init__(self, zone_histograms: Mapping[int, EulerHistogram], grid: Grid) -> None:
-        self._zones = {int(z): zone_histograms[z] for z in sorted(zone_histograms)}
-        for zone, hist in self._zones.items():
-            if hist.grid != grid:
-                raise ValueError(
-                    f"zone {zone}'s histogram was built over a different grid "
-                    f"({hist.grid} vs {grid})"
-                )
-        self._grid = grid
-        self._num_objects = sum(h.num_objects for h in self._zones.values())
-
-    @property
-    def grid(self) -> Grid:
-        return self._grid
-
-    @property
-    def num_objects(self) -> int:
-        """Total objects across all zones."""
-        return self._num_objects
-
-    @property
-    def num_zones(self) -> int:
-        """Non-empty zones participating in the gather."""
-        return len(self._zones)
-
-    @property
-    def generation(self) -> int:
-        """Scatter-gather summaries are immutable; generation is fixed."""
-        return 0
-
-    @property
-    def total_sum(self) -> int:
-        """Sum of all buckets across zones (= :attr:`num_objects`)."""
-        return sum(h.total_sum for h in self._zones.values())
-
-    def lattice_range_sum(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
-        """Inclusive lattice-box sum, gathered over the zones."""
-        return sum(h.lattice_range_sum(a_lo, a_hi, b_lo, b_hi) for h in self._zones.values())
-
-    def lattice_range_sum_batch(
-        self,
-        a_lo: np.ndarray,
-        a_hi: np.ndarray,
-        b_lo: np.ndarray,
-        b_hi: np.ndarray,
-    ) -> np.ndarray:
-        """Batch lattice-box sums: one int64 gather per zone, summed."""
-        total = np.zeros(np.asarray(a_lo).shape, dtype=np.int64)
-        for hist in self._zones.values():
-            total = total + hist.lattice_range_sum_batch(a_lo, a_hi, b_lo, b_hi)
-        return total
-
-    def intersect_count(self, region: TileQuery) -> int:
-        """``n_ii`` over all zones (Equation 12/14)."""
-        return sum(h.intersect_count(region) for h in self._zones.values())
-
-    def closed_region_sum(self, region: TileQuery) -> int:
-        """Closed-region bucket sum over all zones."""
-        return sum(h.closed_region_sum(region) for h in self._zones.values())
-
-    def outside_sum(self, region: TileQuery) -> int:
-        """``n'_ei`` over all zones (Equation 15/19)."""
-        return self.total_sum - self.closed_region_sum(region)
-
-    def contained_count(self, region: TileQuery) -> int:
-        """S-Euler contains estimate over all zones."""
-        return self.num_objects - self.outside_sum(region)
-
-    def estimator(self) -> Level2Estimator:
-        """An S-EulerApprox over the gathered surface (accepts this
-        summary like a plain histogram)."""
-        return SEulerApprox(self)
-
-    def service(self) -> GeoBrowsingService:
-        """A browsing service answering from the zone summaries."""
-        return GeoBrowsingService(self.estimator(), self._grid)
 
 
 class AttributeCatalog:

@@ -5,7 +5,7 @@ tile queries -- hundreds of trial queries -- from one summary.  Both
 public services answer it here:
 :class:`ResilientBrowsingService` configures every stage, and
 :class:`~repro.browse.service.GeoBrowsingService` is the same pipeline
-with one estimator, one attempt, no pyramid and one row band per shard.
+with one estimator, one attempt, no pyramid and one chunk per raster.
 
 :meth:`ResilientBrowsingService.browse` runs these stages in order; each
 opens one span on the request trace and feeds
@@ -19,10 +19,10 @@ opens one span on the request trace and feeds
 4. ``pyramid`` -- when the fine path may miss the deadline, a
    coarse-first raster for the open tiles from a
    :class:`~repro.browse.refine.PyramidSource`;
-5. ``waves`` -- the open tiles in chunks, up to ``num_shards`` per wave
-   on a :class:`~repro.browse.sharding.ShardPool`, each through the
-   :class:`FallbackChain` (one ``chunk`` span and stage sample per
-   chunk); the deadline is checked before every wave;
+5. ``waves`` -- the open tiles in chunks, one after another on the
+   calling thread, each through the :class:`FallbackChain` (one
+   ``chunk`` span and stage sample per chunk); the deadline is checked
+   before every chunk;
 6. ``assemble`` -- the :class:`BrowseResult` with its validity mask,
    delta scope and pyramid annotation.
 
@@ -34,20 +34,22 @@ Waves are sized from the remaining budget.  The service learns a
 seconds-per-tile cost from the chunks it answers, on its own clock
 (:class:`ChunkCost`).  When the predicted cost of the open tiles, times
 :data:`WAVE_HEADROOM`, fits a positive remaining budget (no deadline is
-an unbounded one) and each row band also fits ``attempt_timeout``, the
-open tiles leave in one wave of one row band per shard and the pyramid
-prefill is skipped (plan ``budget``).  A cold service (no cost sample
-yet, plan ``cold``) and a tight or expired budget (plan ``pressure``)
-answer in ``chunk_rows`` row chunks, after the coarse-first prefill
-when a pyramid and a deadline are given.
+an unbounded one) and also fits ``attempt_timeout``, the open tiles
+leave as one chunk and the pyramid prefill is skipped (plan
+``budget``).  A cold service (no cost sample yet, plan ``cold``) and a
+tight or expired budget (plan ``pressure``) answer in ``chunk_rows``
+row chunks, after the coarse-first prefill when a pyramid and a
+deadline are given.  Each request runs on the one thread that called
+:meth:`ResilientBrowsingService.browse`; concurrent requests share the
+service's cost, breakers and cache, which are lock-guarded.
 
 The failure story of the chain:
 
-- **Deadlines.**  When the budget runs out between waves, the remaining
-  chunks are left NaN and the result carries a validity mask -- a
-  partial choropleth beats a timeout page.  Row chunks are the
+- **Deadlines.**  When the budget runs out between chunks, the
+  remaining chunks are left NaN and the result carries a validity mask
+  -- a partial choropleth beats a timeout page.  Row chunks are the
   granularity under pressure; when the whole raster fits the budget it
-  is one wave.
+  is one chunk.
 - **Fallback chain.**  Estimators are tried in order per chunk (e.g. the
   exact evaluator first, S-EulerApprox as the cheap degradation; append
   ``ScalarBatchFallback(primary)`` to degrade the batch path to the
@@ -76,14 +78,13 @@ import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.browse.delta import DeltaSource, DeltaTracker, plan_delta
 from repro.browse.refine import PyramidSource
-from repro.browse.sharding import ShardPool
 from repro.cache import CacheKey, TileResultCache, backing_summary, summary_generation, summary_token
 from repro.errors import (
     DeadlineExceededError,
@@ -98,7 +99,7 @@ from repro.grid.tiles_math import TileQuery, TileQueryBatch, aligned_query_cells
 from repro.obs.instruments import BrowseInstrumentation, classify_failure
 from repro.obs.trace import RequestTrace
 from repro.workloads.tiles import (
-    browsing_tile_batch_subset,
+    browsing_tile_batch_at,
     browsing_tiles,
     validate_browsing_tiling,
 )
@@ -264,9 +265,9 @@ def resolve_browse_request(
 #: ``clock()`` -> seconds; monotonic in production, fake under test.
 Clock = Callable[[], float]
 
-#: Safety factor on a predicted wave: the open tiles leave in one wave
+#: Safety factor on a predicted wave: the open tiles leave as one chunk
 #: only when their measured cost times this fits the remaining budget
-#: (and each row band's cost times this fits ``attempt_timeout``).
+#: (and ``attempt_timeout``).
 WAVE_HEADROOM = 4.0
 
 #: Weight an older chunk keeps in :class:`ChunkCost` per newer chunk.
@@ -281,8 +282,8 @@ class ChunkCost:
     after scaling both by :data:`COST_DECAY`.  A large chunk therefore
     outweighs a small one, so one overhead-dominated 2-tile chunk cannot
     make the next full raster look expensive.  Lock-guarded: the chunks
-    of concurrent requests and of every shard thread record into one
-    instance.  ``chunks`` and ``tiles`` count every observation.
+    of concurrent requests record into one instance.  ``chunks`` and
+    ``tiles`` count every observation.
     """
 
     def __init__(self) -> None:
@@ -450,9 +451,9 @@ class EstimatorTier:
     """One estimator in a fallback chain, with its breaker and stats.
 
     Stat updates go through :meth:`note_attempt`/:meth:`note_failure`/
-    :meth:`note_success`, which are lock-guarded so chunks executing on
-    shard threads never lose increments; the counters themselves stay
-    plain ints for cheap reads.
+    :meth:`note_success`, which are lock-guarded so the chunks of
+    concurrent requests never lose increments; the counters themselves
+    stay plain ints for cheap reads.
     """
 
     def __init__(self, estimator: Level2Estimator, breaker: CircuitBreaker) -> None:
@@ -660,9 +661,9 @@ class ResilientBrowsingService:
 
     Runs the staged browse pipeline (see the module docstring) with
     every layer configurable: the raster is answered in chunks through a
-    :class:`FallbackChain` under a per-request deadline -- one wave of
-    one row band per shard when the measured cost fits the remaining
-    budget, row chunks otherwise.
+    :class:`FallbackChain` under a per-request deadline -- one chunk
+    when the measured cost fits the remaining budget, row chunks
+    otherwise.
     :class:`~repro.browse.service.GeoBrowsingService` is this class
     configured with one estimator and one attempt.
 
@@ -678,7 +679,7 @@ class ResilientBrowsingService:
         deadline-check granularity under pressure.  A cold service (no
         chunk measured yet) uses it too; once the measured cost of the
         open tiles, times :data:`WAVE_HEADROOM`, fits the remaining
-        budget, they leave in one wave of one row band per shard.
+        budget, they leave as one chunk.
     clock, sleep:
         Injectable time sources (monotonic seconds / backoff sleeper);
         tests substitute fakes for determinism.
@@ -697,12 +698,6 @@ class ResilientBrowsingService:
         serving after the primary recovers.  Keys carry the primary
         summary's generation, so maintained-histogram updates invalidate
         stale entries for free.
-    num_shards:
-        When > 1, up to this many row chunks are dispatched concurrently
-        per *wave* on a :class:`~repro.browse.sharding.ShardPool`.  The
-        deadline is checked between waves (a wave in flight is never
-        abandoned), which generalises the sequential per-chunk check;
-        with the default 1 the behaviour is exactly the sequential one.
     delta:
         An optional :class:`~repro.browse.delta.DeltaTracker`.  Tiles of
         the session's previous raster that coincide with this request's
@@ -752,15 +747,12 @@ class ResilientBrowsingService:
         chain: FallbackChain | None = None,
         instruments: BrowseInstrumentation | None = None,
         cache: TileResultCache | None = None,
-        num_shards: int = 1,
         delta: DeltaTracker | None = None,
         pyramid: HistogramPyramid | PyramidSource | None = None,
         refine_fraction: float = 0.35,
     ) -> None:
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be at least 1")
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
         if not 0.0 < refine_fraction <= 1.0:
             raise ValueError("refine_fraction must be in (0, 1]")
         if pyramid is not None and not isinstance(pyramid, PyramidSource):
@@ -786,19 +778,16 @@ class ResilientBrowsingService:
             )
         self._chain = chain
         self._grid = grid
-        #: Raster rows per chunk under pressure; ``None`` sizes chunks
-        #: per request to one row band per shard.
+        #: Raster rows per chunk under pressure; ``None`` answers every
+        #: raster as one chunk.
         self._chunk_rows: int | None = chunk_rows
         self._cost = ChunkCost()
         self._clock = clock
         self._obs = instruments
         self._cache = cache
-        self._pool = ShardPool(num_shards) if num_shards > 1 else None
         self._delta = delta
         self._summary = backing_summary(chain.tiers[0].estimator)
         self._summary_token = summary_token(self._summary)
-        self._close_lock = threading.Lock()
-        self._closed = False
 
     @property
     def grid(self) -> Grid:
@@ -819,11 +808,6 @@ class ResilientBrowsingService:
     def cache(self) -> TileResultCache | None:
         """The tile-result cache, when one was configured."""
         return self._cache
-
-    @property
-    def num_shards(self) -> int:
-        """Row chunks dispatched concurrently per wave (1 = sequential)."""
-        return self._pool.num_shards if self._pool is not None else 1
 
     @property
     def delta(self) -> DeltaTracker | None:
@@ -850,31 +834,6 @@ class ResilientBrowsingService:
             estimator_key=self._chain.tiers[0].name,
             field=field_name,
         )
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run (or is running)."""
-        with self._close_lock:
-            return self._closed
-
-    def close(self) -> None:
-        """Release the wave pool's threads (no-op when unsharded).
-
-        Idempotent and safe to race: gateway shutdown paths close the
-        service from the event loop while executor threads may still be
-        inside :meth:`browse`, and double-close (e.g. an explicit close
-        followed by a ``finally`` close) must not error.  The first
-        caller performs the teardown; every later or concurrent caller
-        returns immediately.  In-flight waves survive the race because
-        :class:`~repro.browse.sharding.ShardPool` degrades to inline
-        execution after close.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        if self._pool is not None:
-            self._pool.close()
 
     def browse(
         self,
@@ -903,9 +862,9 @@ class ResilientBrowsingService:
             :class:`~repro.errors.InvalidRegionError`.
         deadline:
             Per-request budget in seconds on the service clock; ``None``
-            means unbounded.  The budget is checked before each wave, so
-            a chunk in flight is never abandoned; when the whole raster
-            fits it, the raster is one wave.
+            means unbounded.  The budget is checked before each chunk,
+            so a chunk in flight is never abandoned; when the whole
+            raster fits it, the raster is one chunk.
         on_deadline:
             ``"partial"`` (default) returns whatever was answered, with
             unanswered tiles NaN and marked ``False`` in the result's
@@ -960,9 +919,7 @@ class ResilientBrowsingService:
                 levels = np.full(rows * cols, -1, dtype=np.int64)
                 bounds = np.zeros(rows * cols)
             if open_tiles.size:
-                plan, chunk_rows = self._plan_waves(
-                    rows, cols, open_tiles.size, started, deadline
-                )
+                plan, chunk_rows = self._plan_waves(rows, open_tiles.size, started, deadline)
                 # The coarse-first prefill only pays when the fine path
                 # may miss the deadline.
                 if (
@@ -1002,28 +959,23 @@ class ResilientBrowsingService:
         return result
 
     def _plan_waves(
-        self, rows: int, cols: int, n_open: int, started: float, deadline: float | None
+        self, rows: int, n_open: int, started: float, deadline: float | None
     ) -> tuple[str, int]:
         """How ``n_open`` open tiles leave: the plan label and the rows
-        per chunk.  ``budget`` -- one row band per shard, one wave -- when
+        per chunk.  ``budget`` -- the whole raster as one chunk -- when
         the measured cost of the open tiles times :data:`WAVE_HEADROOM`
-        fits a positive remaining budget and each band's cost times it
-        fits ``attempt_timeout``; otherwise ``chunk_rows`` chunks, under
-        ``cold`` (no cost sample yet) or ``pressure``."""
-        band_rows = -(-rows // self.num_shards)
-        chunk_rows = self._chunk_rows or band_rows
+        fits a positive remaining budget and ``attempt_timeout``;
+        otherwise ``chunk_rows`` chunks, under ``cold`` (no cost sample
+        yet) or ``pressure``."""
+        chunk_rows = self._chunk_rows or rows
         per_tile = self._cost.seconds_per_tile
         if per_tile is None:
             return "cold", chunk_rows
-        per_tile *= WAVE_HEADROOM
+        cost = per_tile * WAVE_HEADROOM * n_open
         remaining = math.inf if deadline is None else deadline - (self._clock() - started)
         timeout = self._chain.attempt_timeout
-        if (
-            remaining > 0
-            and per_tile * n_open <= remaining
-            and (timeout is None or per_tile * min(n_open, band_rows * cols) <= timeout)
-        ):
-            return "budget", band_rows
+        if remaining > 0 and cost <= remaining and (timeout is None or cost <= timeout):
+            return "budget", rows
         return "pressure", chunk_rows
 
     # ------------------------------------------------------------------ #
@@ -1088,7 +1040,7 @@ class ResilientBrowsingService:
         """Answer the ``open_tiles`` seen before with one vectorised cache
         probe, writing them into ``counts``; returns their flat indices."""
         with self._stage(trace, "cache_probe", tiles=open_tiles.size):
-            batch = browsing_tile_batch_subset(region, rows, cols, open_tiles)
+            batch = browsing_tile_batch_at(region, rows, cols, open_tiles)
             values, hit = self._cache.probe(scope, batch)
             answered = open_tiles[hit]
             counts[answered] = values[hit]
@@ -1156,13 +1108,11 @@ class ResilientBrowsingService:
         bounds: np.ndarray | None,
     ) -> bool:
         """Answer ``open_tiles`` in chunks of ``chunk_rows`` rows through
-        the fallback chain, up to ``num_shards`` chunks per wave, checking
-        the deadline before each wave.  Writes every answered chunk into
-        the raster arrays and caches primary-tier answers; returns whether
-        the deadline expired."""
+        the fallback chain, one after another, checking the deadline
+        before each chunk.  Writes every answered chunk into the raster
+        arrays and caches primary-tier answers; returns whether the
+        deadline expired."""
         obs = self._obs
-        wave_size = self.num_shards
-        run = partial(self._estimate_chunk, trace, region, rows, cols, field_name)
         coarse = None
         with self._stage(trace, "waves", tiles=open_tiles.size, plan=plan) as span:
             # Split the open tiles (row-major) at chunk boundaries.
@@ -1174,7 +1124,7 @@ class ResilientBrowsingService:
             )
             if span is not None:
                 span.attrs["chunks"] = len(chunks)
-            for position in range(0, len(chunks), wave_size):
+            for idx in chunks:
                 if deadline is not None and self._clock() - started >= deadline:
                     if obs is not None:
                         obs.deadline_expirations.labels(service=self._service).inc()
@@ -1190,57 +1140,54 @@ class ResilientBrowsingService:
                             total_rows=rows,
                         )
                     return True
-                wave = chunks[position : position + wave_size]
-                if self._pool is not None and len(wave) > 1:
-                    outcomes = self._pool.map(run, wave)
+                batch, values, tier = self._estimate_chunk(
+                    trace, region, rows, cols, field_name, idx
+                )
+                if values is None:
+                    # Exhausted chain: coarse-but-valid from the coarsest
+                    # pyramid level, never primary or cached.
+                    if coarse is None:
+                        step = self._pyramid.plan(region, rows, cols)[0]
+                        step_counts, step_bound = self._pyramid.raster(
+                            step, rows, cols, field_name
+                        )
+                        coarse = (
+                            step.level,
+                            step_counts.reshape(-1),
+                            step_bound.reshape(-1),
+                        )
+                    level, coarse_counts, coarse_bounds = coarse
+                    values = coarse_counts[idx]
+                    levels[idx] = level
+                    bounds[idx] = coarse_bounds[idx]
+                    if obs is not None:
+                        obs.pyramid_rescues.labels(service=self._service).inc()
                 else:
-                    outcomes = [run(idx) for idx in wave]
-                for idx, (batch, values, tier) in zip(wave, outcomes):
-                    if values is None:
-                        # Exhausted chain: coarse-but-valid from the
-                        # coarsest pyramid level, never primary or cached.
-                        if coarse is None:
-                            step = self._pyramid.plan(region, rows, cols)[0]
-                            step_counts, step_bound = self._pyramid.raster(
-                                step, rows, cols, field_name
-                            )
-                            coarse = (
-                                step.level,
-                                step_counts.reshape(-1),
-                                step_bound.reshape(-1),
-                            )
-                        level, coarse_counts, coarse_bounds = coarse
-                        values = coarse_counts[idx]
-                        levels[idx] = level
-                        bounds[idx] = coarse_bounds[idx]
-                        if obs is not None:
-                            obs.pyramid_rescues.labels(service=self._service).inc()
-                    else:
-                        if levels is not None:
-                            levels[idx] = -1
-                            bounds[idx] = 0.0
-                        # Only authoritative answers are cached or reused:
-                        # a degraded tier's counts must not keep serving
-                        # once the primary recovers.
-                        if tier is self._chain.tiers[0]:
-                            primary[idx] = True
-                            if self._cache is not None:
-                                self._cache.store(scope, batch, values)
-                    counts[idx] = values
-                    valid[idx] = True
+                    if levels is not None:
+                        levels[idx] = -1
+                        bounds[idx] = 0.0
+                    # Only authoritative answers are cached or reused: a
+                    # degraded tier's counts must not keep serving once
+                    # the primary recovers.
+                    if tier is self._chain.tiers[0]:
+                        primary[idx] = True
+                        if self._cache is not None:
+                            self._cache.store(scope, batch, values)
+                counts[idx] = values
+                valid[idx] = True
         return False
 
     def _estimate_chunk(
         self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
         idx: np.ndarray,
     ) -> tuple[TileQueryBatch, np.ndarray | None, EstimatorTier | None]:
-        """One chunk through the fallback chain (runs on wave threads):
-        its corner batch, its values and the answering tier.  The values
-        are ``None`` when the chain is exhausted but a pyramid level can
-        rescue the chunk.  An answered chunk's seconds on the service
-        clock feed the cost the wave plan predicts from."""
+        """One chunk through the fallback chain: its corner batch, its
+        values and the answering tier.  The values are ``None`` when the
+        chain is exhausted but a pyramid level can rescue the chunk.  An
+        answered chunk's seconds on the service clock feed the cost the
+        wave plan predicts from."""
         chunk_started = self._clock()
-        batch = browsing_tile_batch_subset(region, rows, cols, idx)
+        batch = browsing_tile_batch_at(region, rows, cols, idx)
         band = f"{int(idx[0]) // cols}:{int(idx[-1]) // cols + 1}"
         with self._stage(trace, "chunk", rows=band, tiles=idx.size):
             try:

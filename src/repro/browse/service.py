@@ -14,12 +14,13 @@ It is a constructor, not a second implementation: the raster is answered
 by the staged pipeline of
 :class:`~repro.browse.resilience.ResilientBrowsingService` (resolve ->
 delta -> cache probe -> chunk waves -> assemble), configured with one
-estimator, one attempt and no pyramid.  With one shard that is a single
-vectorised ``estimate_batch`` per raster -- a constant number of numpy
-gathers regardless of ``rows x cols``.  Estimators without a native batch
-path are adapted via :func:`~repro.euler.base.as_batch_estimator`; wrap
-one in :class:`~repro.euler.base.ScalarBatchFallback` to serve rasters
-through the per-tile scalar loop (parity tests and benchmarks do).
+estimator, one attempt and no pyramid.  Every raster is one chunk: a
+single vectorised ``estimate_batch`` per raster -- a constant number of
+numpy gathers regardless of ``rows x cols``.  Estimators without a
+native batch path are adapted via
+:func:`~repro.euler.base.as_batch_estimator`; wrap one in
+:class:`~repro.euler.base.ScalarBatchFallback` to serve rasters through
+the per-tile scalar loop (parity tests and benchmarks do).
 
 The request and result types live with the pipeline and are re-exported
 here: :class:`BrowseResult`, :data:`RELATION_FIELDS` and
@@ -72,10 +73,8 @@ class GeoBrowsingService(ResilientBrowsingService):
     tile counts across requests, and a
     :class:`~repro.browse.delta.DeltaTracker` as ``delta`` to answer each
     session's overlapping tiles by copying them from the session's
-    previous raster.  ``num_shards > 1`` splits the raster into that many
-    row bands, answered concurrently on a thread pool.  All default off;
-    all are exact -- cached, sharded, delta-assembled and plain rasters
-    are bit-identical.
+    previous raster.  Both default off; both are exact -- cached,
+    delta-assembled and plain rasters are bit-identical.
     """
 
     def __init__(
@@ -85,7 +84,6 @@ class GeoBrowsingService(ResilientBrowsingService):
         *,
         instruments: BrowseInstrumentation | None = None,
         cache: TileResultCache | None = None,
-        num_shards: int = 1,
         delta: DeltaTracker | None = None,
     ) -> None:
         self._service = "plain"
@@ -95,9 +93,8 @@ class GeoBrowsingService(ResilientBrowsingService):
             retry=RetryPolicy(attempts=1),
             instruments=instruments,
             cache=cache,
-            num_shards=num_shards,
             delta=delta,
         )
-        # One row band per shard whatever the wave plan: every open
-        # tile leaves in a single wave of ``num_shards`` chunks.
+        # One chunk whatever the wave plan: every open tile leaves in a
+        # single ``estimate_batch`` call.
         self._chunk_rows = None

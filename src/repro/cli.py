@@ -125,12 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--relation", choices=sorted(RELATION_FIELDS), default="overlap"
     )
     browse.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="row-band shards per raster (default: 1, sequential)",
-    )
-    browse.add_argument(
         "--cache-mb",
         type=float,
         default=0.0,
@@ -176,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="raster rows per chunk when the budget is tight",
-    )
-    stats.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="row chunks dispatched concurrently per wave (default: 1)",
     )
     stats.add_argument(
         "--cache-mb",
@@ -537,9 +525,6 @@ def _cmd_browse(args: argparse.Namespace) -> int:
     from repro.cache import TileResultCache
     from repro.obs import BrowseInstrumentation
 
-    if args.shards < 1:
-        print("error: --shards must be positive", file=sys.stderr)
-        return 2
     if args.repeat < 1:
         print("error: --repeat must be positive", file=sys.stderr)
         return 2
@@ -555,7 +540,6 @@ def _cmd_browse(args: argparse.Namespace) -> int:
         SEulerApprox(histogram),
         histogram.grid,
         cache=cache,
-        num_shards=args.shards,
         delta=tracker,
         instruments=instruments,
     )
@@ -570,8 +554,6 @@ def _cmd_browse(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        service.close()
     print(result.render_ascii(width=7))
     print(
         f"# {args.relation} counts, {args.rows}x{args.cols} tiles, "
@@ -611,9 +593,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     if args.chunk_rows < 1:
         print("error: --chunk-rows must be positive", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print("error: --shards must be positive", file=sys.stderr)
         return 2
     if args.repeat < 1:
         print("error: --repeat must be positive", file=sys.stderr)
@@ -659,7 +638,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             chunk_rows=args.chunk_rows,
             instruments=instruments,
             cache=cache,
-            num_shards=args.shards,
             delta=DeltaTracker() if args.delta else None,
             pyramid=pyramid,
         )
@@ -676,8 +654,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         except BrowseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        finally:
-            service.close()
         print(result.render_ascii(width=7))
         print(
             f"# {args.relation} counts, {args.rows}x{args.cols} tiles, "

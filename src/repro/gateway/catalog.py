@@ -50,7 +50,7 @@ class DatasetBlueprint:
     service is built from; ``cache`` is the shared tile-result cache
     (``None`` disables caching); ``service_kwargs`` is forwarded to each
     :class:`~repro.browse.resilience.ResilientBrowsingService`
-    (``chunk_rows``, ``num_shards``, retry/breaker knobs, ...).
+    (``chunk_rows``, retry/breaker knobs, ...).
     """
 
     name: str
@@ -110,10 +110,6 @@ class TenantCatalog:
     Services are built eagerly at tenant registration -- construction is
     cheap (the estimators are shared; only breakers and trackers are
     per-tenant) and eager failure beats a 500 at request time.
-
-    ``close()`` closes every service exactly once and is idempotent;
-    the services' own close methods are race-safe, so a gateway
-    shutdown may overlap in-flight requests without error.
     """
 
     def __init__(
@@ -130,7 +126,6 @@ class TenantCatalog:
         self._tenants: dict[str, TenantState] = {}
         self._services: dict[tuple[str, str], ResilientBrowsingService] = {}
         self._lock = threading.Lock()
-        self._closed = False
 
     # ------------------------------------------------------------------ #
     # registration
@@ -233,17 +228,3 @@ class TenantCatalog:
                 f"tenant {tenant!r} has no dataset {dataset!r}"
             )
         return service
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Close every service (idempotent; safe against double-close)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            services = list(self._services.values())
-        for service in services:
-            service.close()

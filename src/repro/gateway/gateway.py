@@ -607,9 +607,9 @@ class Gateway:
 
     async def close(self) -> None:
         """Shut the gateway down: stop admitting, cancel in-flight
-        shared computations, drain the executor, close the catalog's
-        services.  Idempotent; waiters of cancelled computations receive
-        a structured shutdown :class:`~repro.errors.OverloadedError`."""
+        shared computations and drain the executor.  Idempotent; waiters
+        of cancelled computations receive a structured shutdown
+        :class:`~repro.errors.OverloadedError`."""
         if self._closed:
             return
         self._closed = True
@@ -619,8 +619,7 @@ class Gateway:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         # Executor jobs already running cannot be interrupted; wait for
-        # them so catalog close never races a browse mid-chunk.
+        # them so no browse outlives the gateway.
         await asyncio.get_running_loop().run_in_executor(
             None, self._executor.shutdown, True
         )
-        self._catalog.close()

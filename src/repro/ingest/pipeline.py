@@ -15,9 +15,9 @@ to a direct ``add_dataset`` build of the same stream:
 3. chunks lost to worker crashes are re-read from the (replayable)
    source and accumulated inline -- the build completes bit-identically
    no matter how many workers died;
-4. a merge pass folds every partial -- in-memory and spilled -- into one
-   global builder (and optionally into per-zone builders first, when
-   zone summaries are requested for scatter-gather serving).
+4. a merge pass folds every partial into one global builder: the
+   in-memory ones first, then each spilled one as it is loaded, so the
+   pass holds at most one reloaded partial at a time.
 
 Bit-parity is structural, not statistical: snapping is deterministic,
 difference-domain accumulation is int64-exact and order-independent, and
@@ -32,7 +32,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder
 from repro.grid.grid import Grid
@@ -95,18 +95,11 @@ class IngestReport:
 
 @dataclass
 class ZonedBuildResult:
-    """A zoned build's outputs.
-
-    ``zone_histograms`` is populated only when the build was asked to
-    keep per-zone summaries (the scatter-gather serving path); it maps
-    zone index to that zone's own :class:`EulerHistogram` (zones that
-    received no objects are omitted).
-    """
+    """A zoned build's outputs."""
 
     histogram: EulerHistogram
     zone_map: ZoneMap
     report: IngestReport
-    zone_histograms: dict[int, EulerHistogram] | None = field(default=None)
 
 
 def _accumulate_inline(
@@ -129,7 +122,6 @@ def build_zoned(
     workers: int = 0,
     start_method: str = "spawn",
     spill_dir: str | os.PathLike | None = None,
-    keep_zone_summaries: bool = False,
     dispatch_timeout: float = 60.0,
     instruments: IngestInstrumentation | None = None,
 ) -> ZonedBuildResult:
@@ -154,9 +146,6 @@ def build_zoned(
         Where zone partials spill.  Defaults to a temporary directory
         removed when the build finishes; a caller-provided directory is
         left in place (only the build's own files are deleted).
-    keep_zone_summaries:
-        Also build one histogram per non-empty zone, for scatter-gather
-        serving (:class:`repro.browse.catalog.ZoneScatterGatherSummary`).
     instruments:
         Optional :class:`~repro.obs.instruments.IngestInstrumentation`
         to record the ``repro_ingest_*`` families into.
@@ -252,31 +241,18 @@ def build_zoned(
             peak_bytes += inline_acc.peak_bytes
 
         # ---- merge pass: fold every partial into the global builder ---- #
-        by_zone: dict[int, list[ZonePartial]] = {}
+        # Int64 difference-domain addition is order-independent, so each
+        # spilled partial is folded as it loads and never held past that.
+        global_builder = EulerHistogramBuilder(grid)
         for partial in partials:
-            by_zone.setdefault(partial.zone, []).append(partial)
+            global_builder.add_partial(
+                partial.a_lo, partial.b_lo, partial.patch, partial.num_objects
+            )
         for path in spill_paths:
             partial = load_zone_partial(path, grid)
-            by_zone.setdefault(partial.zone, []).append(partial)
-
-        global_builder = EulerHistogramBuilder(grid)
-        zone_histograms: dict[int, EulerHistogram] | None = (
-            {} if keep_zone_summaries else None
-        )
-        for zone in sorted(by_zone):
-            if zone_histograms is not None:
-                zone_builder = EulerHistogramBuilder(grid)
-                for partial in by_zone[zone]:
-                    zone_builder.add_partial(
-                        partial.a_lo, partial.b_lo, partial.patch, partial.num_objects
-                    )
-                zone_histograms[zone] = zone_builder.build()
-                global_builder.merge(zone_builder)
-            else:
-                for partial in by_zone[zone]:
-                    global_builder.add_partial(
-                        partial.a_lo, partial.b_lo, partial.patch, partial.num_objects
-                    )
+            global_builder.add_partial(
+                partial.a_lo, partial.b_lo, partial.patch, partial.num_objects
+            )
         histogram = global_builder.build()
     finally:
         if own_spill_dir:
@@ -320,6 +296,4 @@ def build_zoned(
         )
         obs.objects_per_second.labels(source=report.source).set(report.objects_per_second)
         obs.build_seconds.labels(source=report.source).observe(report.elapsed_seconds)
-    return ZonedBuildResult(
-        histogram=histogram, zone_map=zone_map, report=report, zone_histograms=zone_histograms
-    )
+    return ZonedBuildResult(histogram=histogram, zone_map=zone_map, report=report)

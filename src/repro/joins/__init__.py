@@ -14,7 +14,7 @@ workload as a catalog-scale scan engine:
 - :mod:`repro.joins.scoring`  -- vectorised overlap/containment/coverage
   kernels plus the scalar per-pair references they are parity-pinned to;
 - :mod:`repro.joins.search`   -- :class:`JoinSearchEngine`, exhaustive
-  or pyramid-pruned top-k with sound upper bounds, sharded scans,
+  (one kernel call) or pyramid-pruned top-k with sound upper bounds,
   generation-keyed score caching and ``repro_join_*`` metrics;
 - :mod:`repro.joins.accuracy` -- ARE evaluation against
   :class:`~repro.exact.evaluator.ExactEvaluator` ground truth.

@@ -3,13 +3,10 @@
 :class:`JoinSearchEngine` answers "which of these hundreds of summaries
 most overlaps this query?" two ways:
 
-- **Exhaustive** -- one vectorised kernel call over the stacked blocks
-  (optionally sharded into contiguous summary bands over the same
-  threaded :class:`~repro.browse.sharding.ShardPool` that shards browse
-  rasters; shard results concatenate in band order, so a sharded scan is
-  bit-identical to the monolithic one).  Region-mode searches are always
-  exhaustive: the prefix-cube kernel is O(1) per candidate, so there is
-  nothing for a coarse filter to save.
+- **Exhaustive** -- one vectorised kernel call over the stacked blocks,
+  on the calling thread.  Region-mode searches are always exhaustive:
+  the prefix-cube kernel is O(1) per candidate, so there is nothing for
+  a coarse filter to save.
 
 - **Pyramid-pruned** (dataset mode) -- the planner scores the catalog's
   *coarsest* level first and only fully scores candidates whose coarse
@@ -56,7 +53,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.browse.sharding import ShardPool, band_slices
 from repro.errors import CatalogAlignmentError
 from repro.grid.tiles_math import TileQuery
 from repro.joins.catalog import SummaryCatalog, coarsen_ladder
@@ -72,9 +68,6 @@ from repro.joins.scoring import (
 from repro.joins.sketch import JoinSketch
 
 __all__ = ["JoinSearchEngine", "JoinSearchResult", "LevelStats"]
-
-#: Smallest summary band worth dispatching to a shard thread.
-_MIN_SHARD_SUMMARIES = 32
 
 #: Floor of the pruning planner's default seed-pool size.
 _MIN_SEED_POOL = 64
@@ -131,11 +124,6 @@ class JoinSearchEngine:
         The catalog to scan.  Its ``stacked()`` view is fetched per
         search, so registrations between searches are picked up (and
         invalidate cached scores via the generation in the key).
-    num_shards:
-        Requested fan-out for exhaustive scans; bands below
-        ``32`` summaries run inline.  The bands run on threads: the
-        stacked blocks live in this process and the scan kernels release
-        the GIL, so threads already scale it.
     cache:
         An optional :class:`~repro.cache.score_cache.JoinScoreCache`.
     instrumentation:
@@ -151,18 +139,13 @@ class JoinSearchEngine:
         self,
         catalog: SummaryCatalog,
         *,
-        num_shards: int = 1,
         cache=None,
         instrumentation=None,
         seed_pool: int | None = None,
     ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
         if seed_pool is not None and seed_pool < 1:
             raise ValueError("seed_pool must be at least 1")
         self._catalog = catalog
-        self._pool = ShardPool(num_shards) if num_shards > 1 else None
-        self._num_shards = num_shards
         self._cache = cache
         self._instr = instrumentation
         self._seed_pool = seed_pool
@@ -170,17 +153,6 @@ class JoinSearchEngine:
     @property
     def catalog(self) -> SummaryCatalog:
         return self._catalog
-
-    def close(self) -> None:
-        """Shut down the shard pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "JoinSearchEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # public search entry points
@@ -309,13 +281,6 @@ class JoinSearchEngine:
         if cache_event is not None:
             self._instr.cache_events.labels(event=cache_event).inc()
 
-    def _band_map(self, n: int, fn):
-        """Run ``fn`` over contiguous summary bands, pooled when useful."""
-        slices = band_slices(n, self._num_shards, min_shard=_MIN_SHARD_SUMMARIES)
-        if self._pool is None or len(slices) <= 1:
-            return [fn(sl) for sl in slices]
-        return self._pool.map(fn, slices)
-
     def _exhaustive(self, stacked, query, mode, metric, k) -> JoinSearchResult:
         n = len(stacked)
         if n == 0:
@@ -332,21 +297,11 @@ class JoinSearchEngine:
                 pruned=0,
                 generation=stacked.generation,
             )
-        if mode == "dataset":
-            parts = self._band_map(n, lambda sl: score_dataset_batch(stacked, query, sl))
-            scores_obj: CatalogScores | RegionScores = CatalogScores(
-                overlap=np.concatenate([p.overlap for p in parts]),
-                containment=np.concatenate([p.containment for p in parts]),
-                coverage=np.concatenate([p.coverage for p in parts]),
-            )
-        else:
-            parts = self._band_map(n, lambda sl: score_region_batch(stacked, query, sl))
-            scores_obj = RegionScores(
-                intersect_mass=np.concatenate([p.intersect_mass for p in parts]),
-                contained_mass=np.concatenate([p.contained_mass for p in parts]),
-                containing_mass=np.concatenate([p.containing_mass for p in parts]),
-                coverage=np.concatenate([p.coverage for p in parts]),
-            )
+        scores_obj: CatalogScores | RegionScores = (
+            score_dataset_batch(stacked, query)
+            if mode == "dataset"
+            else score_region_batch(stacked, query)
+        )
         values = scores_obj.metric(metric)
         order = np.lexsort((np.arange(n), -values))[:k]
         return JoinSearchResult(
@@ -395,10 +350,7 @@ class JoinSearchEngine:
 
         # Coarsest bounds for every candidate; seed the threshold with the
         # exact scores of the k most promising.
-        bound_parts = self._band_map(
-            n, lambda sl: self._bound(levels[coarsest], q_levels[coarsest], metric, denom, sl)
-        )
-        bounds = np.concatenate(bound_parts)
+        bounds = self._bound(levels[coarsest], q_levels[coarsest], metric, denom, None)
         order = np.lexsort((np.arange(n), -bounds))
         pool = (
             max(self._seed_pool, k)

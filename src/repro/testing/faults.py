@@ -62,9 +62,9 @@ class FaultSchedule:
     the whole fault stream reproducible from one seed.
 
     The cursor and RNG are lock-guarded, so one schedule can drive an
-    estimator shared across shard threads: the *set* of faults drawn is
-    still the scripted/seeded sequence, though which thread receives
-    which fault depends on scheduling.
+    estimator shared by concurrent requests' threads: the *set* of
+    faults drawn is still the scripted/seeded sequence, though which
+    thread receives which fault depends on scheduling.
     """
 
     def __init__(

@@ -24,7 +24,7 @@ __all__ = [
     "paper_query_sets",
     "browsing_tiles",
     "browsing_tile_batch",
-    "browsing_tile_batch_subset",
+    "browsing_tile_batch_at",
     "validate_browsing_tiling",
 ]
 
@@ -123,15 +123,16 @@ def browsing_tile_batch(region: TileQuery, rows: int, cols: int) -> TileQueryBat
     return TileQueryBatch(qx_lo, qx_lo + tile_w, qy_lo, qy_lo + tile_h)
 
 
-def browsing_tile_batch_subset(
+def browsing_tile_batch_at(
     region: TileQuery, rows: int, cols: int, flat_indices: np.ndarray
 ) -> TileQueryBatch:
     """The tiles at ``flat_indices`` (row-major positions) of the
     :func:`browsing_tile_batch` tiling, without materialising the rest.
 
-    Equivalent to ``batch_subset(browsing_tile_batch(...), flat_indices)``
-    but O(len(flat_indices)): the viewport-delta path uses it to build
-    queries for only the fresh band of a panned raster.
+    Equivalent to indexing every column of ``browsing_tile_batch(...)``
+    with ``flat_indices``, but O(len(flat_indices)): the browse pipeline
+    uses it to build queries for only the open tiles of each chunk, such
+    as the fresh band of a panned raster.
     """
     validate_browsing_tiling(region, rows, cols)
     tile_w = region.width // cols

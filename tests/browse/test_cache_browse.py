@@ -1,6 +1,6 @@
-"""Cache and shard semantics at the service level: bit-parity between
-cached/sharded and plain rasters (property-tested), generation
-invalidation through a maintained histogram, and the resilient service's
+"""Cache semantics at the service level: bit-parity between cached and
+plain rasters (property-tested), generation invalidation through a
+maintained histogram, and the resilient service's
 cache/deadline/degradation interactions."""
 
 import numpy as np
@@ -66,36 +66,6 @@ class TestCachedParity:
                 got = cached.browse(region, rows, cols, relation)
                 np.testing.assert_array_equal(got.counts, expected.counts)
             assert got.valid is None or got.valid.all()
-
-    @given(raster=rasters(), num_shards=st.sampled_from([2, 3, 8]))
-    @settings(max_examples=30, deadline=None)
-    def test_sharded_rasters_bit_identical(self, hist, raster, num_shards):
-        region, rows, cols, relation = raster
-        estimator = SEulerApprox(hist)
-        expected = GeoBrowsingService(estimator, GRID).browse(
-            region, rows, cols, relation
-        )
-        sharded = GeoBrowsingService(estimator, GRID, num_shards=num_shards)
-        try:
-            got = sharded.browse(region, rows, cols, relation)
-        finally:
-            sharded.close()
-        np.testing.assert_array_equal(got.counts, expected.counts)
-
-    def test_cache_and_shards_compose(self, hist):
-        estimator = SEulerApprox(hist)
-        expected = GeoBrowsingService(estimator, GRID).browse(
-            TileQuery(0, 12, 0, 8), 4, 6
-        )
-        service = GeoBrowsingService(
-            estimator, GRID, cache=TileResultCache(), num_shards=4
-        )
-        try:
-            for _ in range(3):
-                got = service.browse(TileQuery(0, 12, 0, 8), 4, 6)
-                np.testing.assert_array_equal(got.counts, expected.counts)
-        finally:
-            service.close()
 
 
 class TestGenerationInvalidation:
@@ -195,18 +165,14 @@ class TestResilientCache:
         # The retried/recovered primary answered at least one chunk.
         assert len(cache) > 0
 
-    def test_sharded_resilient_parity(self, hist):
+    def test_chunked_resilient_parity(self, hist):
+        """A cold service's 2-row chunks answer bit-identically to one
+        chunk per raster."""
         estimator = SEulerApprox(hist)
-        expected = ResilientBrowsingService([estimator], GRID).browse(
-            TileQuery(0, 12, 0, 8), 8, 12
-        )
-        sharded = ResilientBrowsingService(
-            [estimator], GRID, num_shards=4, chunk_rows=2
-        )
-        try:
-            got = sharded.browse(TileQuery(0, 12, 0, 8), 8, 12)
-        finally:
-            sharded.close()
+        expected = GeoBrowsingService(estimator, GRID).browse(TileQuery(0, 12, 0, 8), 8, 12)
+        chunked = ResilientBrowsingService([estimator], GRID, chunk_rows=2)
+        got = chunked.browse(TileQuery(0, 12, 0, 8), 8, 12)
+        assert chunked.chunk_cost.chunks == 4
         np.testing.assert_array_equal(got.counts, expected.counts)
 
 
@@ -238,14 +204,11 @@ class TestCacheMetrics:
         assert instruments.cache_hits.labels(service="resilient").value == 24
 
     def test_chunk_stage_seconds_observed(self, hist):
-        """Each shard's row band is one chunk, timed by the chunk stage."""
+        """The plain form answers each raster as one chunk, timed by the
+        chunk stage."""
         instruments = BrowseInstrumentation()
-        service = GeoBrowsingService(
-            SEulerApprox(hist), GRID, num_shards=2, instruments=instruments
-        )
-        try:
-            service.browse(TileQuery(0, 12, 0, 8), 8, 12)
-        finally:
-            service.close()
+        service = GeoBrowsingService(SEulerApprox(hist), GRID, instruments=instruments)
         chunk_obs = instruments.stage_seconds.labels(service="plain", stage="chunk")
-        assert chunk_obs.count == 2
+        for rasters in (1, 2):
+            service.browse(TileQuery(0, 12, 0, 8), 8, 12)
+            assert chunk_obs.count == rasters

@@ -2,13 +2,12 @@
 the same pan/zoom traces with the same rasters.
 
 Both forms are driven through identical sessions under every combination
-of tile cache, viewport delta, shard count and a scalar-loop estimator.
-The oracle is one direct ``estimate_batch`` over the raster's full tile
-batch -- it shares no code with either service's pipeline (no delta
-plan, cache probe, chunk planner or shard pool).  The deadline axis is
-a third, pyramid-backed resilient service browsed with a roomy budget:
-once it has measured a chunk, every raster leaves in one wave without
-the coarse prefill.
+of tile cache, viewport delta and a scalar-loop estimator.  The oracle
+is one direct ``estimate_batch`` over the raster's full tile batch -- it
+shares no code with either service's pipeline (no delta plan, cache
+probe or chunk planner).  The deadline axis is a third, pyramid-backed
+resilient service browsed with a roomy budget: once it has measured a
+chunk, every raster leaves as one chunk without the coarse prefill.
 """
 
 import numpy as np
@@ -88,13 +87,12 @@ def oracle(estimator, region, rows, cols, relation):
 
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["batch", "scalar-loop"])
-@pytest.mark.parametrize("num_shards", [1, 3])
 @pytest.mark.parametrize("delta", [False, True], ids=["no-delta", "delta"])
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
 @given(session=sessions())
 @settings(max_examples=12, deadline=None)
 def test_plain_and_resilient_forms_agree(
-    hist, pyramid, cached, delta, num_shards, scalar, session
+    hist, pyramid, cached, delta, scalar, session
 ):
     relation, steps = session
     estimator = SEulerApprox(hist)
@@ -105,7 +103,6 @@ def test_plain_and_resilient_forms_agree(
         return {
             "cache": TileResultCache() if cached else None,
             "delta": DeltaTracker() if delta else None,
-            "num_shards": num_shards,
         }
 
     plain = GeoBrowsingService(estimator, GRID, **options())
@@ -113,26 +110,22 @@ def test_plain_and_resilient_forms_agree(
     timed = ResilientBrowsingService(
         estimator, GRID, pyramid=pyramid, instruments=BrowseInstrumentation(), **options()
     )
-    try:
-        # Warm the wave plan's cost on a raster outside the session.
-        timed.browse(TileQuery(0, 24, 0, 16), 2, 2, relation, session="warm")
-        for region, rows, cols in steps:
-            want = oracle(estimator, region, rows, cols, relation)
-            a = plain.browse(region, rows, cols, relation)
-            b = resilient.browse(region, rows, cols, relation, deadline=None)
-            c = timed.browse(region, rows, cols, relation, deadline=60.0)
-            for result in (a, b, c):
-                assert result.valid is None
-                np.testing.assert_array_equal(result.counts, want)
-                assert result.delta.reusable is None
-            # One wave, no coarse prefill, nothing left coarse.
-            assert c.levels is None
-            stages = {span.name: span for span in c.telemetry.spans}
-            assert "pyramid" not in stages
-            if "waves" in stages:
-                assert stages["waves"].attrs["plan"] == "budget"
-    finally:
-        plain.close()
-        resilient.close()
-        timed.close()
+    # Warm the wave plan's cost on a raster outside the session.
+    timed.browse(TileQuery(0, 24, 0, 16), 2, 2, relation, session="warm")
+    for region, rows, cols in steps:
+        want = oracle(estimator, region, rows, cols, relation)
+        a = plain.browse(region, rows, cols, relation)
+        b = resilient.browse(region, rows, cols, relation, deadline=None)
+        c = timed.browse(region, rows, cols, relation, deadline=60.0)
+        for result in (a, b, c):
+            assert result.valid is None
+            np.testing.assert_array_equal(result.counts, want)
+            assert result.delta.reusable is None
+        # One chunk, no coarse prefill, nothing left coarse.
+        assert c.levels is None
+        stages = {span.name: span for span in c.telemetry.spans}
+        assert "pyramid" not in stages
+        if "waves" in stages:
+            assert stages["waves"].attrs["plan"] == "budget"
+            assert stages["waves"].attrs["chunks"] == 1
 

@@ -20,7 +20,7 @@ from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
 from repro.obs.instruments import BrowseInstrumentation
 from repro.testing.faults import FaultSchedule, FaultyBatchEstimator
-from repro.workloads.tiles import browsing_tile_batch, browsing_tile_batch_subset
+from repro.workloads.tiles import browsing_tile_batch, browsing_tile_batch_at
 
 from tests.conftest import random_dataset
 
@@ -103,19 +103,12 @@ class TestDeltaParity:
         estimator = SEulerApprox(hist)
         cold = GeoBrowsingService(estimator, GRID)
         stacked = GeoBrowsingService(
-            estimator,
-            GRID,
-            cache=TileResultCache(),
-            num_shards=2,
-            delta=DeltaTracker(),
+            estimator, GRID, cache=TileResultCache(), delta=DeltaTracker()
         )
-        try:
-            for region, rows, cols in steps:
-                expected = cold.browse(region, rows, cols, relation)
-                got = stacked.browse(region, rows, cols, relation)
-                np.testing.assert_array_equal(got.counts, expected.counts)
-        finally:
-            stacked.close()
+        for region, rows, cols in steps:
+            expected = cold.browse(region, rows, cols, relation)
+            got = stacked.browse(region, rows, cols, relation)
+            np.testing.assert_array_equal(got.counts, expected.counts)
 
     @given(trace=pan_zoom_traces())
     @settings(max_examples=25, deadline=None)
@@ -357,7 +350,7 @@ class TestBatchSubset:
         region = TileQuery(2, 14, 1, 9)
         full = browsing_tile_batch(region, 4, 6)
         idx = np.array([0, 5, 7, 13, 23])
-        subset = browsing_tile_batch_subset(region, 4, 6, idx)
+        subset = browsing_tile_batch_at(region, 4, 6, idx)
         np.testing.assert_array_equal(subset.qx_lo, full.qx_lo[idx])
         np.testing.assert_array_equal(subset.qx_hi, full.qx_hi[idx])
         np.testing.assert_array_equal(subset.qy_lo, full.qy_lo[idx])
@@ -365,7 +358,7 @@ class TestBatchSubset:
 
     def test_subset_validates_like_the_full_builder(self):
         with pytest.raises(ValueError):
-            browsing_tile_batch_subset(TileQuery(0, 12, 0, 8), 5, 6, np.array([0]))
+            browsing_tile_batch_at(TileQuery(0, 12, 0, 8), 5, 6, np.array([0]))
 
 
 class TestBrowseResultTiles:

@@ -31,6 +31,7 @@ GRID = Grid(Rect(0.0, 24.0, 0.0, 16.0), 24, 16)
 NUM_WORKERS = 8
 STEPS_PER_SESSION = 8
 MAX_SESSIONS = 3  # far fewer than workers: constant LRU eviction churn
+JOIN_TIMEOUT_S = 60.0
 
 #: An 8x8-cell viewport tiled 4x4, panned one tile right per step.
 VIEW_W, VIEW_H, ROWS, COLS = 8, 8, 4, 4
@@ -73,7 +74,7 @@ def test_threaded_sessions_with_shared_cache_and_bounded_delta(hist):
         service = tenants[worker_id % 2]
         session = f"tenant{worker_id % 2}/user{worker_id}"
         try:
-            barrier.wait()
+            barrier.wait(timeout=JOIN_TIMEOUT_S)
             for step in range(STEPS_PER_SESSION):
                 result = service.browse(
                     pan_path(step), ROWS, COLS, session=session
@@ -86,15 +87,16 @@ def test_threaded_sessions_with_shared_cache_and_bounded_delta(hist):
             errors.append(repr(exc))
 
     threads = [
-        threading.Thread(target=worker, args=(i,)) for i in range(NUM_WORKERS)
+        threading.Thread(target=worker, args=(i,), daemon=True)
+        for i in range(NUM_WORKERS)
     ]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    for service in tenants:
-        service.close()
+        t.join(timeout=JOIN_TIMEOUT_S)
 
+    stuck = [t.name for t in threads if t.is_alive()]
+    assert not stuck, f"threads still running after {JOIN_TIMEOUT_S}s: {stuck}"
     assert not errors, errors[:5]
     # The tracker honoured its LRU bound under concurrent remember().
     for tracker in trackers:

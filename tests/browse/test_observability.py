@@ -99,7 +99,7 @@ class TestPlainServiceTelemetry:
         assert result.telemetry is not None
         names = [s.name for s in result.telemetry.spans]
         assert names == ["browse", "resolve", "waves", "chunk", "attempt:Exact", "assemble"]
-        # One row band per shard: a single chunk spans the whole raster.
+        # The plain form answers the whole raster as one chunk.
         assert result.telemetry.spans[3].attrs == {"rows": "0:4", "tiles": 24}
 
     def test_request_and_stage_metrics(self, grid, exact):

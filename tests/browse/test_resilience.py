@@ -584,9 +584,9 @@ class TestErrorTaxonomy:
 
 
 class TestWavePlan:
-    """Waves are sized from the remaining budget: one wave of one row
-    band per shard when the measured cost fits, ``chunk_rows`` chunks
-    and the pyramid prefill when the service is cold or pressed."""
+    """Waves are sized from the remaining budget: one chunk when the
+    measured cost fits, ``chunk_rows`` chunks and the pyramid prefill
+    when the service is cold or pressed."""
 
     @pytest.fixture
     def wide_data(self, rng):
@@ -643,24 +643,18 @@ class TestWavePlan:
         assert instruments.stage_seconds.labels(service="resilient", stage="pyramid").count == 1
         assert result.full_resolution and result.levels is None
 
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_warm_service_answers_one_wave_per_shard(self, wide, pyramid, num_shards):
+    def test_warm_service_answers_in_one_chunk(self, wide, pyramid):
         instruments = BrowseInstrumentation()
         counting = FaultyBatchEstimator(wide, FaultSchedule())
         service = ResilientBrowsingService(
-            counting, WIDE, chunk_rows=1, num_shards=num_shards, pyramid=pyramid,
+            counting, WIDE, chunk_rows=1, pyramid=pyramid,
             clock=FakeClock(), instruments=instruments,
         )
-        try:
-            want = service.browse(WIDE_REGION, rows=32, cols=64).counts
-            calls = counting.calls
-            result = service.browse(WIDE_REGION, rows=32, cols=64, deadline=1.0)
-        finally:
-            service.close()
-        assert counting.calls - calls == num_shards
-        assert waves_span(result).attrs == {
-            "tiles": 2048, "plan": "budget", "chunks": num_shards,
-        }
+        want = service.browse(WIDE_REGION, rows=32, cols=64).counts
+        calls = counting.calls
+        result = service.browse(WIDE_REGION, rows=32, cols=64, deadline=1.0)
+        assert counting.calls - calls == 1
+        assert waves_span(result).attrs == {"tiles": 2048, "plan": "budget", "chunks": 1}
         # The prefill was skipped: no pyramid stage sample at all.
         assert instruments.stage_seconds.labels(service="resilient", stage="pyramid").count == 0
         assert result.full_resolution and result.levels is None

@@ -1,7 +1,7 @@
 """Threaded stress test of the wave plan's shared cost state.
 
-One warmed, three-shard resilient service is shared by more threads
-than the host has cores, with the interpreter's switch interval cut to
+One warmed resilient service is shared by more threads than the host
+has cores, with the interpreter's switch interval cut to
 a microsecond so threads interleave inside the cost update.  Every
 raster must equal a direct ``estimate_batch`` over its tiles, and the
 service's :class:`~repro.browse.resilience.ChunkCost` must account for
@@ -34,7 +34,7 @@ REQUESTS_PER_THREAD = 20
 JOIN_TIMEOUT_S = 60.0
 
 #: Raster shapes and deadlines the threads cycle through: unbounded and
-#: roomy budgets take the one-wave plan, a zero budget expires at once.
+#: roomy budgets take the one-chunk plan, a zero budget expires at once.
 SHAPES = ((16, 24), (8, 12), (4, 6), (16, 3))
 DEADLINES = (None, 30.0, 0.0)
 
@@ -53,7 +53,7 @@ def test_shared_cost_state_counts_every_chunk(estimator):
         ).reshape(shape)
         for shape in SHAPES
     }
-    service = ResilientBrowsingService(estimator, GRID, num_shards=3, chunk_rows=2)
+    service = ResilientBrowsingService(estimator, GRID, chunk_rows=2)
     errors: list[str] = []
     answered_tiles = [0] * NUM_THREADS
     barrier = threading.Barrier(NUM_THREADS)
@@ -92,7 +92,6 @@ def test_shared_cost_state_counts_every_chunk(estimator):
         stuck = [t.name for t in threads if t.is_alive()]
     finally:
         sys.setswitchinterval(previous)
-        service.close()
 
     assert not stuck, f"threads still running after {JOIN_TIMEOUT_S}s: {stuck}"
     assert not errors, errors[:5]

@@ -127,15 +127,3 @@ class TestQuota:
     def test_negative_quota_rejected(self):
         with pytest.raises(ValueError):
             TenantState("acme", quota=-1)
-
-
-class TestLifecycle:
-    def test_close_closes_every_service_and_is_idempotent(self, estimator):
-        est, grid = estimator
-        catalog = make_catalog(est, grid)
-        catalog.add_tenant("acme")
-        catalog.add_tenant("beta")
-        services = [catalog.service(t, "main") for t in ("acme", "beta")]
-        catalog.close()
-        catalog.close()
-        assert all(s.closed for s in services)

@@ -1,13 +1,11 @@
-"""End-to-end zoned builds: bit-parity, zone summaries, reports, metrics."""
+"""End-to-end zoned builds: bit-parity, the merge pass, reports, metrics."""
 
 import numpy as np
 import pytest
 
-from repro.browse.catalog import ZoneScatterGatherSummary
-from repro.euler.histogram import EulerHistogram
-from repro.euler.simple import SEulerApprox
+import repro.ingest.pipeline as pipeline
+from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder
 from repro.grid.grid import Grid
-from repro.grid.tiles_math import TileQuery
 from repro.ingest import DatasetChunkSource, SyntheticChunkSource, build_zoned
 from repro.obs import IngestInstrumentation
 
@@ -84,53 +82,40 @@ class TestReport:
         assert obs.objects_per_second.labels(source="sp_skew").value > 0
 
 
-class TestZoneSummaries:
-    def test_zone_histograms_sum_to_the_global(self, source, grid, direct):
-        result = build_zoned(source, grid, zones=12, keep_zone_summaries=True)
-        assert result.zone_histograms
-        assert sum(h.num_objects for h in result.zone_histograms.values()) == 4000
-        total = np.zeros(grid.lattice_shape, dtype=np.int64)
-        for hist in result.zone_histograms.values():
-            assert hist.grid == grid
-            total = total + hist.buckets()
-        np.testing.assert_array_equal(total, direct.buckets())
+class TestMergePass:
+    def test_each_spilled_partial_is_folded_before_the_next_loads(
+        self, source, grid, direct, monkeypatch
+    ):
+        """The merge pass holds one reloaded partial at a time: every
+        ``load_zone_partial`` is followed by the ``add_partial`` of the
+        patch it loaded before the next load, and the histogram is still
+        bit-identical to the direct build."""
+        events: list[tuple[str, int]] = []
+        load = pipeline.load_zone_partial
+        add = EulerHistogramBuilder.add_partial
 
-    def test_scatter_gather_summary_is_bit_identical(self, source, grid, direct):
-        result = build_zoned(source, grid, zones=12, keep_zone_summaries=True)
-        summary = ZoneScatterGatherSummary(result.zone_histograms, grid)
-        assert summary.num_objects == direct.num_objects
-        assert summary.total_sum == direct.total_sum
-        assert summary.num_zones == len(result.zone_histograms)
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            qx = np.sort(rng.integers(0, grid.n1 + 1, size=2))
-            qy = np.sort(rng.integers(0, grid.n2 + 1, size=2))
-            if qx[0] == qx[1] or qy[0] == qy[1]:
-                continue
-            region = TileQuery(int(qx[0]), int(qx[1]), int(qy[0]), int(qy[1]))
-            assert summary.intersect_count(region) == direct.intersect_count(region)
-            assert summary.closed_region_sum(region) == direct.closed_region_sum(region)
-            assert summary.outside_sum(region) == direct.outside_sum(region)
-            assert summary.contained_count(region) == direct.contained_count(region)
+        def traced_load(path, grid):
+            partial = load(path, grid)
+            events.append(("load", id(partial.patch)))
+            return partial
 
-    def test_summary_feeds_s_euler_estimator(self, source, grid, direct):
-        result = build_zoned(source, grid, zones=6, keep_zone_summaries=True)
-        summary = ZoneScatterGatherSummary(result.zone_histograms, grid)
-        via_zones = SEulerApprox(summary)
-        via_direct = SEulerApprox(direct)
-        region = TileQuery(4, 40, 2, 20)
-        assert via_zones.estimate(region) == via_direct.estimate(region)
-        service = summary.service()
-        try:
-            assert service.estimator_name == via_direct.name
-        finally:
-            service.close()
+        def traced_add(self, a_lo, b_lo, patch, num_objects):
+            events.append(("add", id(patch)))
+            return add(self, a_lo, b_lo, patch, num_objects)
 
-    def test_summary_rejects_grid_mismatch(self, source, grid):
-        result = build_zoned(source, grid, zones=4, keep_zone_summaries=True)
-        other = Grid(grid.extent, grid.n1, grid.n2 * 2)
-        with pytest.raises(ValueError, match="different grid"):
-            ZoneScatterGatherSummary(result.zone_histograms, other)
+        monkeypatch.setattr(pipeline, "load_zone_partial", traced_load)
+        monkeypatch.setattr(EulerHistogramBuilder, "add_partial", traced_add)
+        shape = grid.lattice_shape
+        builder_mb = ((shape[0] + 1) * (shape[1] + 1) * 8) / (1 << 20)
+        result = build_zoned(
+            source, grid, zones=64, memory_mb=max(1, int(np.ceil(2 * builder_mb)))
+        )
+        loads = [i for i, (kind, _) in enumerate(events) if kind == "load"]
+        assert len(loads) == result.report.spills >= 2
+        for i in loads:
+            assert events[i + 1] == ("add", events[i][1])
+        np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
+        assert result.histogram.num_objects == direct.num_objects
 
 
 class TestSpillDirOwnership:

@@ -111,14 +111,6 @@ def test_region_search_matches_manual_ranking(catalog):
         assert result.pruned == 0
 
 
-def test_sharded_scan_is_bit_identical(catalog, query):
-    mono = JoinSearchEngine(catalog).search_dataset(query, k=48, prune=False)
-    with JoinSearchEngine(catalog, num_shards=4) as engine:
-        sharded = engine.search_dataset(query, k=48, prune=False)
-    assert np.array_equal(mono.indices, sharded.indices)
-    assert np.array_equal(mono.scores, sharded.scores)
-
-
 def test_cache_hit_and_generation_invalidation(catalog, query):
     cache = JoinScoreCache()
     engine = JoinSearchEngine(catalog, cache=cache)
@@ -190,8 +182,6 @@ def test_validation_errors(catalog, query):
         engine.search_region(TileQuery(0, 1, 0, 1), metric="overlap")
     with pytest.raises(ValueError, match="k must be"):
         engine.search_dataset(query, k=0)
-    with pytest.raises(ValueError, match="num_shards"):
-        JoinSearchEngine(catalog, num_shards=0)
 
     other_grid = Grid(GRID.extent, 12, 8)
     rng = np.random.default_rng(5)
