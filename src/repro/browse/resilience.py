@@ -129,7 +129,8 @@ class BrowseResult:
 
     ``counts[r, c]`` is the (possibly estimated) number of objects in the
     requested relation with tile ``(r, c)``; row 0 is the bottom row of the
-    region.
+    region.  The pipeline returns its arrays read-only, because one result
+    can reach several clients and a session's viewport-delta tracker.
 
     ``valid`` is the per-tile validity mask: ``None`` (the common case)
     means every tile was answered; a boolean array of the raster's shape
@@ -1211,6 +1212,11 @@ class ResilientBrowsingService:
         its refinement annotation; remembered for the session's next
         viewport delta."""
         with self._stage(trace, "assemble"):
+            # Read-only: one result may reach many clients (coalesced
+            # followers, reused finished rasters) and session trackers.
+            for array in (counts, valid, primary, levels, bounds):
+                if array is not None:
+                    array.setflags(write=False)
             coarse = levels is not None and bool((levels >= 0).any())
             result = BrowseResult(
                 region=region,

@@ -13,7 +13,14 @@ the same summaries.  One request's life:
 2. **Quota.**  The tenant's concurrency quota is taken (non-blocking);
    exhaustion raises :class:`~repro.errors.TenantQuotaExceededError`
    with a retry hint, leaving other tenants untouched.
-3. **Admission triage.**  The
+3. **Finished rasters.**  A request identical to one whose raster
+   already came back complete, at full resolution and answered by the
+   primary tier on every tile is answered with that raster right here,
+   on the event loop: no queue slot, no executor hop.  The gateway
+   keeps such rasters in a byte-bounded LRU map
+   (:data:`FINISHED_RASTER_BYTES`) under the coalescing key below,
+   filed under the scope the raster was answered under.
+4. **Admission triage.**  The
    :class:`~repro.gateway.admission.AdmissionController` predicts the
    queue wait from a sliding window of observed service times.  Requests
    whose budget cannot cover it are shed *now* with
@@ -21,30 +28,35 @@ the same summaries.  One request's life:
    instead of being admitted to time out; under pressure short of
    shedding, the effective deadline is shrunk so the resilience layer
    degrades (partial rasters with validity masks) rather than rejects.
-4. **Coalescing.**  Concurrent identical computations -- same answering
+5. **Coalescing.**  Concurrent identical computations -- same answering
    scope (summary identity *and generation*, estimator, relation field),
    same region cells, same tiling -- share one in-flight task via keyed
    futures.  Followers ride the leader's computation; estimators are
    deterministic, so the shared raster is bit-identical to what each
    follower would have computed.  The shared task is owned by the
    gateway, not by any single waiter: a cancelled (or shed) leader never
-   tears the computation out from under its followers.
-5. **Dispatch backstop.**  Queue-wait prediction can be wrong; when a
+   tears the computation out from under its followers.  A follower, like
+   a request answered from a finished raster, has the shared raster
+   remembered as its own session's latest, so its next pan plans a
+   viewport delta against what it received.
+6. **Dispatch backstop.**  Queue-wait prediction can be wrong; when a
    request reaches its worker with its client budget already spent, it
    is shed there (still a structured ``OverloadedError``) rather than
    allowed to run to a result nobody is waiting for.  "Admitted, then
    timed out in queue" is therefore not an outcome this gateway has.
 
 The blocking ``browse`` calls run on a bounded thread-pool executor;
-all gateway bookkeeping (pending counts, coalescing map, stats) is
-touched only from the event loop, so it needs no locks.  The clock is
-injectable, like the rest of the serving stack.
+all gateway bookkeeping (pending counts, the in-flight and finished
+maps, stats) is touched only from the event loop, so it needs no locks.
+With ``coalesce=False`` nothing is shared, in flight or finished.  The
+clock is injectable, like the rest of the serving stack.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -78,6 +90,11 @@ __all__ = [
 
 Clock = Callable[[], float]
 
+#: Bound on the bytes of raster counts the gateway keeps for reuse; the
+#: least recently used raster goes first.  16 MiB holds about 1,000
+#: rasters of 45x45 tiles.
+FINISHED_RASTER_BYTES = 16 << 20
+
 
 @dataclass(frozen=True)
 class TileRequest:
@@ -85,9 +102,10 @@ class TileRequest:
 
     ``deadline_s`` is the client's *total* budget in seconds, queue wait
     included (``None`` = unbounded; ``0.0`` = answer only what is free
-    -- cache hits and viewport-delta copies).  ``session`` keys the
-    viewport-delta tracker; the gateway namespaces it per tenant, so two
-    tenants' ``"default"`` sessions never share reuse state.
+    -- finished rasters, cache hits and viewport-delta copies).
+    ``session`` keys the viewport-delta tracker; the gateway namespaces
+    it per tenant, so two tenants' ``"default"`` sessions never share
+    reuse state.
     """
 
     tenant: str
@@ -108,11 +126,13 @@ class GatewayResponse:
     ``"degraded"`` (partial raster -- some tiles NaN under the validity
     mask -- or a complete raster with some tiles served from a coarse
     pyramid level) or ``"error"`` (no raster; ``error`` holds the wire
-    form of the taxonomy failure, see :func:`encode_error`).  ``coalesced`` marks responses served by
-    another request's in-flight computation.  ``degrade_factor`` is the
+    form of the taxonomy failure, see :func:`encode_error`).
+    ``coalesced`` marks responses served by another request's
+    computation, in flight or finished.  ``degrade_factor`` is the
     fraction of the client budget admission control preserved (1.0 =
-    full quality), ``queue_wait_s``/``service_s`` the dispatch split,
-    and ``total_s`` the end-to-end gateway latency.
+    full quality), ``queue_wait_s``/``service_s`` the dispatch split
+    (both 0 for a finished raster), and ``total_s`` the end-to-end
+    gateway latency.
     """
 
     status: str
@@ -249,6 +269,11 @@ def decode_error(doc: dict) -> BrowseError:
     return BrowseError(message)
 
 
+def _session_key(request: TileRequest) -> str:
+    """The request's delta-tracker session, namespaced by tenant."""
+    return f"{request.tenant}/{request.session}"
+
+
 class Gateway:
     """The asyncio serving gateway (see the module docstring).
 
@@ -265,7 +290,8 @@ class Gateway:
         queue); arrivals beyond it are shed.
     coalesce:
         Share one in-flight computation between concurrent identical
-        requests (on by default).
+        requests, and answer a later identical request from a finished
+        one (on by default).
     instruments:
         Optional :class:`~repro.obs.instruments.BrowseInstrumentation`;
         records the ``repro_gateway_*`` metric families.
@@ -306,12 +332,19 @@ class Gateway:
         )
         self._pending = 0
         self._inflight: dict[tuple, asyncio.Task] = {}
+        #: Reusable finished rasters by coalescing key, least recently
+        #: used first, and the bytes of their counts.
+        self._finished: OrderedDict[tuple, BrowseResult] = OrderedDict()
+        self._finished_bytes = 0
         self._closed = False
         #: Plain counters for the load generator and benchmarks (event
         #: loop only, so no locking): admissions, sheds by site, etc.
         #: ``reduced_budget_admissions`` counts admissions whose budget
         #: triage shrank (``degrade_factor < 1``); ``degraded_responses``
         #: counts responses whose ``status`` is ``"degraded"``.
+        #: ``coalesced_followers`` counts requests that joined an
+        #: in-flight computation, ``reused_results`` requests answered
+        #: from a finished one.
         self.stats: dict[str, int] = {
             "requests": 0,
             "admitted": 0,
@@ -323,6 +356,7 @@ class Gateway:
             "quota_rejections": 0,
             "coalesced_leaders": 0,
             "coalesced_followers": 0,
+            "reused_results": 0,
             "reduced_budget_admissions": 0,
             "degraded_responses": 0,
             "coarse_admissions": 0,
@@ -444,6 +478,34 @@ class Gateway:
         field_name: str,
     ) -> tuple[BrowseResult, dict]:
         obs = self._obs
+        # The coalescing key: the full answering scope (summary identity
+        # and generation, estimator, relation field -- via the service's
+        # cache key) plus the canonical region cells and the tiling, so
+        # a maintained summary's generation bump splits the key and two
+        # tenants over the *same* summary may legitimately share work.
+        key = (
+            service.cache_key(field_name),
+            region,
+            request.rows,
+            request.cols,
+            request.relation,
+        )
+        result = self._finished.get(key) if self._coalesce else None
+        if result is not None:
+            # Before triage: a finished raster costs no queue slot, so a
+            # crowd repeating it is never shed for one.
+            self._finished.move_to_end(key)
+            self.stats["reused_results"] += 1
+            if obs is not None:
+                obs.gateway_coalesced.labels(role="reused").inc()
+            service.delta.remember(_session_key(request), result)
+            return result, {
+                "coalesced": True,
+                "degrade_factor": 1.0,
+                "estimated_wait_s": 0.0,
+                "queue_wait_s": 0.0,
+                "service_s": 0.0,
+            }
         decision = self._admission.triage(
             budget=request.deadline_s,
             pending=self._pending,
@@ -477,18 +539,6 @@ class Gateway:
             obs.gateway_degrade_factor.set(decision.degrade_factor)
 
         # Coalescing: identical in-flight computations share one task.
-        # The key is the full answering scope (summary identity and
-        # generation, estimator, relation field -- via the service's
-        # cache key) plus the canonical region cells and the tiling, so
-        # a maintained summary's generation bump splits the key and two
-        # tenants over the *same* summary may legitimately share work.
-        key = (
-            service.cache_key(field_name),
-            region,
-            request.rows,
-            request.cols,
-            request.relation,
-        )
         task = self._inflight.get(key) if self._coalesce else None
         if task is None or task.done():
             coalesced = False
@@ -524,6 +574,12 @@ class Gateway:
                     retry_after_s=None,
                 ) from None
             raise
+        if coalesced:
+            # Only the leader's ``browse`` remembers the raster, in the
+            # leader's session; remember it for this session too, in this
+            # request's own service (the leader may be another tenant's),
+            # so its next pan plans its viewport delta against it.
+            service.delta.remember(_session_key(request), result)
         return result, {
             "coalesced": coalesced,
             "degrade_factor": decision.degrade_factor,
@@ -569,7 +625,7 @@ class Gateway:
                 request.cols,
                 request.relation,
                 deadline=remaining,
-                session=f"{request.tenant}/{request.session}",
+                session=_session_key(request),
             )
             return result, queue_wait, clock() - started
 
@@ -588,7 +644,32 @@ class Gateway:
         if self._obs is not None:
             self._obs.gateway_queue_wait.observe(queue_wait)
             self._obs.gateway_service_seconds.observe(service_s)
+        if self._coalesce:
+            self._keep(result)
         return result, queue_wait, service_s
+
+    def _keep(self, result: BrowseResult) -> None:
+        """File a finished raster for reuse when it may be reused: the
+        same rasters the tile cache and viewport deltas may reuse, i.e.
+        complete, at full resolution and primary-tier on every tile.  It
+        is keyed by the scope it was answered under, not the key taken
+        at admission, so it always sits under the summary generation
+        that answered it, even when an update landed while it queued.
+        A key already filed keeps its raster: the same scope gives the
+        same answer."""
+        key = (result.delta.scope, result.region, result.rows, result.cols, result.relation)
+        if (
+            key in self._finished
+            or result.delta.reusable is not None
+            or not (result.is_complete and result.full_resolution)
+            or result.counts.nbytes > FINISHED_RASTER_BYTES
+        ):
+            return
+        self._finished[key] = result
+        self._finished_bytes += result.counts.nbytes
+        while self._finished_bytes > FINISHED_RASTER_BYTES:
+            _, evicted = self._finished.popitem(last=False)
+            self._finished_bytes -= evicted.counts.nbytes
 
     def _on_done(self, key: tuple, task: asyncio.Task) -> None:
         self._pending -= 1

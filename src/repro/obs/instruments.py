@@ -39,7 +39,7 @@ name                                                   type       labels
 ``repro_persistence_ops_total``                        counter    kind, op, outcome
 ``repro_gateway_requests_total``                       counter    tenant, outcome
 ``repro_gateway_shed_total``                           counter    reason
-``repro_gateway_coalesced_total``                      counter    role
+``repro_gateway_coalesced_total``                      counter    role (leader, follower, reused)
 ``repro_gateway_queue_depth``                          gauge      --
 ``repro_gateway_degrade_factor``                       gauge      --
 ``repro_gateway_queue_wait_seconds``                   histogram  --
@@ -261,7 +261,7 @@ class BrowseInstrumentation:
         )
         self.gateway_coalesced = r.counter(
             "repro_gateway_coalesced_total",
-            help="In-flight computation sharing (leader = started one, follower = rode one)",
+            help="Computation sharing (leader = started one, follower = rode one in flight, reused = answered from a finished one)",
             labels=("role",),
         )
         self.gateway_queue_depth = r.gauge(

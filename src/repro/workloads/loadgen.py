@@ -75,7 +75,8 @@ class LoadgenReport:
 
     @property
     def coalesce_rate(self) -> float:
-        """Responses served off a shared computation, over all served."""
+        """Responses served by another request's computation, in flight
+        or finished, over all served."""
         if not self.served:
             return 0.0
         return self.coalesced / self.served

@@ -1,5 +1,5 @@
-"""The asyncio gateway end to end: coalescing, quotas, shedding,
-degradation, cancellation and shutdown.
+"""The asyncio gateway end to end: coalescing (in flight and finished),
+quotas, shedding, degradation, cancellation and shutdown.
 
 Concurrency choreography uses gate events (estimators that block until
 released), never bare sleeps, so every scenario is deterministic; the
@@ -13,9 +13,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.gateway.gateway as gateway_module
+from repro.browse.service import GeoBrowsingService
 from repro.cache import TileResultCache
 from repro.euler.histogram import EulerHistogram
+from repro.euler.maintained import MaintainedEulerHistogram
 from repro.euler.simple import SEulerApprox
 from repro.gateway.admission import AdmissionController, ServiceTimeWindow
 from repro.gateway.catalog import TenantCatalog
@@ -24,6 +29,7 @@ from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
 from repro.obs.instruments import BrowseInstrumentation
+from repro.testing.faults import FaultSchedule, FaultyBatchEstimator
 
 from tests.conftest import random_dataset
 
@@ -116,16 +122,39 @@ def make_gateway(
     )
 
 
-def request(region=REGION, *, tenant="acme", deadline=None, session="default", rows=4, cols=4):
+def request(
+    region=REGION,
+    *,
+    tenant="acme",
+    deadline=None,
+    session="default",
+    rows=4,
+    cols=4,
+    relation="overlap",
+):
     return TileRequest(
         tenant=tenant,
         dataset="main",
         region=region,
         rows=rows,
         cols=cols,
+        relation=relation,
         deadline_s=deadline,
         session=session,
     )
+
+
+def serve(gateway, *requests):
+    """Submit ``requests`` one after another; returns the responses and
+    the gateway's stats, and closes the gateway."""
+
+    async def main():
+        try:
+            return [await gateway.submit(r) for r in requests], gateway.stats.copy()
+        finally:
+            await gateway.close()
+
+    return asyncio.run(main())
 
 
 async def wait_for(predicate, timeout=5.0):
@@ -230,6 +259,7 @@ class TestCoalescing:
         assert [r.status for r in responses] == ["ok"] * 4
         assert stats["coalesced_leaders"] == 1
         assert stats["coalesced_followers"] == 3
+        assert stats["reused_results"] == 0
         assert stats["completed"] == 1
         leaders = [r for r in responses if not r.coalesced]
         followers = [r for r in responses if r.coalesced]
@@ -281,13 +311,16 @@ class TestCoalescing:
             gateway = make_gateway(estimator, coalesce=False)
             try:
                 await asyncio.gather(*(gateway.submit(request()) for _ in range(3)))
+                # Nor is a finished raster reused.
+                await gateway.submit(request())
                 return gateway.stats.copy()
             finally:
                 await gateway.close()
 
         stats = asyncio.run(main())
         assert stats["coalesced_followers"] == 0
-        assert stats["completed"] == 3
+        assert stats["reused_results"] == 0
+        assert stats["completed"] == 4
 
     def test_cancelled_leader_waiter_does_not_kill_followers(self, estimator):
         gated = GatedEstimator(estimator)
@@ -312,6 +345,300 @@ class TestCoalescing:
         assert response.status == "ok"
         assert response.coalesced
         assert response.result.is_complete
+
+    @pytest.mark.parametrize("tenant", ["acme", "beta"])
+    def test_follower_session_remembers_the_shared_raster(self, estimator, tenant):
+        # The follower may be another tenant over the same summary: the
+        # raster goes into the follower's own service's tracker.
+        gated = GatedEstimator(estimator)
+
+        async def main():
+            gateway = make_gateway(gated, tenants=(("acme", 0), ("beta", 0)))
+            try:
+                leader = asyncio.ensure_future(gateway.submit(request(session="lead")))
+                await wait_for(gated.entered.is_set)
+                follower = asyncio.ensure_future(
+                    gateway.submit(request(tenant=tenant, session="follow"))
+                )
+                await wait_for(lambda: gateway.stats["coalesced_followers"] == 1)
+                gated.gate.set()
+                return await leader, await follower, gateway.catalog
+            finally:
+                await gateway.close()
+
+        leader, follower, catalog = asyncio.run(main())
+        assert follower.coalesced
+        assert follower.result is leader.result
+        assert catalog.service("acme", "main").delta.lookup("acme/lead") is leader.result
+        assert catalog.service(tenant, "main").delta.lookup(f"{tenant}/follow") is leader.result
+
+
+class TestFinishedRasters:
+    """A repeated raster is answered from its finished computation."""
+
+    def test_repeat_is_answered_from_the_finished_raster(self, estimator):
+        (first, second), stats = serve(
+            make_gateway(estimator), request(session="a"), request(session="b")
+        )
+        assert first.status == "ok" and not first.coalesced
+        assert second.status == "ok" and second.coalesced
+        assert second.result is first.result
+        assert second.queue_wait_s == second.service_s == 0.0
+        assert second.degrade_factor == 1.0
+        assert stats["reused_results"] == 1
+        assert stats["coalesced_followers"] == 0
+        assert stats["admitted"] == stats["completed"] == 1
+
+    def test_reuse_has_its_own_coalesced_role(self, estimator):
+        instruments = BrowseInstrumentation()
+        serve(make_gateway(estimator, instruments=instruments), request(), request())
+        coalesced = instruments.gateway_coalesced
+        assert coalesced.labels(role="leader").value == 1
+        assert coalesced.labels(role="reused").value == 1
+        assert coalesced.labels(role="follower").value == 0
+
+    def test_reused_raster_is_remembered_for_the_session(self, estimator):
+        gateway = make_gateway(estimator)
+        (first, second), _ = serve(gateway, request(session="a"), request(session="b"))
+        assert second.result is first.result
+        assert gateway.catalog.service("acme", "main").delta.lookup("acme/b") is first.result
+
+    def test_hit_needs_no_admission_slot(self, estimator):
+        gated = GatedEstimator(estimator)
+        gated.gate.set()
+
+        async def main():
+            gateway = make_gateway(gated, workers=1, max_pending=1)
+            try:
+                warm = await gateway.submit(request())
+                gated.gate.clear()
+                gated.entered.clear()
+                # A gated leader holds the only admission slot.
+                leader = asyncio.ensure_future(gateway.submit(request(OTHER_REGION)))
+                await wait_for(gated.entered.is_set)
+                shed = await gateway.submit(request(TileQuery(8, 16, 8, 16)))
+                reused = await gateway.submit(request(deadline=0.0))
+                gated.gate.set()
+                await leader
+                return warm, shed, reused, gateway.stats.copy()
+            finally:
+                gated.gate.set()
+                await gateway.close()
+
+        warm, shed, reused, stats = asyncio.run(main())
+        assert shed.error["code"] == "overloaded"
+        assert stats["shed_queue_full"] == 1
+        assert reused.status == "ok" and reused.coalesced
+        assert reused.result is warm.result
+        assert stats["reused_results"] == 1
+        assert stats["admitted"] == 2
+
+    def test_deadline_partial_raster_is_recomputed(self, estimator):
+        (partial, full, again), stats = serve(
+            make_gateway(estimator), request(deadline=0.0), request(), request()
+        )
+        assert partial.status == "degraded" and not partial.result.is_complete
+        assert full.status == "ok" and not full.coalesced
+        assert again.result is full.result
+        assert stats["completed"] == 2
+        assert stats["reused_results"] == 1
+
+    def test_fallback_tier_raster_is_recomputed(self, estimator):
+        # Both attempts of the default retry policy fail on the primary
+        # tier, so the first raster is the second tier's answer.
+        faulty = FaultyBatchEstimator(estimator, FaultSchedule(script=("error", "error")))
+        (fallback, primary, again), stats = serve(
+            make_gateway([faulty, estimator]), request(), request(), request()
+        )
+        assert fallback.status == "ok"
+        assert fallback.result.delta.reusable is not None
+        assert not primary.coalesced
+        assert primary.result.delta.reusable is None
+        assert again.result is primary.result
+        assert stats["completed"] == 2
+        assert stats["reused_results"] == 1
+
+    def test_generation_bump_forces_a_recompute(self):
+        maintained = MaintainedEulerHistogram(
+            GRID, random_dataset(np.random.default_rng(11), GRID, 200)
+        )
+        estimator = SEulerApprox(maintained)
+
+        async def main():
+            gateway = make_gateway(estimator)
+            try:
+                before = await gateway.submit(request())
+                again = await gateway.submit(request())
+                maintained.insert(Rect(1.2, 4.8, 1.2, 4.8))
+                after = await gateway.submit(request())
+                return before, again, after, gateway.stats.copy()
+            finally:
+                await gateway.close()
+
+        before, again, after, stats = asyncio.run(main())
+        assert again.result is before.result
+        assert not after.coalesced
+        assert stats["completed"] == 2
+        fresh = GeoBrowsingService(estimator, GRID).browse(REGION, 4, 4).counts
+        assert np.array_equal(after.result.counts, fresh)
+        assert not np.array_equal(after.result.counts, before.result.counts)
+
+    def test_raster_is_filed_under_the_generation_that_answered_it(self):
+        class GatedMaintained(GatedEstimator):
+            # Exposes the summary, so the cache key sees its generation.
+            @property
+            def wrapped(self):
+                return self._inner
+
+        maintained = MaintainedEulerHistogram(
+            GRID, random_dataset(np.random.default_rng(12), GRID, 200)
+        )
+        inner = SEulerApprox(maintained)
+        gated = GatedMaintained(inner)
+
+        async def main():
+            gateway = make_gateway(gated, workers=1)
+            try:
+                blocker = asyncio.ensure_future(gateway.submit(request(OTHER_REGION)))
+                await wait_for(gated.entered.is_set)
+                # Admitted at the old generation; it queues behind the
+                # blocker while an update lands.
+                queued = asyncio.ensure_future(gateway.submit(request()))
+                await wait_for(lambda: gateway.pending == 2)
+                maintained.insert(Rect(1.2, 4.8, 1.2, 4.8))
+                gated.gate.set()
+                await blocker
+                queued = await queued
+                repeat = await gateway.submit(request())
+                return queued, repeat, gateway.stats.copy()
+            finally:
+                gated.gate.set()
+                await gateway.close()
+
+        queued, repeat, stats = asyncio.run(main())
+        assert repeat.result is queued.result
+        assert stats["reused_results"] == 1
+        fresh = GeoBrowsingService(inner, GRID).browse(REGION, 4, 4).counts
+        assert np.array_equal(repeat.result.counts, fresh)
+
+    def test_byte_bound_evicts_the_least_recently_used_raster(self, estimator, monkeypatch):
+        # Room for exactly two 4x4 rasters.
+        monkeypatch.setattr(gateway_module, "FINISHED_RASTER_BYTES", 2 * 16 * 8)
+        a, b, c = request(), request(OTHER_REGION), request(relation="contains")
+        responses, stats = serve(make_gateway(estimator), a, b, a, c, a, b)
+        assert [r.coalesced for r in responses] == [False, False, True, False, True, False]
+        assert stats["completed"] == 4
+        assert stats["reused_results"] == 2
+
+
+#: The parity sweep's request pool: regions, tilings that divide all of
+#: them, relations, client deadlines and sessions.
+SWEEP_REGIONS = (REGION, OTHER_REGION, TileQuery(8, 16, 8, 16))
+SWEEP_TILINGS = ((4, 4), (2, 2), (8, 4))
+SWEEP_REQUESTS = st.builds(
+    lambda region, tiling, relation, deadline, session: request(
+        region,
+        rows=tiling[0],
+        cols=tiling[1],
+        relation=relation,
+        deadline=deadline,
+        session=session,
+    ),
+    st.sampled_from(SWEEP_REGIONS),
+    st.sampled_from(SWEEP_TILINGS),
+    st.sampled_from(("overlap", "contains", "disjoint")),
+    st.sampled_from((None, 0.0, 1.0)),
+    st.sampled_from(("a", "b")),
+)
+
+
+class TestReuseParity:
+    @settings(max_examples=40, deadline=None)
+    @given(waves=st.lists(st.lists(SWEEP_REQUESTS, min_size=1, max_size=3), min_size=1, max_size=6))
+    def test_every_served_raster_matches_an_uncoalesced_gateway(self, estimator, waves):
+        """Waves run one after another (finished rasters are reused), the
+        requests of a wave concurrently (followers join a leader)."""
+
+        async def main():
+            gateway = make_gateway(estimator, cache=TileResultCache(1 << 20))
+            reference = make_gateway(estimator, coalesce=False)
+            try:
+                checked = []
+                for wave in waves:
+                    responses = await asyncio.gather(*(gateway.submit(r) for r in wave))
+                    for sent, response in zip(wave, responses):
+                        if not response.ok:
+                            continue
+                        expected = await reference.submit(
+                            request(
+                                sent.region,
+                                rows=sent.rows,
+                                cols=sent.cols,
+                                relation=sent.relation,
+                                session=f"ref{len(checked)}",
+                            )
+                        )
+                        checked.append((response, expected))
+                return checked
+            finally:
+                await gateway.close()
+                await reference.close()
+
+        for response, expected in asyncio.run(main()):
+            assert expected.status == "ok"
+            result = response.result
+            if response.status == "ok":
+                assert np.array_equal(result.counts, expected.result.counts)
+            else:
+                answered = np.ones(result.counts.shape, dtype=bool)
+                if result.valid is not None:
+                    answered &= result.valid
+                if result.levels is not None:
+                    answered &= result.levels < 0
+                assert np.array_equal(
+                    result.counts[answered], expected.result.counts[answered]
+                )
+
+
+class TestSharedRastersAreReadOnly:
+    def test_a_client_cannot_corrupt_a_shared_raster(self, estimator):
+        gated = GatedEstimator(estimator)
+        pan = TileQuery(4, 16, 0, 16)
+
+        async def main():
+            gateway = make_gateway(gated)
+            try:
+                leader = asyncio.ensure_future(gateway.submit(request(session="a")))
+                await wait_for(gated.entered.is_set)
+                follower = asyncio.ensure_future(gateway.submit(request(session="b")))
+                await wait_for(lambda: gateway.stats["coalesced_followers"] == 1)
+                gated.gate.set()
+                leader = await leader
+                await follower
+                with pytest.raises(ValueError):
+                    leader.result.counts[0, 0] = -12345.0
+                reused = await gateway.submit(request(session="c"))
+                # Session b's pan copies its overlap from the shared raster.
+                panned = await gateway.submit(request(pan, cols=3, session="b"))
+                return reused, panned
+            finally:
+                await gateway.close()
+
+        reused, panned = asyncio.run(main())
+        (full, pan_full), _ = serve(
+            make_gateway(estimator, coalesce=False), request(), request(pan, cols=3)
+        )
+        assert reused.coalesced
+        assert np.array_equal(reused.result.counts, full.result.counts)
+        assert np.array_equal(panned.result.counts, pan_full.result.counts)
+
+    def test_partial_raster_arrays_are_read_only(self, estimator):
+        (partial,), _ = serve(make_gateway(estimator), request(deadline=0.0))
+        assert partial.result.valid is not None
+        with pytest.raises(ValueError):
+            partial.result.valid[0, 0] = True
+        with pytest.raises(ValueError):
+            partial.result.counts[0, 0] = 1.0
 
 
 class TestQuota:
@@ -684,6 +1011,22 @@ class TestPyramidDegradation:
         assert response.status == "ok"
         assert response.result.full_resolution
         assert "coarsest_level" not in response.to_wire()
+
+    def test_coarse_raster_is_recomputed_not_reused(self, pyramid_parts):
+        estimator, pyramid = pyramid_parts
+        (coarse, fine, again), stats = serve(
+            self.make_pyramid_gateway(estimator, pyramid),
+            request(rows=8, cols=8, deadline=0.0),
+            request(rows=8, cols=8),
+            request(rows=8, cols=8),
+        )
+        assert coarse.status == "degraded" and coarse.result.is_complete
+        with pytest.raises(ValueError):
+            coarse.result.levels[0, 0] = -1
+        assert fine.status == "ok" and not fine.coalesced
+        assert again.result is fine.result
+        assert stats["completed"] == 2
+        assert stats["reused_results"] == 1
 
     def _slow_window_admission(self):
         window = ServiceTimeWindow()
