@@ -4,9 +4,9 @@ paper amortises over all subsequent browsing queries.
 Every build benchmark stamps ``objects_per_second`` into its
 ``extra_info`` (visible in ``--benchmark-json`` exports and the saved
 ``.benchmarks`` files), so construction throughput can be compared
-across commits and against the zoned out-of-core pipeline
-(``bench_construction_zoned.py``) without re-deriving it from raw
-timings."""
+across commits and against the zoned out-of-core pipeline (the
+harness's ``build-fit`` and ``build-spill`` workloads) without
+re-deriving it from raw timings."""
 
 import pytest
 

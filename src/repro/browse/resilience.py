@@ -236,7 +236,7 @@ class BrowseResult:
 
 
 def resolve_browse_request(
-    grid: Grid, region: Rect | TileQuery, relation: str
+    grid: Grid, region: Rect | TileQuery, rows: int, cols: int, relation: str
 ) -> tuple[TileQuery, str]:
     """Validate one browse request against ``grid``.
 
@@ -244,20 +244,20 @@ def resolve_browse_request(
     :class:`~repro.euler.estimates.Level2Counts` field backing
     ``relation``.  Every way the request can be malformed -- unknown
     relation, misaligned or out-of-space world rectangle, span exceeding
-    the grid -- raises :class:`~repro.errors.InvalidRegionError` (a
-    ``ValueError`` subclass, so pre-taxonomy callers keep working).
+    the grid, a ``rows x cols`` tiling that does not divide the span --
+    raises :class:`~repro.errors.InvalidRegionError` (a ``ValueError``
+    subclass, so pre-taxonomy callers keep working).  The ``resolve``
+    stage and the gateway's front door both call it.
     """
     if relation not in RELATION_FIELDS:
         raise InvalidRegionError(
             f"unknown relation {relation!r}; expected one of {sorted(RELATION_FIELDS)}"
         )
-    if isinstance(region, Rect):
-        try:
-            region = aligned_query_cells(grid, region)
-        except ValueError as exc:
-            raise InvalidRegionError(str(exc)) from exc
     try:
+        if isinstance(region, Rect):
+            region = aligned_query_cells(grid, region)
         region.validate_against(grid)
+        validate_browsing_tiling(region, rows, cols)
     except ValueError as exc:
         raise InvalidRegionError(str(exc)) from exc
     return region, RELATION_FIELDS[relation]
@@ -1003,12 +1003,7 @@ class ResilientBrowsingService:
     ) -> tuple[TileQuery, str]:
         """The request as a cell span plus its counts field."""
         with self._stage(trace, "resolve"):
-            region, field_name = resolve_browse_request(self._grid, region, relation)
-            try:
-                validate_browsing_tiling(region, rows, cols)
-            except ValueError as exc:
-                raise InvalidRegionError(str(exc)) from exc
-        return region, field_name
+            return resolve_browse_request(self._grid, region, rows, cols, relation)
 
     def _reuse_delta(
         self, trace, region: TileQuery, rows: int, cols: int, scope: CacheKey,

@@ -20,7 +20,7 @@ numpy gathers regardless of ``rows x cols``.  Estimators without a
 native batch path are adapted via
 :func:`~repro.euler.base.as_batch_estimator`; wrap one in
 :class:`~repro.euler.base.ScalarBatchFallback` to serve rasters through
-the per-tile scalar loop (parity tests and benchmarks do).
+the per-tile scalar loop (the parity tests do).
 
 The request and result types live with the pipeline and are re-exported
 here: :class:`BrowseResult`, :data:`RELATION_FIELDS` and

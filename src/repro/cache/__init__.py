@@ -16,13 +16,10 @@ the moment the summary changes, no scans, no TTLs (see
 """
 
 from repro.cache.keys import CacheKey, backing_summary, summary_generation, summary_token
-from repro.cache.score_cache import JoinScoreCache, JoinScoreKey
 from repro.cache.tile_cache import TileResultCache, pack_tile_batch
 
 __all__ = [
     "CacheKey",
-    "JoinScoreCache",
-    "JoinScoreKey",
     "TileResultCache",
     "backing_summary",
     "pack_tile_batch",

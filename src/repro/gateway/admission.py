@@ -51,14 +51,14 @@ class ServiceTimeWindow:
     """A sliding window of recent service times, for wait prediction.
 
     Samples older than ``window_s`` on the injected clock (and beyond
-    the newest ``max_samples``) are dropped, so the percentile tracks
-    the *current* service-time regime -- a slow spell ages out instead
+    the newest ``max_samples``) are dropped, so the median tracks the
+    *current* service-time regime -- a slow spell ages out instead
     of pessimising triage forever.  Before any sample lands, ``p50()``
     returns ``default_p50``: a small optimistic prior, so a cold gateway
     admits rather than sheds while it learns.
 
     The samples are kept twice: in arrival order (for eviction) and in a
-    sorted list maintained by bisection (for the percentiles), so a read
+    sorted list maintained by bisection (for the median), so a read
     indexes instead of sorting.  Only one thread may use a window.
     """
 
@@ -122,17 +122,6 @@ class ServiceTimeWindow:
         if n % 2:
             return ordered[n // 2]
         return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile (nearest-rank) over the window."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        self._trim(self._clock())
-        ordered = self._sorted
-        if not ordered:
-            return self._default_p50
-        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[rank]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ library's guarantees when thousands of concurrent sessions contend for
 the same summaries.  One request's life:
 
 1. **Resolve + validate.**  The tenant/dataset pair is looked up in the
-   :class:`~repro.gateway.catalog.TenantCatalog` and the region is
-   validated against the dataset's grid -- malformed requests bounce
-   with :class:`~repro.errors.InvalidRegionError` before they cost a
-   queue slot.
+   :class:`~repro.gateway.catalog.TenantCatalog`; the region, relation
+   and tiling are validated against the dataset's grid exactly as the
+   service's ``resolve`` stage does, and the deadline must be a
+   non-negative number -- malformed requests bounce with
+   :class:`~repro.errors.InvalidRegionError` before they cost a quota
+   or queue slot.
 2. **Quota.**  The tenant's concurrency quota is taken (non-blocking);
    exhaustion raises :class:`~repro.errors.TenantQuotaExceededError`
    with a retry hint, leaving other tenants untouched.
@@ -454,8 +456,12 @@ class Gateway:
             raise OverloadedError("gateway is shut down", retry_after_s=None)
         service = self._catalog.service(request.tenant, request.dataset)
         region, field_name = resolve_browse_request(
-            service.grid, request.region, request.relation
+            service.grid, request.region, request.rows, request.cols, request.relation
         )
+        if request.deadline_s is not None and not request.deadline_s >= 0:
+            raise InvalidRegionError(
+                f"deadline_s must be non-negative, got {request.deadline_s!r}"
+            )
         tenant = self._catalog.tenant(request.tenant)
         if not tenant.try_acquire():
             p50 = self._window.p50()
@@ -609,8 +615,8 @@ class Gateway:
             if budget is not None and budget > 0 and queue_wait >= budget:
                 # Backstop for wrong wait estimates: shed at dispatch
                 # instead of computing a raster whose deadline already
-                # passed.  Admission triage makes this rare; the bench
-                # gates on it staying at zero in steady state.
+                # passed.  Admission triage makes this rare; a
+                # steady-state overload replay never reaches it.
                 raise OverloadedError(
                     f"budget of {budget:.3f}s expired after "
                     f"{queue_wait:.3f}s in queue",

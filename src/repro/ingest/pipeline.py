@@ -72,7 +72,7 @@ class IngestReport:
     objects_per_second: float
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready view (benchmark documents embed this)."""
+        """JSON-ready view."""
         return {
             "source": self.source,
             "objects": self.objects,

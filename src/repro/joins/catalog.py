@@ -27,8 +27,8 @@ Registration is validated, not forgiving: a summary whose grid does not
 tile the reference grid exactly raises
 :class:`~repro.errors.CatalogAlignmentError` (see
 :mod:`repro.joins.sketch`).  The catalog carries a ``generation``
-counter bumped on every registration, so cached scores are invalidated
-for free by generation-keyed cache keys (:mod:`repro.cache.score_cache`).
+counter bumped on every registration; each search result records the
+generation it was scored against.
 """
 
 from __future__ import annotations
@@ -147,8 +147,7 @@ class SummaryCatalog:
 
     @property
     def generation(self) -> int:
-        """Update counter: bumped by every registration, part of every
-        score cache key (stale scores become unreachable, no scans)."""
+        """Update counter: bumped by every registration."""
         return self._generation
 
     @property

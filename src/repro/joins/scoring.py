@@ -20,8 +20,10 @@ gets three scores against query ``q``:
 
 "Mass" scores count object-cell incidences, not distinct objects: an
 object spanning r reference cells contributes up to r.  That is the
-price of a fixed-size sketch; the benchmark reports the resulting
-mass-vs-count ratio against true ``ExactEvaluator`` pair counts.
+price of a fixed-size sketch;
+:func:`~repro.joins.accuracy.region_mass_vs_count` measures the
+resulting mass-vs-count ratio against true ``ExactEvaluator`` pair
+counts.
 
 **Region mode** (:func:`score_region_batch`): the query is an aligned
 reference-grid region; each candidate gets its channel masses inside the
@@ -108,20 +110,14 @@ def _coverage_denominator(query: JoinSketch) -> float:
     return denom if denom > 0.0 else 1.0
 
 
-def score_dataset_batch(
-    stacked: StackedCatalog, query: JoinSketch, index=None
-) -> CatalogScores:
-    """Score a query sketch against every summary (or a subset) at once.
+def score_dataset_batch(stacked: StackedCatalog, query: JoinSketch) -> CatalogScores:
+    """Score a query sketch against every summary at once.
 
-    ``index`` selects summaries (a slice, index array or ``None`` for
-    all); results are in ``index`` order.  The whole computation is three
-    ``minimum``+``sum`` reductions over the stacked channel blocks --
-    no per-summary Python dispatch.
+    The whole computation is three ``minimum``+``sum`` reductions over
+    the stacked channel blocks -- no per-summary Python dispatch.
     """
     blocks = stacked.blocks
-    s_ii = blocks["n_ii"] if index is None else blocks["n_ii"][index]
-    s_cs = blocks["n_cs"] if index is None else blocks["n_cs"][index]
-    s_occ = blocks["occupancy"] if index is None else blocks["occupancy"][index]
+    s_ii, s_cs, s_occ = blocks["n_ii"], blocks["n_cs"], blocks["occupancy"]
     n = len(s_ii)
     q_ii = query.n_ii[None]
     overlap = np.minimum(q_ii, s_ii).reshape(n, -1).sum(axis=1)
@@ -140,9 +136,8 @@ def score_dataset_scalar(
     """Per-pair reference: ``(overlap, containment, coverage)`` of the
     query against summary ``i``, computed one pair at a time.
 
-    Kept (and exercised by the benchmark as the naive-scan baseline)
-    because the property suite pins :func:`score_dataset_batch` to be
-    bit-identical to this path.
+    Kept because the property suite pins :func:`score_dataset_batch`
+    to be bit-identical to this path.
     """
     blocks = stacked.blocks
     overlap = np.minimum(query.n_ii, blocks["n_ii"][i]).sum()
@@ -159,19 +154,15 @@ def _validate_region(stacked: StackedCatalog, region: TileQuery) -> None:
     region.validate_against(stacked.reference)
 
 
-def score_region_batch(
-    stacked: StackedCatalog, region: TileQuery, index=None
-) -> RegionScores:
-    """Score an aligned reference-grid region against every summary (or a
-    subset) -- four prefix-cube gathers per channel, O(1) per summary."""
+def score_region_batch(stacked: StackedCatalog, region: TileQuery) -> RegionScores:
+    """Score an aligned reference-grid region against every summary --
+    four prefix-cube gathers per channel, O(1) per summary."""
     _validate_region(stacked, region)
     x_lo, x_hi = region.qx_lo, region.qx_hi
     y_lo, y_hi = region.qy_lo, region.qy_hi
 
     def region_sum(channel: str) -> np.ndarray:
         cube = stacked.cubes[channel]
-        if index is not None:
-            cube = cube[index]
         return (
             cube[:, x_hi, y_hi]
             - cube[:, x_lo, y_hi]

@@ -40,10 +40,6 @@ is ``>= 0``.)  Hence the pruned top-k equals the exhaustive top-k --
 scores, order and tie-breaks (ties rank by registration index; the
 property suite pins this).  Pruned counts are logged per level in the
 result and in the ``repro_join_*`` metrics -- never silently dropped.
-
-Results are cacheable: the cache key carries the catalog's generation,
-so any registration invalidates every cached ranking for free (see
-:mod:`repro.cache.score_cache`).
 """
 
 from __future__ import annotations
@@ -107,7 +103,6 @@ class JoinSearchResult:
     fully_scored: int
     pruned: int
     levels: tuple[LevelStats, ...] = ()
-    cache_hit: bool = False
     elapsed_s: float = 0.0
     #: Catalog generation the scores were computed against.
     generation: int = 0
@@ -122,10 +117,7 @@ class JoinSearchEngine:
     ----------
     catalog:
         The catalog to scan.  Its ``stacked()`` view is fetched per
-        search, so registrations between searches are picked up (and
-        invalidate cached scores via the generation in the key).
-    cache:
-        An optional :class:`~repro.cache.score_cache.JoinScoreCache`.
+        search, so registrations between searches are picked up.
     instrumentation:
         An optional :class:`~repro.obs.instruments.JoinInstrumentation`.
     seed_pool:
@@ -139,14 +131,12 @@ class JoinSearchEngine:
         self,
         catalog: SummaryCatalog,
         *,
-        cache=None,
         instrumentation=None,
         seed_pool: int | None = None,
     ) -> None:
         if seed_pool is not None and seed_pool < 1:
             raise ValueError("seed_pool must be at least 1")
         self._catalog = catalog
-        self._cache = cache
         self._instr = instrumentation
         self._seed_pool = seed_pool
 
@@ -196,7 +186,6 @@ class JoinSearchEngine:
             metric=metric,
             k=k,
             prune=prune,
-            fingerprint=query.fingerprint(),
             query=query,
         )
 
@@ -214,45 +203,15 @@ class JoinSearchEngine:
             )
         if k < 1:
             raise ValueError("k must be at least 1")
-        fingerprint = (
-            f"region:{region.qx_lo}:{region.qx_hi}:{region.qy_lo}:{region.qy_hi}"
-        )
-        return self._run(
-            mode="region",
-            metric=metric,
-            k=k,
-            prune=False,
-            fingerprint=fingerprint,
-            query=region,
-        )
+        return self._run(mode="region", metric=metric, k=k, prune=False, query=region)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
-    def _run(self, *, mode, metric, k, prune, fingerprint, query) -> JoinSearchResult:
+    def _run(self, *, mode, metric, k, prune, query) -> JoinSearchResult:
         start = time.perf_counter()
         stacked = self._catalog.stacked()
-        key = None
-        if self._cache is not None:
-            from repro.cache.score_cache import JoinScoreKey
-            from repro.cache.keys import summary_token
-
-            key = JoinScoreKey(
-                catalog_id=summary_token(self._catalog),
-                generation=stacked.generation,
-                mode=mode,
-                metric=metric,
-                k=k,
-                prune=bool(prune),
-                query_fingerprint=fingerprint,
-            )
-            hit = self._cache.get(key)
-            if hit is not None:
-                result = replace(hit, cache_hit=True, elapsed_s=time.perf_counter() - start)
-                self._record(result, cache_event="hit")
-                return result
-
         n = len(stacked)
         if mode == "region":
             result = self._exhaustive(stacked, query, mode, metric, k)
@@ -261,12 +220,10 @@ class JoinSearchEngine:
         else:
             result = self._exhaustive(stacked, query, mode, metric, k)
         result = replace(result, elapsed_s=time.perf_counter() - start)
-        if self._cache is not None and key is not None:
-            self._cache.put(key, result)
-        self._record(result, cache_event="miss" if self._cache is not None else None)
+        self._record(result)
         return result
 
-    def _record(self, result: JoinSearchResult, *, cache_event: str | None) -> None:
+    def _record(self, result: JoinSearchResult) -> None:
         if self._instr is None:
             return
         self._instr.searches.labels(mode=result.mode, metric=result.metric).inc()
@@ -278,8 +235,6 @@ class JoinSearchEngine:
         )
         self._instr.search_seconds.labels(mode=result.mode).observe(result.elapsed_s)
         self._instr.catalog_summaries.set(len(self._catalog))
-        if cache_event is not None:
-            self._instr.cache_events.labels(event=cache_event).inc()
 
     def _exhaustive(self, stacked, query, mode, metric, k) -> JoinSearchResult:
         n = len(stacked)

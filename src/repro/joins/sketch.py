@@ -32,7 +32,6 @@ a silent resample.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,18 +196,3 @@ class JoinSketch:
     def channels(self) -> dict[str, np.ndarray]:
         """The four channel arrays keyed by name, in storage order."""
         return {channel: getattr(self, channel) for channel in CHANNELS}
-
-    def fingerprint(self) -> str:
-        """A content hash identifying this sketch for cache keying.
-
-        Covers every channel's bytes, the reference resolution and the
-        cardinality -- two sketches with equal fingerprints score
-        identically against any catalog.
-        """
-        digest = hashlib.sha256()
-        digest.update(
-            f"{self.reference.n1}x{self.reference.n2}:{self.num_objects}".encode()
-        )
-        for channel in CHANNELS:
-            digest.update(getattr(self, channel).tobytes())
-        return digest.hexdigest()

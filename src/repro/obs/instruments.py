@@ -54,7 +54,6 @@ name                                                   type       labels
 ``repro_join_searches_total``                          counter    mode, metric
 ``repro_join_candidates_total``                        counter    mode, outcome
 ``repro_join_search_seconds``                          histogram  mode
-``repro_join_cache_events_total``                      counter    event
 ``repro_join_catalog_summaries``                       gauge      --
 =====================================================  =========  ==========================
 
@@ -398,11 +397,6 @@ class JoinInstrumentation:
             help="End-to-end join search latency",
             labels=("mode",),
             buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self.cache_events = r.counter(
-            "repro_join_cache_events_total",
-            help="Score cache lookups by event (hit, miss)",
-            labels=("event",),
         )
         self.catalog_summaries = r.gauge(
             "repro_join_catalog_summaries",

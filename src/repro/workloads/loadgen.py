@@ -119,7 +119,7 @@ class LoadgenReport:
                 self.coalesced += 1
 
     def to_dict(self) -> dict:
-        """A JSON-safe summary (the benchmark's report shape)."""
+        """A JSON-safe summary (what ``repro loadgen`` prints)."""
         return {
             "sessions": self.sessions,
             "requests": self.requests,
@@ -155,8 +155,8 @@ async def run_loadgen(
     ``deadline_s`` is the per-request client budget, ``think_time_s`` an
     optional pause between a response and the session's next request.
     ``max_concurrent`` bounds simultaneously active sessions (all at
-    once when ``None``) -- the knob the benchmark turns to sweep offered
-    load past capacity.
+    once when ``None``) -- the knob that sweeps offered load past
+    capacity.
     """
     from repro.gateway.gateway import TileRequest
 

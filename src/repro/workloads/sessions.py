@@ -15,8 +15,8 @@ Sessions can also *pan*: with probability ``pan_prob`` a step shifts the
 previous viewport by a whole number of tiles (a fraction of the viewport
 per axis) while keeping the tiling and relation unchanged.  Pan offsets
 are tile-aligned by construction, which makes panned rasters eligible
-for viewport-delta reuse (:mod:`repro.browse.delta`); pan-dominated
-traces are the workload the delta benchmark replays.
+for viewport-delta reuse (:mod:`repro.browse.delta`); the benchmark
+harness's ``pan`` workload replays pan-dominated traces.
 """
 
 from __future__ import annotations

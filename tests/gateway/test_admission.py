@@ -40,7 +40,6 @@ class TestServiceTimeWindow:
     def test_empty_window_returns_optimistic_prior(self):
         window = ServiceTimeWindow(clock=FakeClock(), default_p50=0.05)
         assert window.p50() == 0.05
-        assert window.quantile(0.99) == 0.05
         assert len(window) == 0
 
     def test_p50_is_the_median_of_observations(self):
@@ -73,14 +72,6 @@ class TestServiceTimeWindow:
         assert window.p50() == pytest.approx(0.1)
         assert len(window) == 4
 
-    def test_quantile_nearest_rank(self):
-        window = ServiceTimeWindow(clock=FakeClock())
-        for s in (0.1, 0.2, 0.3, 0.4, 0.5):
-            window.observe(s)
-        assert window.quantile(0.0) == pytest.approx(0.1)
-        assert window.quantile(1.0) == pytest.approx(0.5)
-        assert window.quantile(0.5) == pytest.approx(0.3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ServiceTimeWindow(window_s=0.0)
@@ -91,13 +82,11 @@ class TestServiceTimeWindow:
         window = ServiceTimeWindow(clock=FakeClock())
         with pytest.raises(ValueError):
             window.observe(-1.0)
-        with pytest.raises(ValueError):
-            window.quantile(1.5)
 
 
 class ReferenceWindow:
     """The window as a plain list of ``(time, seconds)``, read through
-    ``statistics.median`` and a full sort."""
+    ``statistics.median``."""
 
     def __init__(self, *, window_s, max_samples, default_p50, clock):
         self.window_s = window_s
@@ -122,12 +111,6 @@ class ReferenceWindow:
         live = self._live()
         return statistics.median(live) if live else self.default_p50
 
-    def quantile(self, q):
-        ordered = sorted(self._live())
-        if not ordered:
-            return self.default_p50
-        return ordered[min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))]
-
 
 #: A few distinct service times, so duplicates (and their evictions) are
 #: common, plus arbitrary non-negative floats.
@@ -139,7 +122,6 @@ operations = st.lists(
     st.one_of(
         st.tuples(st.just("observe"), service_times),
         st.tuples(st.just("advance"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])),
-        st.tuples(st.just("read"), st.floats(min_value=0.0, max_value=1.0)),
     ),
     max_size=120,
 )
@@ -166,10 +148,8 @@ class TestWindowParity:
             if op == "observe":
                 window.observe(value)
                 reference.observe(value)
-            elif op == "advance":
-                clock.advance(value)
             else:
-                assert window.quantile(value) == reference.quantile(value)
+                clock.advance(value)
             assert window.p50() == reference.p50()
             assert len(window) == len(reference)
 

@@ -88,10 +88,6 @@ class ThreadRecordingWindow(ServiceTimeWindow):
         self.callers.append(threading.get_ident())
         return super().p50()
 
-    def quantile(self, q: float) -> float:
-        self.callers.append(threading.get_ident())
-        return super().quantile(q)
-
     def __len__(self) -> int:
         self.callers.append(threading.get_ident())
         return super().__len__()
@@ -236,6 +232,51 @@ class TestServing:
         err = instruments.gateway_requests.labels(tenant="ghost", outcome="error")
         assert ok.value == 1
         assert err.value == 1
+
+
+class TestFrontDoor:
+    """Malformed requests bounce before they cost a quota or queue slot."""
+
+    def test_non_dividing_tiling_is_rejected_before_admission(self, estimator):
+        # 7 rows do not divide the 16-cell region.
+        (response,), stats = serve(make_gateway(estimator), request(rows=7))
+        assert response.error["code"] == "invalid_region"
+        assert stats["admitted"] == 0
+        assert stats["coalesced_leaders"] == 0
+        assert stats["errors"] == 1
+
+    def test_non_dividing_tiling_is_rejected_while_the_only_slot_is_held(
+        self, estimator
+    ):
+        gated = GatedEstimator(estimator)
+
+        async def main():
+            gateway = make_gateway(gated, workers=1, max_pending=1)
+            try:
+                leader = asyncio.ensure_future(gateway.submit(request()))
+                await wait_for(gated.entered.is_set)
+                bad = await gateway.submit(request(OTHER_REGION, rows=3))
+                gated.gate.set()
+                await leader
+                return bad, gateway.stats.copy()
+            finally:
+                await gateway.close()
+
+        bad, stats = asyncio.run(main())
+        # Not a retryable "overloaded": no retry can ever succeed.
+        assert bad.error["code"] == "invalid_region"
+        assert "retry_after_s" not in bad.error
+        assert stats["shed_queue_full"] == 0
+        assert stats["admitted"] == 1
+
+    @pytest.mark.parametrize("deadline", [-1.0, float("nan")])
+    def test_negative_or_nan_deadline_is_rejected(self, estimator, deadline):
+        (response,), stats = serve(
+            make_gateway(estimator), request(deadline=deadline)
+        )
+        assert response.status == "error"
+        assert response.error["code"] == "invalid_region"
+        assert stats["admitted"] == 0
 
 
 class TestCoalescing:
@@ -697,20 +738,23 @@ class TestQuota:
         assert response.status == "ok"
 
     def test_quota_slot_released_after_error(self, estimator):
+        # The only tier always fails, so the request errors after it took
+        # its quota slot (a malformed request never takes one).
+        failing = FaultyBatchEstimator(
+            estimator, FaultSchedule(script=("error",), cycle=True)
+        )
+
         async def main():
-            gateway = make_gateway(estimator, tenants=(("acme", 1),))
+            gateway = make_gateway(failing, tenants=(("acme", 1),))
             tenant = gateway.catalog.tenant("acme")
             try:
-                bad = TileRequest(
-                    tenant="acme", dataset="main", region=REGION, rows=3, cols=3
-                )  # 3 does not divide 16 -> invalid partition
-                response = await gateway.submit(bad)
+                response = await gateway.submit(request())
                 return response, tenant.active
             finally:
                 await gateway.close()
 
         response, active = asyncio.run(main())
-        assert response.status == "error"
+        assert response.error["code"] == "estimator_failed"
         assert active == 0
 
 

@@ -168,6 +168,43 @@ class TestRunLoadgen:
         assert report.served == report.requests
         assert report.errors == 0
 
+    def test_overload_sheds_or_degrades_and_accounts_for_every_request(
+        self, estimator
+    ):
+        """A crowd of 128 closed-loop sessions over 4 tenants against a
+        32-slot queue, with 2 s deadlines and millisecond services: the
+        gateway sheds or degrades instead of failing, answers every
+        request one way or another, and never admits a request that
+        then expires in queue (the dispatch backstop stays quiet)."""
+        tenants = ["acme", "beta", "gamma", "delta"]
+        catalog = TenantCatalog()
+        catalog.register_dataset("main", estimator, GRID)
+        for tenant in tenants:
+            catalog.add_tenant(tenant)
+        plans = generate_tenant_sessions(
+            GRID,
+            tenants=tenants,
+            dataset="main",
+            sessions_per_tenant=32,
+            seed=23,
+            pan_prob=0.4,
+        )
+
+        async def main():
+            gateway = Gateway(catalog, workers=2, max_pending=32)
+            try:
+                return await run_loadgen(gateway, plans, deadline_s=2.0), gateway.stats
+            finally:
+                await gateway.close()
+
+        report, stats = asyncio.run(main())
+        assert report.sessions == 128
+        assert report.requests == sum(len(p.session) for p in plans)
+        assert report.errors == 0
+        assert stats["shed_dispatch"] == 0
+        assert report.served + report.shed + report.quota_rejected == report.requests
+        assert report.shed + report.degraded + stats["reduced_budget_admissions"] > 0
+
     def test_negative_think_time_rejected(self, estimator):
         catalog = TenantCatalog()
         catalog.register_dataset("main", estimator, GRID)

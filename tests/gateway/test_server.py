@@ -122,18 +122,23 @@ class TestServer:
         assert ok_rect["valid_fraction"] == 1.0
 
     def test_bad_lines_get_structured_errors_not_disconnects(self, estimator):
+        valid = {"tenant": "acme", "dataset": "main", "region": [0, 16, 0, 16], "rows": 2, "cols": 2}
         responses = self.run_session(
             estimator,
             [
                 "this is not json",
                 {"tenant": "acme"},  # missing fields
-                {"tenant": "ghost", "dataset": "main", "region": [0, 16, 0, 16], "rows": 2, "cols": 2},
-                {"tenant": "acme", "dataset": "main", "region": [0, 16, 0, 16], "rows": 2, "cols": 2},
+                {**valid, "tenant": "ghost"},
+                {**valid, "deadline_s": -1.0},
+                '{"tenant": "acme", "dataset": "main", "region": [0, 16, 0, 16], '
+                '"rows": 2, "cols": 2, "deadline_s": NaN}',
+                {**valid, "rows": 7},  # 7 rows do not divide 16 cells
+                valid,
             ],
         )
         codes = [r.get("error", {}).get("code") for r in responses]
-        assert codes[:3] == ["invalid_region"] * 3
-        assert responses[3]["status"] == "ok"
+        assert codes[:6] == ["invalid_region"] * 6
+        assert responses[6]["status"] == "ok"
 
     def test_port_property_requires_started_server(self, estimator):
         catalog = TenantCatalog()

@@ -173,3 +173,27 @@ def test_zoned_build_is_bit_identical_with_pool(start_method, data):
     b = s_zoned.estimate_batch(batch)
     for f in FIELDS:
         np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+
+    # A tight budget, as in the inline spill test: on a 180x90 grid a
+    # zone builder takes ~0.5 MiB, so each worker's half of the budget
+    # holds one builder and every zone switch spills.  The pool's peak
+    # must still stay inside the budget, bit-identically.
+    tight_grid = Grid(source.extent, 180, 90)
+    shape = tight_grid.lattice_shape
+    builder_mb = ((shape[0] + 1) * (shape[1] + 1) * 8) / (1 << 20)
+    tight = build_zoned(
+        source,
+        tight_grid,
+        zones=16,
+        curve=curve,
+        workers=2,
+        start_method=start_method,
+        memory_mb=max(1, int(np.ceil(2 * builder_mb))),
+    )
+    assert tight.report.chunks_pool > 0
+    assert tight.report.spills > 0
+    assert tight.report.peak_accumulator_bytes <= tight.report.budget_bytes
+    np.testing.assert_array_equal(
+        tight.histogram.buckets(),
+        EulerHistogram.from_dataset(source.materialize(), tight_grid).buckets(),
+    )

@@ -8,7 +8,6 @@ from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
 from repro.joins import (
-    DATASET_METRICS,
     JoinSketch,
     SummaryCatalog,
     score_dataset_batch,
@@ -78,15 +77,6 @@ def test_dataset_batch_matches_scalar_bitwise(catalog, query):
         assert batch.overlap[i] == overlap
         assert batch.containment[i] == containment
         assert batch.coverage[i] == coverage
-
-
-def test_dataset_batch_index_subset(catalog, query):
-    stacked = catalog.stacked()
-    full = score_dataset_batch(stacked, query)
-    index = np.array([5, 1, 6], dtype=np.intp)
-    subset = score_dataset_batch(stacked, query, index=index)
-    for metric in DATASET_METRICS:
-        assert np.array_equal(subset.metric(metric), full.metric(metric)[index])
 
 
 def test_region_scores_hand_computed(reference, rng):

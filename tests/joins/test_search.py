@@ -1,10 +1,9 @@
-"""JoinSearchEngine: ranking correctness, pruning accounting, sharding,
-caching and instrumentation."""
+"""JoinSearchEngine: ranking correctness, pruning accounting and
+instrumentation."""
 
 import numpy as np
 import pytest
 
-from repro.cache import JoinScoreCache
 from repro.errors import CatalogAlignmentError
 from repro.exact.evaluator import ExactEvaluator
 from repro.geometry.rect import Rect
@@ -19,6 +18,7 @@ from repro.joins import (
     score_dataset_batch,
 )
 from repro.obs import JoinInstrumentation
+from repro.workloads.catalogs import build_catalog, generate_catalog_sources
 
 from tests.conftest import random_dataset
 
@@ -96,6 +96,28 @@ def test_default_seed_pool_covers_small_catalogs(catalog, query):
     assert result.fully_scored == len(catalog)
 
 
+def test_default_planner_prunes_a_realistic_catalog():
+    """128 mixed-family summaries on a 16x8 reference grid: the default
+    seed pool (64) leaves half the catalog to the coarse bounds, so every
+    top-10 search prunes and still returns the exhaustive ranking."""
+    reference = Grid(Rect(0.0, 360.0, 0.0, 180.0), 16, 8)
+    sources = generate_catalog_sources(reference, 128, 200, seed=42)
+    catalog = build_catalog(
+        sources, reference, family="mixed", summary_grid=Grid(reference.extent, 128, 64)
+    )
+    held_out = generate_catalog_sources(reference, 3, 200, seed=1042, name_prefix="query")
+    engine = JoinSearchEngine(catalog)
+    for metric in DATASET_METRICS:
+        for data in held_out:
+            query = JoinSketch.from_dataset(data, reference, name=data.name)
+            pruned = engine.search_dataset(query, metric=metric, k=10)
+            exhaustive = engine.search_dataset(query, metric=metric, k=10, prune=False)
+            assert pruned.pruned > 0
+            assert pruned.fully_scored + pruned.pruned == pruned.candidates == 128
+            assert np.array_equal(pruned.indices, exhaustive.indices)
+            assert np.array_equal(pruned.scores, exhaustive.scores)
+
+
 def test_region_search_matches_manual_ranking(catalog):
     region = TileQuery(4, 18, 2, 12)
     engine = JoinSearchEngine(catalog)
@@ -109,39 +131,6 @@ def test_region_search_matches_manual_ranking(catalog):
         assert np.array_equal(result.scores, values[order])
         assert result.mode == "region"
         assert result.pruned == 0
-
-
-def test_cache_hit_and_generation_invalidation(catalog, query):
-    cache = JoinScoreCache()
-    engine = JoinSearchEngine(catalog, cache=cache)
-    first = engine.search_dataset(query, k=5)
-    assert not first.cache_hit
-    second = engine.search_dataset(query, k=5)
-    assert second.cache_hit
-    assert np.array_equal(first.indices, second.indices)
-    assert cache.stats()["hits"] == 1
-
-    # a registration bumps the generation: the old entry no longer matches
-    rng = np.random.default_rng(3)
-    catalog.register(
-        "late", ExactEvaluator(random_dataset(rng, GRID, 10, name="late"), GRID)
-    )
-    third = engine.search_dataset(query, k=5)
-    assert not third.cache_hit
-    assert third.generation == catalog.generation
-
-
-def test_cache_distinguishes_parameters(catalog, query):
-    cache = JoinScoreCache()
-    engine = JoinSearchEngine(catalog, cache=cache)
-    engine.search_dataset(query, k=5)
-    miss_variants = [
-        lambda: engine.search_dataset(query, k=6),
-        lambda: engine.search_dataset(query, metric="containment", k=5),
-        lambda: engine.search_dataset(query, k=5, prune=False),
-    ]
-    for run in miss_variants:
-        assert not run().cache_hit
 
 
 def test_instrumentation_records_search(catalog, query):
