@@ -240,9 +240,9 @@ class EulerHistogramBuilder:
         int64-exact, so the equivalence is bit-level).  Both builders
         must share a grid; ``other`` is left untouched and stays usable.
 
-        This is the merge pass of the out-of-core zoned construction
-        pipeline (:mod:`repro.ingest`): per-zone partial builders are
-        merged into one histogram bit-identical to a direct build.
+        The out-of-core zoned construction pipeline (:mod:`repro.ingest`)
+        folds each accumulator's live per-zone builders together this
+        way, bit-identically to a direct build.
         """
         if other._grid != self._grid:
             raise ValueError(

@@ -244,7 +244,8 @@ class NdjsonChunkSource(ChunkSource):
 
     def reread(self, index: int) -> RectDataset:
         """Seek to chunk ``index``'s recorded byte offset and re-parse."""
-        if index < 0 or index >= len(self._offsets):
+        # The last offset is where the next, not yet yielded, chunk starts.
+        if index < 0 or index >= len(self._offsets) - 1:
             raise IndexError(
                 f"chunk {index} of {self.name} has not been read yet; "
                 "only yielded chunks can be replayed"

@@ -11,13 +11,16 @@ to a direct ``add_dataset`` build of the same stream:
    to a zone of the shared :class:`~repro.ingest.zones.ZoneMap` and
    scatters it into a budgeted
    :class:`~repro.ingest.accumulator.ZoneAccumulator`, spilling cold
-   zones to checksummed disk partials under memory pressure;
+   zones to checksummed, sparse disk partials under memory pressure;
 3. chunks lost to worker crashes are re-read from the (replayable)
    source and accumulated inline -- the build completes bit-identically
    no matter how many workers died;
-4. a merge pass folds every partial into one global builder: the
-   in-memory ones first, then each spilled one as it is loaded, so the
-   pass holds at most one reloaded partial at a time.
+4. each participant -- every pool worker and the inline accumulator --
+   folds its live zones and its own spill files into one partial
+   (:meth:`~repro.ingest.accumulator.ZoneAccumulator.finish`), and a
+   merge pass adds those at most ``workers + 1`` partials into one
+   global builder.  No spill path crosses a process boundary, and a
+   build that ends without a result leaves none of its spill files.
 
 Bit-parity is structural, not statistical: snapping is deterministic,
 difference-domain accumulation is int64-exact and order-independent, and
@@ -36,7 +39,10 @@ from dataclasses import dataclass
 
 from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder
 from repro.grid.grid import Grid
-from repro.ingest.accumulator import ZoneAccumulator, ZonePartial, load_zone_partial
+
+# ``load_zone_partial`` is not called here, but the benchmark harness's
+# traced run (benchmarks/harness/spans.py) wraps this module's binding.
+from repro.ingest.accumulator import ZoneAccumulator, ZonePartial, load_zone_partial  # noqa: F401
 from repro.ingest.chunks import ChunkSource
 from repro.ingest.pool import ZoneBuildPool
 from repro.ingest.worker import snap_columns
@@ -145,7 +151,8 @@ def build_zoned(
     spill_dir:
         Where zone partials spill.  Defaults to a temporary directory
         removed when the build finishes; a caller-provided directory is
-        left in place (only the build's own files are deleted).
+        left in place, and none of the build's own files stay in it,
+        whether the build succeeds or fails.
     instruments:
         Optional :class:`~repro.obs.instruments.IngestInstrumentation`
         to record the ``repro_ingest_*`` families into.
@@ -170,7 +177,6 @@ def build_zoned(
     chunks_pool = chunks_inline = chunks_replayed = 0
     crashes = spills = 0
     peak_bytes = 0
-    spill_paths: list[str] = []
     partials: list[ZonePartial] = []
     inline_acc: ZoneAccumulator | None = None
 
@@ -216,7 +222,6 @@ def build_zoned(
 
         if result is not None:
             partials.extend(result.partials)
-            spill_paths.extend(result.spill_paths)
             crashes = result.crashes
             spills += result.spills
             peak_bytes += result.peak_bytes
@@ -236,33 +241,24 @@ def build_zoned(
 
         if inline_acc is not None:
             partials.extend(inline_acc.finish())
-            spill_paths.extend(inline_acc.spill_paths)
             spills += inline_acc.spills
             peak_bytes += inline_acc.peak_bytes
 
-        # ---- merge pass: fold every partial into the global builder ---- #
-        # Int64 difference-domain addition is order-independent, so each
-        # spilled partial is folded as it loads and never held past that.
+        # ---- merge pass: one folded partial per participant ---- #
+        # Int64 difference-domain addition is order-independent.
         global_builder = EulerHistogramBuilder(grid)
         for partial in partials:
             global_builder.add_partial(
                 partial.a_lo, partial.b_lo, partial.patch, partial.num_objects
             )
-        for path in spill_paths:
-            partial = load_zone_partial(path, grid)
-            global_builder.add_partial(
-                partial.a_lo, partial.b_lo, partial.patch, partial.num_objects
-            )
         histogram = global_builder.build()
     finally:
+        # The pool deleted its workers' files on close; the inline
+        # accumulator deletes whatever it has not folded.
+        if inline_acc is not None:
+            inline_acc.discard()
         if own_spill_dir:
             shutil.rmtree(spill_root, ignore_errors=True)
-        else:
-            for path in spill_paths:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
 
     elapsed = time.monotonic() - started
     report = IngestReport(

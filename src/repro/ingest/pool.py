@@ -2,9 +2,9 @@
 
 :class:`ZoneBuildPool` deals raw coordinate chunks round-robin to
 :func:`~repro.ingest.worker.build_worker_main` workers with bounded
-in-flight depth, then drains per-worker zone partials in a finish pass.
-It is the codebase's one process pool.  Its failure model is built for
-*stateful* workers:
+in-flight depth, then drains one folded partial per worker in a finish
+pass.  It is the codebase's one process pool.  Its failure model is
+built for *stateful* workers:
 
 - **crash** -- a worker accumulates state across every chunk it was
   dealt, so losing it loses all of that state, including spill files of
@@ -17,12 +17,15 @@ It is the codebase's one process pool.  Its failure model is built for
   timeout treats the busy workers as crashed (reap, lose, replay): a
   hung worker must never hang the build, nor outlive it.
 - **worker error** -- an ``error`` reply is a data or accumulator bug
-  that would equally fail inline, so it aborts the build as
-  :class:`IngestWorkerError` rather than triggering replay.
+  that would equally fail inline (a corrupt spill included), so it
+  aborts the build as :class:`IngestWorkerError` rather than triggering
+  replay.
 
-Workers report ``("result", ...)`` exactly once, on ``finish``; partials
-ride the pipe (they are bbox-clipped, so small for local data), while
-spilled partials stay on disk and are named by path.
+Workers report ``("result", ...)`` exactly once, on ``finish``: each
+folds its live zones and its own spill files into one bbox-clipped
+partial that rides the pipe.  Spill files never cross the process
+boundary; whatever a worker leaves on disk -- after a crash, an error
+or an aborted build -- the pool deletes by the worker's label.
 """
 
 from __future__ import annotations
@@ -59,10 +62,11 @@ class IngestWorkerError(RuntimeError):
 
 @dataclass
 class ZonePoolResult:
-    """Everything the merge pass needs from a drained pool."""
+    """Everything the merge pass needs from a drained pool: one folded
+    partial per worker that finished, and the chunks crashed workers
+    lost."""
 
     partials: list[ZonePartial] = field(default_factory=list)
-    spill_paths: list[str] = field(default_factory=list)
     lost_chunks: list[int] = field(default_factory=list)
     crashes: int = 0
     spills: int = 0
@@ -208,8 +212,8 @@ class ZoneBuildPool:
         return [w.pid for w in self._workers if w.ready and w.pid is not None]
 
     def close(self) -> None:
-        """Stop every worker and delete any spill files not handed over
-        in a ``result`` (idempotent)."""
+        """Stop every worker and delete any spill files it left behind
+        (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -218,7 +222,6 @@ class ZoneBuildPool:
                 w.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        handed_over = set(self.result.spill_paths)
         for w in self._workers:
             w.process.join(_JOIN_TIMEOUT)
             _reap(w.process)
@@ -227,11 +230,10 @@ class ZoneBuildPool:
             except OSError:  # pragma: no cover
                 pass
             for path in glob.glob(os.path.join(self._spill_dir, f"{w.label}-*.npz")):
-                if path not in handed_over:
-                    try:
-                        os.unlink(path)
-                    except OSError:  # pragma: no cover
-                        pass
+                try:
+                    os.unlink(path)
+                except OSError:  # pragma: no cover
+                    pass
 
     def __enter__(self) -> "ZoneBuildPool":
         return self
@@ -252,9 +254,8 @@ class ZoneBuildPool:
             worker.inflight = max(worker.inflight - 1, 0)
             self.result.objects += int(message[2])
         elif kind == "error":
-            raise IngestWorkerError(
-                f"worker {worker.slot} failed on chunk {message[1]}: {message[2]}"
-            )
+            where = "to finish" if message[1] is None else f"on chunk {message[1]}"
+            raise IngestWorkerError(f"worker {worker.slot} failed {where}: {message[2]}")
         # "result" is consumed by drain(); anything else is ignored.
 
     def _poll(self, timeout: float) -> bool:
@@ -369,9 +370,8 @@ class ZoneBuildPool:
                     continue
                 if message[0] == "result":
                     pending.discard(worker)
-                    _, _, partials, spill_paths, stats = message
+                    _, _, partials, stats = message
                     self.result.partials.extend(partials)
-                    self.result.spill_paths.extend(spill_paths)
                     self.result.spills += int(stats["spills"])
                     self.result.peak_bytes += int(stats["peak_bytes"])
                     worker.assigned.clear()

@@ -1,4 +1,4 @@
-"""The zone-build worker loop: snap, route, accumulate, hand back partials.
+"""The zone-build worker loop: snap, route, accumulate, hand back one partial.
 
 A build worker's whole life:
 
@@ -12,17 +12,20 @@ A build worker's whole life:
      scatter into the accumulator; reply ``("done", chunk_index, n)``.
      Any failure replies ``("error", chunk_index, repr)`` -- a data or
      accumulator error is a build-aborting bug, not a crash to mask.
-   - ``("finish",)`` -- export the live zones as in-memory partials and
-     reply ``("result", index, partials, spill_paths, stats)``.
+   - ``("finish",)`` -- fold the live zones and the worker's own spill
+     files into one partial (:meth:`ZoneAccumulator.finish`) and reply
+     ``("result", index, partials, stats)``, where ``partials`` holds
+     that one partial (none if the worker was dealt no objects).  No
+     spill path leaves the worker.  A corrupt spill replies ``("error",
+     None, repr)`` like any accumulator error.
    - ``("stop",)`` -- exit.
 
 Each worker owns builders for **every** zone it happens to see: the
 parent round-robins raw chunks instead of routing by zone, which keeps
 the parent's per-chunk work at one pipe send and parallelises the
 dominant snap+scatter cost.  Difference-domain accumulation is exact and
-order-independent, so per-zone partials from different workers merge
-bit-identically to a single-builder build no matter how chunks were
-dealt.
+order-independent, so the workers' partials merge bit-identically to a
+single-builder build no matter how chunks were dealt.
 
 This module must stay importable with no side effects: ``spawn`` workers
 re-import it by qualified name.
@@ -113,9 +116,7 @@ def build_worker_main(
                         "spills": accumulator.spills,
                         "peak_bytes": accumulator.peak_bytes,
                     }
-                    conn.send(
-                        ("result", worker_index, partials, list(accumulator.spill_paths), stats)
-                    )
+                    conn.send(("result", worker_index, partials, stats))
                 except BaseException as exc:
                     try:
                         conn.send(("error", None, repr(exc)))

@@ -7,16 +7,21 @@ raster must equal a direct ``estimate_batch`` over its tiles, and the
 service's :class:`~repro.browse.resilience.ChunkCost` must account for
 every chunk the chain answered and every tile in them: a lost update
 in its read-modify-write breaks the count.
+
+Straight-line ``+=`` has no thread-switch point, so the stress alone
+can miss a missing lock; a second test forces a switch inside
+``observe``'s read-modify-write and compares with a sequential run.
 """
 
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.browse.resilience import ResilientBrowsingService
+from repro.browse.resilience import ChunkCost, ResilientBrowsingService
 from repro.browse.service import RELATION_FIELDS
 from repro.euler.histogram import EulerHistogram
 from repro.euler.simple import SEulerApprox
@@ -100,3 +105,38 @@ def test_shared_cost_state_counts_every_chunk(estimator):
     assert cost.chunks == tier.successes
     assert cost.tiles == warm.counts.size + sum(answered_tiles)
     assert cost.seconds_per_tile is not None and cost.seconds_per_tile > 0.0
+
+
+class _SwitchingSeconds(float):
+    """A chunk time whose reflected add yields the GIL, so ``observe``'s
+    ``decayed + seconds`` switches threads between its read and its
+    write."""
+
+    def __radd__(self, other):
+        time.sleep(0)
+        return float.__radd__(self, other)
+
+
+def test_chunk_cost_loses_no_update_when_threads_switch_mid_observe():
+    threads, per_thread, tiles = 8, 200, 16
+    seconds = _SwitchingSeconds(0.004)
+    reference = ChunkCost()
+    for _ in range(threads * per_thread):
+        reference.observe(float(seconds), tiles)
+    cost = ChunkCost()
+    barrier = threading.Barrier(threads)
+
+    def observe() -> None:
+        barrier.wait(timeout=JOIN_TIMEOUT_S)
+        for _ in range(per_thread):
+            cost.observe(seconds, tiles)
+
+    workers = [threading.Thread(target=observe, daemon=True) for _ in range(threads)]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join(timeout=JOIN_TIMEOUT_S)
+    assert not [t.name for t in workers if t.is_alive()]
+    # Every observation is the same, so order cannot change the result.
+    assert cost.chunks == threads * per_thread
+    assert cost.seconds_per_tile == reference.seconds_per_tile

@@ -10,6 +10,10 @@ is the core correctness evidence.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pathlib
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -127,3 +131,18 @@ def random_query(rng: np.random.Generator, grid: Grid) -> TileQuery:
     x = np.sort(rng.choice(grid.n1 + 1, size=2, replace=False))
     y = np.sort(rng.choice(grid.n2 + 1, size=2, replace=False))
     return TileQuery(int(x[0]), int(x[1]), int(y[0]), int(y[1]))
+
+
+def flip_npz_member_byte(path: str | os.PathLike, member: str) -> None:
+    """Flip the middle byte of one member's compressed data inside the
+    ``.npz`` at ``path``: bit rot in one array, with the zip directory
+    intact."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    path = pathlib.Path(path)
+    raw = bytearray(path.read_bytes())
+    # Local file header: 30 fixed bytes, then the name and extra field.
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    raw[start + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(raw)

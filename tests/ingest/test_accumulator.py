@@ -1,5 +1,7 @@
 """Budgeted zone accumulation, spill round-trips and merge exactness."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.grid.grid import Grid
 from repro.ingest.accumulator import ZoneAccumulator, ZonePartial, load_zone_partial
 from repro.ingest.worker import snap_columns
 from repro.ingest.zones import ZoneMap
+
+from tests.conftest import flip_npz_member_byte
 
 
 @pytest.fixture
@@ -125,11 +129,18 @@ class TestZonePartialPersistence:
         partial = self._partial(grid)
         path = tmp_path / "p.npz"
         partial.save(path, grid)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(SummaryCorruptError):
-            load_zone_partial(path, grid)
+        pristine = path.read_bytes()
+        with zipfile.ZipFile(path) as archive:
+            members = [
+                name for name in archive.namelist()
+                if name not in ("checksum.npy", "format_version.npy")
+            ]
+        assert "values.npy" in members and "positions.npy" in members
+        for member in members:
+            path.write_bytes(pristine)
+            flip_npz_member_byte(path, member)
+            with pytest.raises(SummaryCorruptError):
+                load_zone_partial(path, grid)
 
 
 class TestBuilderMergeApi:

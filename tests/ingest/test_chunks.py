@@ -125,6 +125,22 @@ class TestNdjsonChunkSource:
         with pytest.raises(IndexError, match="not been read"):
             source.reread(2)
 
+    def test_reread_refuses_chunks_past_the_last_yielded(self, tmp_path):
+        path = tmp_path / "ten.ndjson"
+        path.write_text("".join(f"[0, 1, {i}, {i + 1}]\n" for i in range(10)))
+        source = NdjsonChunkSource(path, 5, extent=Rect(0, 1, 0, 10))
+        stream = iter(source)
+        assert next(stream)[0] == 0
+        # One yield records where chunk 1 starts, but it was not yielded.
+        with pytest.raises(IndexError, match="not been read"):
+            source.reread(1)
+        rest = list(stream)
+        assert [index for index, _ in rest] == [1]
+        _assert_same_rects(source.reread(1), rest[0][1])
+        # After a full pass, the end-of-file offset is no chunk either.
+        with pytest.raises(IndexError, match="not been read"):
+            source.reread(2)
+
     def test_rejects_malformed_record(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         path.write_text("[1, 2, 3]\n")

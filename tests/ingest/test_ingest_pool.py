@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.euler.histogram import EulerHistogram
+from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder
 from repro.grid.grid import Grid
 from repro.ingest import SyntheticChunkSource, build_zoned
 from repro.ingest.pool import IngestWorkerError, ZoneBuildPool
@@ -60,6 +60,35 @@ def test_pool_build_matches_direct(source, grid, direct):
     assert result.report.chunks_pool == source.num_chunks
     assert result.report.crashes == 0
     np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
+
+
+def test_each_worker_hands_back_one_partial_and_no_spill_path(source, grid, direct, tmp_path):
+    """Workers fold their live zones and their own spills before they
+    reply: a drained pool holds one partial per worker, and no spill
+    file is left for the parent to read."""
+    zone_map = ZoneMap.for_grid(grid, 24)
+    shape = grid.lattice_shape
+    budget = 2 * (shape[0] + 1) * (shape[1] + 1) * 8
+    pool = ZoneBuildPool(
+        zone_map, workers=2, budget_bytes=budget, spill_dir=tmp_path,
+        start_method="fork", label="one-each",
+    )
+    try:
+        assert pool.ensure_ready() == 2
+        for index, chunk in source:
+            assert pool.dispatch(index, chunk)
+        result = pool.drain()
+        assert result.crashes == 0 and result.spills > 0
+        assert len(result.partials) == 2
+        assert not hasattr(result, "spill_paths")
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        pool.close()
+    assert result.peak_bytes <= 2 * budget
+    merged = EulerHistogramBuilder(grid)
+    for partial in result.partials:
+        merged.add_partial(partial.a_lo, partial.b_lo, partial.patch, partial.num_objects)
+    np.testing.assert_array_equal(merged.build().buckets(), direct.buckets())
 
 
 def test_worker_count_is_clamped_by_budget(source):

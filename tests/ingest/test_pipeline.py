@@ -1,13 +1,20 @@
 """End-to-end zoned builds: bit-parity, the merge pass, reports, metrics."""
 
+import os
+
 import numpy as np
 import pytest
 
-import repro.ingest.pipeline as pipeline
+import repro.ingest.accumulator as accumulator
+from repro.errors import SummaryCorruptError
 from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder
 from repro.grid.grid import Grid
 from repro.ingest import DatasetChunkSource, SyntheticChunkSource, build_zoned
+from repro.ingest.accumulator import ZonePartial
+from repro.ingest.pool import IngestWorkerError
 from repro.obs import IngestInstrumentation
+
+from tests.conftest import flip_npz_member_byte
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +93,12 @@ class TestMergePass:
     def test_each_spilled_partial_is_folded_before_the_next_loads(
         self, source, grid, direct, monkeypatch
     ):
-        """The merge pass holds one reloaded partial at a time: every
-        ``load_zone_partial`` is followed by the ``add_partial`` of the
-        patch it loaded before the next load, and the histogram is still
-        bit-identical to the direct build."""
+        """The accumulator's fold holds one reloaded partial at a time:
+        every ``load_zone_partial`` is followed by the ``add_partial`` of
+        the patch it loaded before the next load, and the histogram is
+        still bit-identical to the direct build."""
         events: list[tuple[str, int]] = []
-        load = pipeline.load_zone_partial
+        load = accumulator.load_zone_partial
         add = EulerHistogramBuilder.add_partial
 
         def traced_load(path, grid):
@@ -103,7 +110,7 @@ class TestMergePass:
             events.append(("add", id(patch)))
             return add(self, a_lo, b_lo, patch, num_objects)
 
-        monkeypatch.setattr(pipeline, "load_zone_partial", traced_load)
+        monkeypatch.setattr(accumulator, "load_zone_partial", traced_load)
         monkeypatch.setattr(EulerHistogramBuilder, "add_partial", traced_add)
         shape = grid.lattice_shape
         builder_mb = ((shape[0] + 1) * (shape[1] + 1) * 8) / (1 << 20)
@@ -136,3 +143,78 @@ class TestSpillDirOwnership:
         assert result.report.spills > 0
         assert spill_dir.is_dir()
         assert list(spill_dir.glob("*.npz")) == [keep]
+
+    def test_failed_build_leaves_no_spill_in_callers_dir(self, grid, tmp_path, monkeypatch):
+        """A build that dies mid-stream deletes the spills it wrote, not
+        only those of a build that reached its merge."""
+        spill_dir = tmp_path / "spills"
+        spill_dir.mkdir()
+        keep = spill_dir / "unrelated.npz"
+        keep.write_bytes(b"not ours")
+        saves = []
+        save = ZonePartial.save
+
+        def counted_save(self, path, grid):
+            saves.append(path)
+            save(self, path, grid)
+
+        monkeypatch.setattr(ZonePartial, "save", counted_save)
+        source = _FailsAtChunk(SyntheticChunkSource("sp_skew", 4000, 500, seed=1), 6)
+        with pytest.raises(OSError, match="chunk 6"):
+            build_zoned(source, grid, zones=64, memory_mb=1, spill_dir=spill_dir)
+        assert saves
+        assert list(spill_dir.iterdir()) == [keep]
+
+
+class _FailsAtChunk:
+    """A chunk source whose stream breaks with a read error at one chunk."""
+
+    def __init__(self, inner, index):
+        self._inner = inner
+        self._index = index
+        self.name = inner.name
+        self.chunk_size = inner.chunk_size
+        self.extent = inner.extent
+
+    def __iter__(self):
+        for index, chunk in self._inner:
+            if index == self._index:
+                raise OSError(f"read error at chunk {index}")
+            yield index, chunk
+
+    def reread(self, index):
+        return self._inner.reread(index)
+
+
+class TestCorruptSpill:
+    @pytest.mark.parametrize(
+        "workers, error",
+        [
+            (0, SummaryCorruptError),
+            pytest.param(
+                2,
+                IngestWorkerError,
+                marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork"),
+            ),
+        ],
+        ids=["inline", "fork-pool"],
+    )
+    def test_spill_corrupted_after_writing_aborts_the_build(
+        self, source, grid, tmp_path, monkeypatch, workers, error
+    ):
+        """Bit rot in a spill file fails the build where the spill is
+        folded -- inline or in a worker -- and is never skipped; no spill
+        file stays behind."""
+        save = ZonePartial.save
+
+        def save_then_rot(self, path, grid):
+            save(self, path, grid)
+            flip_npz_member_byte(path, "values.npy")
+
+        monkeypatch.setattr(ZonePartial, "save", save_then_rot)
+        with pytest.raises(error, match="SummaryCorruptError|zone partial"):
+            build_zoned(
+                source, grid, zones=64, memory_mb=1, workers=workers,
+                start_method="fork", spill_dir=tmp_path,
+            )
+        assert list(tmp_path.iterdir()) == []
