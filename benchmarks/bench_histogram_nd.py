@@ -1,14 +1,15 @@
 """Extension benchmark: the d-dimensional Euler histogram.
 
 3-d (space x time) browsing is the natural next step for the GeoBrowsing
-service; this bench measures build and query cost of the generic
-d-dimensional implementation at a spatio-temporal resolution
-(90 x 45 x 64) and checks its intersect exactness on the fly.
+service; this bench measures build and query cost of the Euler histogram
+and S-EulerApprox at a spatio-temporal resolution (90 x 45 x 64) and
+checks intersect exactness on the fly.
 """
 
 import numpy as np
 
-from repro.euler.histogram_nd import EulerHistogramND, SEulerApproxND
+from repro.euler.histogram import EulerHistogram
+from repro.euler.simple import SEulerApprox
 from repro.grid.grid_nd import BoxQuery, GridND
 
 CELLS = (90, 45, 64)
@@ -31,7 +32,7 @@ def test_build_3d_histogram(benchmark):
     rng = np.random.default_rng(0)
     lows, highs = _spatiotemporal_boxes(rng, grid, 100_000)
     hist = benchmark.pedantic(
-        EulerHistogramND.from_boxes, args=(grid, lows, highs), rounds=1, iterations=1
+        EulerHistogram.from_boxes, args=(grid, lows, highs), rounds=1, iterations=1
     )
     assert hist.total_sum == 100_000
 
@@ -40,7 +41,7 @@ def test_query_3d_histogram(benchmark):
     grid = GridND.unit_cells(CELLS)
     rng = np.random.default_rng(0)
     lows, highs = _spatiotemporal_boxes(rng, grid, 100_000)
-    estimator = SEulerApproxND(EulerHistogramND.from_boxes(grid, lows, highs))
+    estimator = SEulerApprox(EulerHistogram.from_boxes(grid, lows, highs))
     query = BoxQuery(lo=(40, 20, 10), hi=(50, 30, 20))
 
     counts = benchmark(estimator.estimate, query)

@@ -1,4 +1,4 @@
-"""Spatio-temporal browsing with the d-dimensional Euler histogram.
+"""Spatio-temporal browsing with a 3-d Euler histogram.
 
 The paper's model is stated for d dimensions and evaluated at d=2; the
 obvious next axis for a GeoBrowsing-style archive is *time* ("queries
@@ -17,8 +17,7 @@ Run:  python examples/spatiotemporal_browsing.py
 
 import numpy as np
 
-from repro import GridND, BoxQuery
-from repro.euler.histogram_nd import EulerHistogramND, SEulerApproxND
+from repro import BoxQuery, EulerHistogram, GridND, SEulerApprox
 
 # Data space: 360 x 180 world, 64 years of acquisitions (1950-2014),
 # gridded at 4-degree / 1-year resolution.
@@ -66,8 +65,8 @@ def main() -> None:
     lows, highs = simulate_archive(150_000, seed=11)
     print(f"archive: {lows.shape[0]:,} dated footprints over {CELLS[2]} years")
 
-    histogram = EulerHistogramND.from_boxes(grid, lows, highs)
-    estimator = SEulerApproxND(histogram)
+    histogram = EulerHistogram.from_boxes(grid, lows, highs)
+    estimator = SEulerApprox(histogram)
     print(
         f"3-d Euler histogram: {histogram.num_buckets:,} buckets "
         f"({np.prod(grid.lattice_shape):,} = "
@@ -94,7 +93,7 @@ def main() -> None:
 
     print(
         "\n(intersect counts verified exact against a brute-force scan; "
-        "contained counts use the d-dimensional S-EulerApprox)"
+        "contained counts use S-EulerApprox on the 3-d histogram)"
     )
 
 

@@ -53,7 +53,6 @@ from repro.euler import (
     EulerApprox,
     EulerHistogram,
     EulerHistogramBuilder,
-    EulerHistogramND,
     HistogramPyramid,
     Level2BatchEstimator,
     Level2Counts,
@@ -63,7 +62,6 @@ from repro.euler import (
     MEulerApprox,
     QueryEdge,
     SEulerApprox,
-    SEulerApproxND,
     UnalignedEstimator,
     as_batch_estimator,
     tune_area_thresholds,
@@ -154,8 +152,6 @@ __all__ = [
     # core estimators
     "EulerHistogram",
     "EulerHistogramBuilder",
-    "EulerHistogramND",
-    "SEulerApproxND",
     "MaintainedEulerHistogram",
     "HistogramPyramid",
     "UnalignedEstimator",

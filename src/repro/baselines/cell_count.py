@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cube.difference import DifferenceArray2D
+from repro.cube.difference import DifferenceArray
 from repro.cube.prefix_sum import PrefixSumCube
 from repro.datasets.base import RectDataset
 from repro.geometry.snapping import snap_rects
@@ -34,7 +34,7 @@ class CellCountHistogram:
     def __init__(self, dataset: RectDataset, grid: Grid) -> None:
         self._grid = grid
         self._num_objects = len(dataset)
-        acc = DifferenceArray2D((grid.n1, grid.n2))
+        acc = DifferenceArray((grid.n1, grid.n2))
         if len(dataset):
             a_lo, a_hi, b_lo, b_hi = snap_rects(
                 grid.to_cell_units_x(dataset.x_lo),
@@ -44,7 +44,7 @@ class CellCountHistogram:
                 grid.n1,
                 grid.n2,
             )
-            acc.add_boxes(a_lo // 2, a_hi // 2, b_lo // 2, b_hi // 2)
+            acc.add_boxes((a_lo // 2, b_lo // 2), (a_hi // 2, b_hi // 2))
         self._cells = acc.materialize()
         self._cube = PrefixSumCube(self._cells)
 

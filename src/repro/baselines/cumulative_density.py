@@ -24,7 +24,7 @@ fills.
 
 from __future__ import annotations
 
-from repro.cube.difference import DifferenceArray2D
+from repro.cube.difference import DifferenceArray
 from repro.cube.prefix_sum import PrefixSumCube
 from repro.datasets.base import RectDataset
 from repro.geometry.snapping import snap_rects
@@ -35,9 +35,9 @@ __all__ = ["CumulativeDensity"]
 
 
 def _corner_cube(xs, ys, shape: tuple[int, int]) -> PrefixSumCube:
-    acc = DifferenceArray2D(shape)
+    acc = DifferenceArray(shape)
     if len(xs):
-        acc.add_boxes(xs, xs, ys, ys)
+        acc.add_boxes((xs, ys), (xs, ys))
     return PrefixSumCube(acc.materialize())
 
 

@@ -7,7 +7,7 @@ the difference-array accumulator used to *build* histograms from millions
 of rectangles in O(M + buckets) time.
 """
 
-from repro.cube.difference import DifferenceArray2D
+from repro.cube.difference import DifferenceArray
 from repro.cube.prefix_sum import PrefixSumCube
 
-__all__ = ["PrefixSumCube", "DifferenceArray2D"]
+__all__ = ["PrefixSumCube", "DifferenceArray"]

@@ -1,36 +1,58 @@
-"""2-d difference-array accumulator.
+"""d-dimensional difference-array accumulator.
 
 Adding ``+1`` to every array element inside a box, for millions of boxes,
 is the construction workload of every histogram in this library (Euler,
 cell-count, exact tilings).  The classic difference-array trick makes the
-whole batch cost ``O(M + buckets)``: each box contributes four corner
-updates to a scratch array whose 2-d prefix sum is the final result.
+whole batch cost ``O(M + buckets)``: each box contributes ``2^d`` signed
+corner updates to a scratch array one element larger per axis, whose
+d-fold prefix sum is the final result.
 
-Corner updates are applied with ``np.add.at`` on the flattened scratch so a
-vectorised batch of a million boxes is four scatter-adds.
+Corner updates are applied with ``np.add.at`` on the flattened scratch, so
+a vectorised batch of a million boxes is ``2^d`` scatter-adds.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Sequence
+
 import numpy as np
 
-__all__ = ["DifferenceArray2D"]
+__all__ = ["DifferenceArray"]
 
 
-class DifferenceArray2D:
-    """Accumulates "+w over inclusive box [a_lo..a_hi] x [b_lo..b_hi]"
-    updates and materialises the dense result on demand."""
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an integer array; anything else raises ``ValueError``.
 
-    def __init__(self, shape: tuple[int, int], dtype: np.dtype | type = np.int64) -> None:
-        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
-            raise ValueError(f"shape must be 2-d and positive, got {shape}")
-        self._shape = (int(shape[0]), int(shape[1]))
-        # One extra row/column catches the "past the end" corner updates.
-        self._scratch = np.zeros((self._shape[0] + 1, self._shape[1] + 1), dtype=dtype)
+    Float corners would land on truncated cells and float weights on
+    truncated counts, so both are refused instead of cast.
+    """
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}; refusing to truncate")
+    return arr
+
+
+class DifferenceArray:
+    """Accumulates "+w over an inclusive box" updates in d dimensions and
+    materialises the dense result on demand."""
+
+    def __init__(self, shape: Sequence[int], dtype: np.dtype | type = np.int64) -> None:
+        shape = tuple(int(s) for s in shape)
+        if not shape or any(s < 1 for s in shape):
+            raise ValueError(f"shape must be non-empty and positive, got {shape}")
+        self._shape = shape
+        # One extra element per axis catches the "past the end" corner updates.
+        self._scratch = np.zeros(tuple(s + 1 for s in shape), dtype=dtype)
+        self._strides = tuple(s // self._scratch.itemsize for s in self._scratch.strides)
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self._shape
+
+    @property
+    def ndim(self) -> int:
+        return len(self._shape)
 
     @property
     def nbytes(self) -> int:
@@ -38,13 +60,13 @@ class DifferenceArray2D:
         footprint; the out-of-core builder budgets against this)."""
         return int(self._scratch.nbytes)
 
-    def merge(self, other: "DifferenceArray2D") -> None:
+    def merge(self, other: "DifferenceArray") -> None:
         """Fold another accumulator's updates into this one.
 
         Box additions are linear in the scratch array, so summing two
         scratch arrays element-wise is exactly equivalent to replaying
-        every ``add_box``/``add_boxes`` call of ``other`` on ``self`` --
-        the primitive behind merging partial histogram builds.  Both
+        every :meth:`add_boxes` call of ``other`` on ``self`` -- the
+        primitive behind merging partial histogram builds.  Both
         accumulators must share shape and dtype; ``other`` is left
         untouched.
         """
@@ -60,106 +82,90 @@ class DifferenceArray2D:
             )
         self._scratch += other._scratch
 
-    def patch(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> np.ndarray:
+    def patch(self, lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
         """A copy of the scratch region covering the inclusive element box
-        ``[a_lo..a_hi] x [b_lo..b_hi]``.
+        ``[lo, hi]`` (one integer per axis on each side).
 
-        The returned patch has shape ``(a_hi - a_lo + 2, b_hi - b_lo + 2)``:
-        one extra row/column beyond the box catches the "past the end"
-        corner updates of boxes ending at ``a_hi``/``b_hi``.  If every box
-        ever added lies inside the element box, the patch carries the
-        accumulator's *entire* state -- this is what the out-of-core
-        builder spills for a zone whose spans stay inside its bounding
-        box.
+        The returned patch is one element longer than the box on every
+        axis: the extra element catches the "past the end" corner updates
+        of boxes ending at ``hi``.  If every box ever added lies inside
+        the element box, the patch carries the accumulator's *entire*
+        state -- this is what the out-of-core builder spills for a zone
+        whose spans stay inside its bounding box.
         """
-        self._check_bounds(
-            np.asarray([a_lo]), np.asarray([a_hi]), np.asarray([b_lo]), np.asarray([b_hi])
-        )
-        return self._scratch[a_lo : a_hi + 2, b_lo : b_hi + 2].copy()
+        lo, hi = self._check_boxes(lo, hi)
+        return self._scratch[tuple(slice(a, b + 2) for a, b in zip(lo, hi))].copy()
 
-    def add_patch(self, a_lo: int, b_lo: int, patch: np.ndarray) -> None:
-        """Add a scratch patch (from :meth:`patch`) at element offset
-        ``(a_lo, b_lo)``.
+    def add_patch(self, offset: Sequence[int], patch: np.ndarray) -> None:
+        """Add a scratch patch (from :meth:`patch`) at element ``offset``.
 
         The inverse of :meth:`patch`: pasting a partial accumulator's
         patch into a full-size accumulator replays the partial's updates
         exactly (difference-domain addition is linear).  Float patches
-        are rejected like float spans -- silent truncation would corrupt
-        the counts.
+        are rejected like float corners -- silent truncation would
+        corrupt the counts.
         """
-        patch = np.asarray(patch)
-        if patch.ndim != 2:
-            raise ValueError(f"patch must be 2-d, got {patch.ndim}-d")
-        if not np.issubdtype(patch.dtype, np.integer):
-            raise ValueError(
-                f"patch must hold integers, got dtype {patch.dtype}; "
-                "refusing to truncate"
-            )
-        if a_lo < 0 or b_lo < 0:
-            raise IndexError(f"patch offset ({a_lo}, {b_lo}) is negative")
-        a_end = a_lo + patch.shape[0]
-        b_end = b_lo + patch.shape[1]
-        if a_end > self._scratch.shape[0] or b_end > self._scratch.shape[1]:
+        patch = _integers(patch, "patch")
+        if patch.ndim != self.ndim:
+            raise ValueError(f"patch must be {self.ndim}-d, got {patch.ndim}-d")
+        offset = tuple(int(v) for v in offset)
+        if len(offset) != self.ndim or min(offset) < 0:
+            raise IndexError(f"patch offset {offset} is not a non-negative {self.ndim}-d index")
+        if any(o + n > s for o, n, s in zip(offset, patch.shape, self._scratch.shape)):
             raise IndexError(
-                f"patch of shape {patch.shape} at ({a_lo}, {b_lo}) exceeds "
+                f"patch of shape {patch.shape} at {offset} exceeds "
                 f"the accumulator shape {self._shape}"
             )
-        self._scratch[a_lo:a_end, b_lo:b_end] += patch
-
-    def add_box(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int, weight: int = 1) -> None:
-        """Add ``weight`` to every element of the inclusive box."""
-        self._check_bounds(np.asarray([a_lo]), np.asarray([a_hi]), np.asarray([b_lo]), np.asarray([b_hi]))
-        s = self._scratch
-        s[a_lo, b_lo] += weight
-        s[a_hi + 1, b_lo] -= weight
-        s[a_lo, b_hi + 1] -= weight
-        s[a_hi + 1, b_hi + 1] += weight
+        self._scratch[tuple(slice(o, o + n) for o, n in zip(offset, patch.shape))] += patch
 
     def add_boxes(
         self,
-        a_lo: np.ndarray,
-        a_hi: np.ndarray,
-        b_lo: np.ndarray,
-        b_hi: np.ndarray,
+        lo: Sequence[np.ndarray],
+        hi: Sequence[np.ndarray],
         weights: np.ndarray | int = 1,
     ) -> None:
-        """Vectorised :meth:`add_box` over arrays of inclusive boxes."""
-        a_lo = np.asarray(a_lo, dtype=np.int64)
-        a_hi = np.asarray(a_hi, dtype=np.int64)
-        b_lo = np.asarray(b_lo, dtype=np.int64)
-        b_hi = np.asarray(b_hi, dtype=np.int64)
-        if not (a_lo.shape == a_hi.shape == b_lo.shape == b_hi.shape):
-            raise ValueError("box corner arrays must share one shape")
-        self._check_bounds(a_lo, a_hi, b_lo, b_hi)
+        """Add ``weights`` to every element of each inclusive box.
 
-        if np.isscalar(weights):
-            w = np.broadcast_to(np.int64(weights), a_lo.shape)
-        else:
-            w = np.asarray(weights)
-            if w.shape != a_lo.shape:
-                raise ValueError("weights must match the box arrays' shape")
-
-        cols = self._shape[1] + 1
-        flat = self._scratch.reshape(-1)
-        np.add.at(flat, a_lo * cols + b_lo, w)
-        np.subtract.at(flat, (a_hi + 1) * cols + b_lo, w)
-        np.subtract.at(flat, a_lo * cols + (b_hi + 1), w)
-        np.add.at(flat, (a_hi + 1) * cols + (b_hi + 1), w)
-
-    def _check_bounds(
-        self, a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
-    ) -> None:
-        if a_lo.size == 0:
+        ``lo`` and ``hi`` hold one integer array per axis, all of one
+        shape (a single box is a batch of scalars); ``weights`` is an
+        integer scalar or an array of that shape.
+        """
+        lo, hi = self._check_boxes(lo, hi)
+        w = _integers(weights, "weights")
+        if w.ndim and w.shape != lo[0].shape:
+            raise ValueError("weights must be scalar or match the box arrays' shape")
+        if lo[0].size == 0:
             return
-        if (
-            int(a_lo.min()) < 0
-            or int(b_lo.min()) < 0
-            or int(a_hi.max()) >= self._shape[0]
-            or int(b_hi.max()) >= self._shape[1]
-        ):
+        # Each of the 2^d corners takes, per axis, the box's low coordinate
+        # or the one just past its high end, and carries sign
+        # (-1)^(#past-the-end axes).  The scratch is C-contiguous, so the
+        # last axis has stride 1 and the flat index needs no multiply there.
+        flat = self._scratch.reshape(-1)
+        for corner in itertools.product((0, 1), repeat=self.ndim):
+            coords = [b + 1 if bit else a for a, b, bit in zip(lo, hi, corner)]
+            idx = coords[-1]
+            for coord, stride in zip(coords[:-1], self._strides):
+                idx = coord * stride + idx
+            (np.subtract if sum(corner) % 2 else np.add).at(flat, idx, w)
+
+    def _check_boxes(
+        self, lo: Sequence[np.ndarray], hi: Sequence[np.ndarray]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        if len(lo) != self.ndim or len(hi) != self.ndim:
+            raise ValueError(
+                f"expected {self.ndim} corner arrays per side, got {len(lo)} / {len(hi)}"
+            )
+        lo = [_integers(a, "box corners").astype(np.int64, copy=False) for a in lo]
+        hi = [_integers(b, "box corners").astype(np.int64, copy=False) for b in hi]
+        if len({a.shape for a in lo + hi}) != 1:
+            raise ValueError("box corner arrays must share one shape")
+        if lo[0].size == 0:
+            return lo, hi
+        if any(int(a.min()) < 0 or int(b.max()) >= s for a, b, s in zip(lo, hi, self._shape)):
             raise IndexError(f"some boxes exceed the array shape {self._shape}")
-        if np.any(a_hi < a_lo) or np.any(b_hi < b_lo):
-            raise ValueError("boxes must be non-empty (hi >= lo on both axes)")
+        if any(np.any(b < a) for a, b in zip(lo, hi)):
+            raise ValueError("boxes must be non-empty (hi >= lo on every axis)")
+        return lo, hi
 
     def materialize(self) -> np.ndarray:
         """Dense result array of :attr:`shape`.
@@ -167,5 +173,7 @@ class DifferenceArray2D:
         The accumulator remains usable; further updates compose with the
         boxes already added.
         """
-        dense = np.cumsum(np.cumsum(self._scratch, axis=0), axis=1)
-        return dense[: self._shape[0], : self._shape[1]].copy()
+        dense = self._scratch
+        for axis in range(self.ndim):
+            dense = np.cumsum(dense, axis=axis)
+        return dense[tuple(slice(0, s) for s in self._shape)].copy()

@@ -7,9 +7,10 @@ zero-padded border) so that the sum of any axis-aligned box of ``A`` costs
 property the paper leans on for its "constant query response time" claims
 (Sections 2 and 5.2).
 
-The implementation is dimension-generic; the library uses d=2 for Euler
-histograms and d=1 in a few tests, and the d-generic form keeps the HAMS97
-reproduction honest.
+The implementation is dimension-generic: the Euler histogram uses it in
+any dimension (d=2 to serve, 1/3/4-d in tests and the spatio-temporal
+example), and a 2-d cube answers through the four-lookup
+:meth:`PrefixSumCube.range_sum_2d`.
 """
 
 from __future__ import annotations
@@ -73,21 +74,24 @@ class PrefixSumCube:
     def range_sum(self, lo: Sequence[int], hi: Sequence[int]) -> int | float:
         """Sum of the source box ``[lo, hi]`` (inclusive on both ends).
 
-        An empty box (any ``hi[k] < lo[k]``) sums to zero, which lets
-        callers pass degenerate regions (e.g. a Region-A slab of height 0
-        when the query touches the data-space boundary) without guards.
+        An empty box (any ``hi[k] < lo[k]``) sums to zero whatever its
+        other bounds, which lets callers pass degenerate regions (e.g. a
+        Region-A slab of height 0 when the query touches the data-space
+        boundary) without guards.  A 2-d cube answers through
+        :meth:`range_sum_2d`'s four lookups.
         """
-        lo = tuple(int(v) for v in lo)
-        hi = tuple(int(v) for v in hi)
-        ndim = self.ndim
         shape = self._shape
+        ndim = len(shape)
         if len(lo) != ndim or len(hi) != ndim:
             raise ValueError(f"expected {ndim}-d corners, got {lo} / {hi}")
-        for k, (lo_k, hi_k) in enumerate(zip(lo, hi)):
-            if hi_k < lo_k:
-                return self._zero
-            if lo_k < 0 or hi_k >= shape[k]:
-                raise IndexError(f"box [{lo}, {hi}] exceeds array shape {shape}")
+        if ndim == 2:
+            return self.range_sum_2d(lo[0], hi[0], lo[1], hi[1])
+        lo = tuple(int(v) for v in lo)
+        hi = tuple(int(v) for v in hi)
+        if any(hi_k < lo_k for lo_k, hi_k in zip(lo, hi)):
+            return self._zero
+        if any(lo_k < 0 or hi_k >= s for lo_k, hi_k, s in zip(lo, hi, shape)):
+            raise IndexError(f"box [{lo}, {hi}] exceeds array shape {shape}")
 
         # Inclusion-exclusion over the 2^d corners of the padded cube,
         # accumulated in Python scalars (exact for int64; identical IEEE

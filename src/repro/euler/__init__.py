@@ -12,6 +12,14 @@ Level-2 approximation algorithms.
 - :mod:`repro.euler.euler_formula` -- Euler's formula and Corollaries
   4.1/4.2 on grid regions (the theory of Section 4, used by tests and
   examples).
+
+The histogram and the three estimators serve any dimension d: the
+histogram, M-EulerApprox and the exact evaluator take a
+:class:`~repro.grid.grid_nd.GridND` through ``from_boxes`` (the paper
+states its model for d dimensions and evaluates d=2); the batch paths are
+2-d.  The ``1 - (-1)^d`` loophole finding lives in
+:meth:`~repro.euler.histogram.RegionSums.outside_sum` and
+:class:`~repro.euler.full.EulerApprox`.
 """
 
 from repro.euler.base import (
@@ -28,12 +36,9 @@ from repro.euler.euler_formula import (
 )
 from repro.euler.exterior import ExteriorHistogram
 from repro.euler.full import EulerApprox, QueryEdge
-from repro.euler.full_nd import EulerApproxND
-from repro.euler.histogram import BatchRegionSums, EulerHistogram, EulerHistogramBuilder
-from repro.euler.histogram_nd import EulerHistogramND, SEulerApproxND
+from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder, RegionSums
 from repro.euler.maintained import MaintainedEulerHistogram
 from repro.euler.multi import MEulerApprox, area_partition
-from repro.euler.multi_nd import MEulerApproxND
 from repro.euler.pyramid import HistogramPyramid, pyramid_level_grids
 from repro.euler.simple import SEulerApprox
 from repro.euler.tuning import TuningResult, tune_area_thresholds
@@ -42,10 +47,6 @@ from repro.euler.unaligned import RelationEnvelope, UnalignedEstimator
 __all__ = [
     "EulerHistogram",
     "EulerHistogramBuilder",
-    "EulerHistogramND",
-    "SEulerApproxND",
-    "EulerApproxND",
-    "MEulerApproxND",
     "MaintainedEulerHistogram",
     "UnalignedEstimator",
     "RelationEnvelope",
@@ -58,7 +59,7 @@ __all__ = [
     "Level2BatchEstimator",
     "ScalarBatchFallback",
     "as_batch_estimator",
-    "BatchRegionSums",
+    "RegionSums",
     "SEulerApprox",
     "EulerApprox",
     "QueryEdge",

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cube.difference import DifferenceArray2D
+from repro.cube.difference import DifferenceArray
 from repro.cube.prefix_sum import PrefixSumCube
 from repro.datasets.base import RectDataset
 from repro.grid.grid import Grid
-from repro.grid.lattice import lattice_sign_matrix
+from repro.grid.lattice import lattice_sign
 from repro.grid.tiles_math import TileQuery
 
 __all__ = ["ExteriorHistogram"]
@@ -51,7 +51,7 @@ class ExteriorHistogram:
         self._num_objects = len(dataset)
         shape = grid.lattice_shape
 
-        closure_acc = DifferenceArray2D(shape)
+        closure_acc = DifferenceArray(shape)
         if len(dataset):
             # A lattice element escapes the object's exterior iff the
             # (shrunk, open) object strictly contains the closed element
@@ -74,11 +74,11 @@ class ExteriorHistogram:
             covering = (a_lo <= a_hi) & (b_lo <= b_hi)
             if np.any(covering):
                 closure_acc.add_boxes(
-                    a_lo[covering], a_hi[covering], b_lo[covering], b_hi[covering]
+                    (a_lo[covering], b_lo[covering]), (a_hi[covering], b_hi[covering])
                 )
         closure_coverage = closure_acc.materialize()
         exterior_coverage = self._num_objects - closure_coverage
-        signed = exterior_coverage * lattice_sign_matrix(grid.n1, grid.n2)
+        signed = exterior_coverage * lattice_sign(shape)
         self._cube = PrefixSumCube(signed)
 
     @property

@@ -43,6 +43,24 @@ The final system (Equations 18-22):
     N_o    &= n'_{ei} - N_d \\\\
     N_{cd} &= N_i(A) + N_{cs}(B) - n'_{ei} \\\\
     N_{cs} &= |S| - N_{cd} - N_d - N_o
+
+**d dimensions.**  The construction is the same on a d-dimensional
+histogram (:meth:`EulerHistogram.from_boxes`): each query edge is a facet,
+axis 0 or 1 on its low or high side, and Region B extends the query across
+it.  What changes with d is the loophole arithmetic.  A container adds 1
+to ``N_i(A)`` in every dimension (its intersection with the simply
+connected wrap A is one contractible piece) but ``1 - (-1)^d`` to
+``n'_ei`` (:meth:`RegionSums.outside_sum`).  Writing
+``E = N_i(A) + N_cs(B)``, which approximates ``N_d + N_o + N_cd``:
+
+- **even d** (the paper's d=2): ``n'_ei = N_d + N_o`` (containers vanish),
+  so ``N_cd = E - n'_ei`` and ``N_o = n'_ei - N_d`` -- Equations 18-22;
+- **odd d**: ``n'_ei = N_d + N_o + 2 N_cd`` (containers count twice), so
+  ``N_cd = n'_ei - E`` -- the sign flips -- and
+  ``N_o = n'_ei - N_d - 2 N_cd``.
+
+Both inherit the O1/O2 residuals of the 2-d analysis along the chosen
+facet.
 """
 
 from __future__ import annotations
@@ -53,6 +71,7 @@ import numpy as np
 
 from repro.euler.estimates import Level2Counts, Level2CountsBatch
 from repro.euler.histogram import EulerHistogram
+from repro.grid.grid_nd import BoxQuery
 from repro.grid.tiles_math import TileQuery, TileQueryBatch
 
 __all__ = ["EulerApprox", "QueryEdge"]
@@ -81,20 +100,66 @@ class QueryEdge(Enum):
     ALL = "all"
 
 
+#: Each single edge as a facet: the axis it crosses and whether it is the
+#: query's low side on that axis.  ``ALL`` averages them in this order.
+_FACETS = {
+    QueryEdge.LEFT: (0, True),
+    QueryEdge.RIGHT: (0, False),
+    QueryEdge.BOTTOM: (1, True),
+    QueryEdge.TOP: (1, False),
+}
+
+
+def _split(lo, hi, axis: int, low_side: bool, boundary):
+    """Per-axis corners of the band ``R`` (the query extended across one
+    facet to the data-space ``boundary``) and of Region B (the extension),
+    plus whether Region B is non-empty.
+
+    ``lo``/``hi`` hold the query's cells per axis and ``boundary`` the
+    boundary coordinate on ``axis`` (0 on the low side, ``n`` on the
+    high side); all are ints for one query or equal-shape arrays for a
+    batch.
+    """
+    side = lo[axis] if low_side else hi[axis]
+    band_lo, band_hi, b_lo, b_hi = list(lo), list(hi), list(lo), list(hi)
+    if low_side:
+        band_lo[axis] = b_lo[axis] = boundary
+        b_hi[axis] = side
+    else:
+        band_hi[axis] = b_hi[axis] = boundary
+        b_lo[axis] = side
+    return (band_lo, band_hi), (b_lo, b_hi), side != boundary
+
+
 class EulerApprox:
-    """Euler Approximation over one Euler histogram.
+    """Euler Approximation over one Euler histogram, of any dimension.
 
     Parameters
     ----------
     histogram:
         The dataset's Euler histogram.
     edge:
-        The query edge used for the Region A/B split (default: left).
+        The query edge used for the Region A/B split (default: left).  An
+        edge on an axis the histogram lacks (``BOTTOM``/``TOP`` on a 1-d
+        histogram) raises ``ValueError``; ``ALL`` averages the edges the
+        histogram has.
     """
 
     def __init__(self, histogram: EulerHistogram, edge: QueryEdge = QueryEdge.LEFT) -> None:
+        ndim = histogram.grid.ndim
+        if edge is QueryEdge.ALL:
+            edges = tuple(e for e, (axis, _) in _FACETS.items() if axis < ndim)
+        else:
+            axis = _FACETS[edge][0]
+            if axis >= ndim:
+                raise ValueError(
+                    f"edge {edge.value} splits axis {axis}, which a {ndim}-d histogram lacks"
+                )
+            edges = (edge,)
         self._hist = histogram
         self._edge = edge
+        self._edges = edges
+        self._odd = ndim % 2 == 1
 
     @property
     def name(self) -> str:
@@ -108,63 +173,44 @@ class EulerApprox:
     def edge(self) -> QueryEdge:
         return self._edge
 
-    def _band_and_extension(
-        self, query: TileQuery, edge: QueryEdge
-    ) -> tuple[TileQuery, TileQuery | None]:
-        """The closed band ``R`` (query extended across the chosen edge to
-        the data-space boundary) and the extension Region B (None when the
-        query already touches that boundary)."""
-        grid = self._hist.grid
-        if edge is QueryEdge.LEFT:
-            band = TileQuery(0, query.qx_hi, query.qy_lo, query.qy_hi)
-            b = (
-                TileQuery(0, query.qx_lo, query.qy_lo, query.qy_hi)
-                if query.qx_lo > 0
-                else None
-            )
-        elif edge is QueryEdge.RIGHT:
-            band = TileQuery(query.qx_lo, grid.n1, query.qy_lo, query.qy_hi)
-            b = (
-                TileQuery(query.qx_hi, grid.n1, query.qy_lo, query.qy_hi)
-                if query.qx_hi < grid.n1
-                else None
-            )
-        elif edge is QueryEdge.BOTTOM:
-            band = TileQuery(query.qx_lo, query.qx_hi, 0, query.qy_hi)
-            b = (
-                TileQuery(query.qx_lo, query.qx_hi, 0, query.qy_lo)
-                if query.qy_lo > 0
-                else None
-            )
-        elif edge is QueryEdge.TOP:
-            band = TileQuery(query.qx_lo, query.qx_hi, query.qy_lo, grid.n2)
-            b = (
-                TileQuery(query.qx_lo, query.qx_hi, query.qy_hi, grid.n2)
-                if query.qy_hi < grid.n2
-                else None
-            )
-        else:  # pragma: no cover - ALL is dispatched before reaching here
-            raise ValueError(f"no single band for edge {edge}")
-        return band, b
+    # ------------------------------------------------------------------ #
+    # the parity rule (module docstring), shared by both paths
+    # ------------------------------------------------------------------ #
 
-    def _single_edge_estimate(self, query: TileQuery, edge: QueryEdge) -> float:
-        band, region_b = self._band_and_extension(query, edge)
-        n_i_a = self._hist.outside_sum(band)
-        n_cs_b = self._hist.contained_count(region_b) if region_b is not None else 0
-        n_ei_prime = self._hist.outside_sum(query)
-        return float(n_i_a + n_cs_b - n_ei_prime)
+    def _contained(self, split, n_ei_prime):
+        """``N_cd`` from one split sum ``E = N_i(A) + N_cs(B)``."""
+        return n_ei_prime - split if self._odd else split - n_ei_prime
 
-    def contained_in_query_estimate(self, query: TileQuery) -> float:
+    def _overlap(self, n_ei_prime, n_d, n_cd):
+        """``N_o``: ``n'_ei`` counts ``N_d + N_o``, plus ``2 N_cd`` in odd d."""
+        n_o = n_ei_prime - n_d
+        return n_o - 2.0 * n_cd if self._odd else n_o
+
+    # ------------------------------------------------------------------ #
+    # scalar path
+    # ------------------------------------------------------------------ #
+
+    def _split_sum(self, query: TileQuery | BoxQuery, edge: QueryEdge) -> int:
+        """``E = N_i(A) + N_cs(B)`` for one query and one edge."""
+        hist = self._hist
+        axis, low_side = _FACETS[edge]
+        boundary = 0 if low_side else hist.grid.cells[axis]
+        band, region_b, has_b = _split(query.lo, query.hi, axis, low_side, boundary)
+        total = hist.total_sum
+        n_i_a = total - hist._closed_sum(*band)
+        n_cs_b = hist.num_objects - (total - hist._closed_sum(*region_b)) if has_b else 0
+        return n_i_a + n_cs_b
+
+    def contained_in_query_estimate(self, query: TileQuery | BoxQuery) -> float:
         """The ``N_cd`` estimate alone (Equation 21)."""
-        if self._edge is QueryEdge.ALL:
-            singles = [
-                self._single_edge_estimate(query, edge)
-                for edge in (QueryEdge.LEFT, QueryEdge.RIGHT, QueryEdge.BOTTOM, QueryEdge.TOP)
-            ]
-            return sum(singles) / 4.0
-        return self._single_edge_estimate(query, self._edge)
+        n_ei_prime = self._hist.outside_sum(query)
+        singles = [
+            float(self._contained(self._split_sum(query, edge), n_ei_prime))
+            for edge in self._edges
+        ]
+        return sum(singles) / len(singles)
 
-    def estimate(self, query: TileQuery) -> Level2Counts:
+    def estimate(self, query: TileQuery | BoxQuery) -> Level2Counts:
         """Estimate the Level-2 counts for one aligned query."""
         query.validate_against(self._hist.grid)
         n_total = self._hist.num_objects
@@ -172,70 +218,47 @@ class EulerApprox:
         n_ei_prime = self._hist.outside_sum(query)
 
         n_d = float(n_total - n_ii)
-        n_o = float(n_ei_prime - n_d)
         n_cd = self.contained_in_query_estimate(query)
+        n_o = self._overlap(n_ei_prime, n_d, n_cd)
         n_cs = float(n_total) - n_cd - n_d - n_o
         return Level2Counts(n_d=n_d, n_cs=n_cs, n_cd=n_cd, n_o=n_o)
 
     # ------------------------------------------------------------------ #
-    # batch path
+    # batch path (2-d)
     # ------------------------------------------------------------------ #
 
-    def _single_edge_estimate_batch(
-        self, queries: TileQueryBatch, edge: QueryEdge
-    ) -> np.ndarray:
-        """Batch Region-A/B ``N_cd`` estimate for one edge.
+    def _split_sum_batch(self, queries: TileQueryBatch, edge: QueryEdge) -> np.ndarray:
+        """Batch ``E = N_i(A) + N_cs(B)`` for one edge.
 
-        The band and Region-B corner arrays are built by broadcasting the
-        query corners against the grid bounds; the whole batch then costs
-        three batched region sums.  Region B degenerates to an empty span
-        exactly where the query touches the chosen boundary, and its
-        ``N_cs(B)`` contribution is masked to 0 there -- the same
-        ``region_b is None`` rule as the scalar path.
+        The band and Region-B corner arrays come from the same facet
+        construction as the scalar path, with the boundary broadcast to
+        the batch; the whole batch then costs two batched region sums.
+        Region B degenerates to an empty span exactly where the query
+        touches the chosen boundary, and its ``N_cs(B)`` contribution is
+        masked to 0 there -- the scalar path's ``has_b`` rule.
         """
         hist = self._hist
-        grid = hist.grid
-        qx_lo, qx_hi = queries.qx_lo, queries.qx_hi
-        qy_lo, qy_hi = queries.qy_lo, queries.qy_hi
-        zeros = np.zeros(len(queries), dtype=np.intp)
-        if edge is QueryEdge.LEFT:
-            band = (zeros, qx_hi, qy_lo, qy_hi)
-            region_b = (zeros, qx_lo, qy_lo, qy_hi)
-            has_b = qx_lo > 0
-        elif edge is QueryEdge.RIGHT:
-            band = (qx_lo, zeros + grid.n1, qy_lo, qy_hi)
-            region_b = (qx_hi, zeros + grid.n1, qy_lo, qy_hi)
-            has_b = qx_hi < grid.n1
-        elif edge is QueryEdge.BOTTOM:
-            band = (qx_lo, qx_hi, zeros, qy_hi)
-            region_b = (qx_lo, qx_hi, zeros, qy_lo)
-            has_b = qy_lo > 0
-        elif edge is QueryEdge.TOP:
-            band = (qx_lo, qx_hi, qy_lo, zeros + grid.n2)
-            region_b = (qx_lo, qx_hi, qy_hi, zeros + grid.n2)
-            has_b = qy_hi < grid.n2
-        else:  # pragma: no cover - ALL is dispatched before reaching here
-            raise ValueError(f"no single band for edge {edge}")
-
-        total = hist.total_sum
-        n_i_a = total - hist._closed_sum_corners(*band)
-        n_cs_b = np.where(
-            has_b, hist.num_objects - (total - hist._closed_sum_corners(*region_b)), 0
+        axis, low_side = _FACETS[edge]
+        boundary = np.full(len(queries), 0 if low_side else hist.grid.cells[axis], dtype=np.intp)
+        band, region_b, has_b = _split(
+            (queries.qx_lo, queries.qy_lo), (queries.qx_hi, queries.qy_hi), axis, low_side, boundary
         )
-        n_ei_prime = total - hist._closed_sum_corners(qx_lo, qx_hi, qy_lo, qy_hi)
-        return (n_i_a + n_cs_b - n_ei_prime).astype(np.float64)
+        total = hist.total_sum
+        n_i_a = total - hist._closed_sum_batch(*band)
+        n_cs_b = np.where(has_b, hist.num_objects - (total - hist._closed_sum_batch(*region_b)), 0)
+        return n_i_a + n_cs_b
 
     def contained_in_query_estimate_batch(self, queries: TileQueryBatch) -> np.ndarray:
         """Batch ``N_cd`` estimates (Equation 21), one float64 per query."""
-        if self._edge is QueryEdge.ALL:
-            acc = np.zeros(len(queries), dtype=np.float64)
-            for edge in (QueryEdge.LEFT, QueryEdge.RIGHT, QueryEdge.BOTTOM, QueryEdge.TOP):
-                acc = acc + self._single_edge_estimate_batch(queries, edge)
-            return acc / 4.0
-        return self._single_edge_estimate_batch(queries, self._edge)
+        n_ei_prime = self._hist.outside_sum_batch(queries)
+        acc = np.zeros(len(queries), dtype=np.float64)
+        for edge in self._edges:
+            split = self._split_sum_batch(queries, edge)
+            acc = acc + self._contained(split, n_ei_prime).astype(np.float64)
+        return acc / len(self._edges)
 
     def estimate_batch(self, queries: TileQueryBatch) -> Level2CountsBatch:
-        """Vectorised :meth:`estimate` over a query batch.
+        """Vectorised :meth:`estimate` over a 2-d query batch.
 
         A constant number of batched gathers regardless of batch size
         (five region sums for a single-edge split, eleven for ``ALL``);
@@ -247,7 +270,7 @@ class EulerApprox:
         n_ei_prime = self._hist.outside_sum_batch(queries)
 
         n_d = (n_total - n_ii).astype(np.float64)
-        n_o = n_ei_prime - n_d
         n_cd = self.contained_in_query_estimate_batch(queries)
+        n_o = self._overlap(n_ei_prime, n_d, n_cd)
         n_cs = float(n_total) - n_cd - n_d - n_o
         return Level2CountsBatch(n_d=n_d, n_cs=n_cs, n_cd=n_cd, n_o=n_o)

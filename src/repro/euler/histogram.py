@@ -4,7 +4,8 @@ One bucket per lattice element (cell, interior grid edge, interior grid
 vertex) of an ``n1 x n2`` grid -- ``(2*n1 - 1) * (2*n2 - 1)`` buckets.
 Construction: for every object, increment every bucket whose lattice
 element intersects the object's (open) interior; afterwards negate the edge
-buckets.  By Corollary 4.1 the sum of the buckets strictly inside any
+buckets (:func:`repro.grid.lattice.lattice_sign`).  By Corollary 4.1 the
+sum of the buckets strictly inside any
 aligned region then evaluates ``V_i - E_i + F_i`` summed over all
 object/region intersection footprints, i.e. it counts one per *connected,
 hole-free* intersection region:
@@ -21,6 +22,17 @@ hole-free* intersection region:
 Queries are answered through a prefix-sum cube, making every region sum a
 constant number of lookups (Section 5.2's complexity claim).
 
+The paper states the model for d dimensions and evaluates d=2; the same
+class serves any d.  :meth:`EulerHistogram.from_boxes` builds it on a
+:class:`~repro.grid.grid_nd.GridND` (1-d interval histograms, 3-d space x
+time boxes), and the scalar region sums answer
+:class:`~repro.grid.grid_nd.BoxQuery` boxes there.  An element with ``k``
+odd lattice coordinates carries sign ``(-1)^k``, so a region sum is the
+interior Euler characteristic, 1 per convex intersection footprint, in
+every dimension.  What changes with d is the loophole: see
+:meth:`RegionSums.outside_sum`.  The batch path, the builder and the
+persisted format stay 2-d.
+
 Two construction paths are provided: the vectorised batch builder (a
 difference-array pass, ``O(M + buckets)`` for M objects) used everywhere,
 and an incremental per-object ``add``/``remove`` path on
@@ -30,88 +42,121 @@ the reference implementation the batch path is tested against.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
-from repro.cube.difference import DifferenceArray2D
+from repro.cube.difference import DifferenceArray
 from repro.cube.prefix_sum import PrefixSumCube
 from repro.datasets.base import RectDataset
 from repro.errors import SummaryCorruptError
 from repro.geometry.rect import Rect
 from repro.geometry.snapping import snap_rect, snap_rects
 from repro.grid.grid import Grid
-from repro.grid.lattice import lattice_sign_matrix
+from repro.grid.grid_nd import BoxQuery, GridND
+from repro.grid.lattice import lattice_sign
 from repro.grid.tiles_math import TileQuery, TileQueryBatch
 from repro.obs.instruments import record_persistence_event
 from repro.persistence import load_verified_npz, save_verified_npz
 
-__all__ = ["EulerHistogram", "EulerHistogramBuilder", "BatchRegionSums"]
+__all__ = ["EulerHistogram", "EulerHistogramBuilder", "RegionSums"]
 
 
-def _coerce_span_array(values: np.ndarray, name: str) -> np.ndarray:
-    """Coerce one span-corner array to the difference array's int64.
-
-    Integer arrays of any width pass through (widened losslessly);
-    float/bool/other dtypes raise a clear ``ValueError`` instead of being
-    silently truncated by a downstream ``astype`` -- a float ``2.7``
-    snapped lattice coordinate is always a caller bug, never a value to
-    round.
-    """
-    arr = np.asarray(values)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(
-            f"{name} must hold integer lattice coordinates, got dtype "
-            f"{arr.dtype}; snap spans with repro.geometry.snapping before "
-            "adding them (refusing to truncate float values)"
-        )
-    return arr.astype(np.int64, copy=False)
-
-
-class BatchRegionSums:
-    """Vectorised region-sum surface derived from a batch lattice sum.
+class RegionSums:
+    """The Section 5.2/5.3 region sums, derived from a lattice box sum.
 
     Mixin shared by :class:`EulerHistogram` and
-    :class:`~repro.euler.maintained.MaintainedEulerHistogram`: given a
-    ``lattice_range_sum_batch`` primitive plus ``grid``, ``total_sum`` and
-    ``num_objects``, it derives the batch forms of every Section-5.2/5.3
-    region sum.  Each method answers its whole batch with a constant
-    number of numpy gathers, which is what the batch estimators build on.
+    :class:`~repro.euler.maintained.MaintainedEulerHistogram`: given
+    ``lattice_range_sum(lo, hi)`` (any d) and ``lattice_range_sum_batch``
+    (2-d) plus ``grid``, ``total_sum`` and ``num_objects``, it derives
+    every region sum the estimators read.  The scalar forms take a region
+    of any dimension -- a :class:`~repro.grid.tiles_math.TileQuery` or a
+    :class:`~repro.grid.grid_nd.BoxQuery`, anything with per-axis
+    ``lo``/``hi`` cells -- in ``2^d`` lookups; the ``*_batch`` forms take
+    a 2-d :class:`~repro.grid.tiles_math.TileQueryBatch` and answer it
+    with a constant number of numpy gathers.
     """
 
-    def _interior_sum_corners(
-        self, qx_lo: np.ndarray, qx_hi: np.ndarray, qy_lo: np.ndarray, qy_hi: np.ndarray
-    ) -> np.ndarray:
-        """Batch bucket sums strictly inside cell spans (corner arrays)."""
-        return self.lattice_range_sum_batch(
-            2 * qx_lo, 2 * qx_hi - 2, 2 * qy_lo, 2 * qy_hi - 2
+    def intersect_count(self, region: TileQuery | BoxQuery) -> int:
+        """``n_ii`` of Equation 12/14: objects whose interiors intersect
+        the (open) region -- the sum of the buckets strictly inside it.
+
+        Exact for any aligned box region (each box/box intersection is
+        one convex footprint).  This is also the Beigel-Tanin Level-1
+        answer.
+        """
+        region.validate_against(self.grid)
+        return self.lattice_range_sum([2 * a for a in region.lo], [2 * b - 2 for b in region.hi])
+
+    def closed_region_sum(self, region: TileQuery | BoxQuery) -> int:
+        """Sum over the closed region: its interior plus its boundary
+        facets (clipped at the data-space boundary, which carries no
+        buckets)."""
+        region.validate_against(self.grid)
+        return self._closed_sum(region.lo, region.hi)
+
+    def outside_sum(self, region: TileQuery | BoxQuery) -> int:
+        """``n'_ei`` of Equation 15/19: the sum of all buckets outside the
+        closed region (excluding the region's boundary buckets).
+
+        Counts objects whose interiors intersect the region's exterior,
+        except that objects *crossing* it contribute 2, and an object
+        *containing* it contributes ``1 - (-1)^d``: the closed region's
+        signed sum under full coverage telescopes to ``-1`` per axis.  In
+        even d that is the paper's loophole effect (Corollary 4.2 with
+        k=2: containers contribute 0); in odd d containers are counted
+        twice instead.  :class:`~repro.euler.full.EulerApprox` solves for
+        ``N_cd`` with this parity.
+        """
+        return self.total_sum - self.closed_region_sum(region)
+
+    def contained_count(self, region: TileQuery | BoxQuery) -> int:
+        """S-EulerApprox's contains estimate for an aligned region:
+        ``N_cs = |S| - n'_ei`` (Equation 16).
+
+        Exact whenever no object contains or crosses the region -- in
+        particular for the Region-B side boxes of EulerApprox, which
+        touch the data-space boundary.
+        """
+        return self.num_objects - self.outside_sum(region)
+
+    def _closed_sum(self, lo: Sequence[int], hi: Sequence[int]) -> int:
+        """Closed-region sum of the cell span ``[lo, hi)`` per axis,
+        unvalidated.  Boundary facets on the data-space boundary have no
+        bucket and are clipped (conditionals, not ``max``/``min``: this is
+        the scalar hot path)."""
+        shape = self.grid.lattice_shape
+        return self.lattice_range_sum(
+            [2 * a - 1 if a > 0 else 0 for a in lo],
+            [2 * b - 1 if 2 * b - 1 < s else s - 1 for b, s in zip(hi, shape)],
         )
 
-    def _closed_sum_corners(
-        self, qx_lo: np.ndarray, qx_hi: np.ndarray, qy_lo: np.ndarray, qy_hi: np.ndarray
-    ) -> np.ndarray:
-        """Batch closed-region bucket sums for cell spans given as corner
-        arrays.  Degenerate spans (``hi <= lo``) yield empty lattice boxes
-        and therefore sum to 0, which the EulerApprox Region-B path relies
-        on for queries touching the data-space boundary."""
+    def _closed_sum_batch(self, lo: Sequence[np.ndarray], hi: Sequence[np.ndarray]) -> np.ndarray:
+        """Batch closed-region bucket sums for 2-d cell spans given as
+        per-axis corner arrays.  Degenerate spans at the data-space
+        boundary (``lo == hi == 0`` or ``n``) yield empty lattice boxes and
+        therefore sum to 0."""
         shape = self.grid.lattice_shape
         return self.lattice_range_sum_batch(
-            np.maximum(2 * qx_lo - 1, 0),
-            np.minimum(2 * qx_hi - 1, shape[0] - 1),
-            np.maximum(2 * qy_lo - 1, 0),
-            np.minimum(2 * qy_hi - 1, shape[1] - 1),
+            np.maximum(2 * lo[0] - 1, 0),
+            np.minimum(2 * hi[0] - 1, shape[0] - 1),
+            np.maximum(2 * lo[1] - 1, 0),
+            np.minimum(2 * hi[1] - 1, shape[1] - 1),
         )
 
     def intersect_count_batch(self, queries: TileQueryBatch) -> np.ndarray:
         """Batch ``n_ii`` (Equation 12/14): one int64 per query."""
         queries.validate_against(self.grid)
-        return self._interior_sum_corners(
-            queries.qx_lo, queries.qx_hi, queries.qy_lo, queries.qy_hi
+        return self.lattice_range_sum_batch(
+            2 * queries.qx_lo, 2 * queries.qx_hi - 2, 2 * queries.qy_lo, 2 * queries.qy_hi - 2
         )
 
     def closed_region_sum_batch(self, queries: TileQueryBatch) -> np.ndarray:
         """Batch closed-region sums (interior plus clipped boundary)."""
         queries.validate_against(self.grid)
-        return self._closed_sum_corners(
-            queries.qx_lo, queries.qx_hi, queries.qy_lo, queries.qy_hi
+        return self._closed_sum_batch(
+            (queries.qx_lo, queries.qy_lo), (queries.qx_hi, queries.qy_hi)
         )
 
     def outside_sum_batch(self, queries: TileQueryBatch) -> np.ndarray:
@@ -133,7 +178,7 @@ class EulerHistogramBuilder:
 
     def __init__(self, grid: Grid) -> None:
         self._grid = grid
-        self._diff = DifferenceArray2D(grid.lattice_shape, dtype=np.int64)
+        self._diff = DifferenceArray(grid.lattice_shape, dtype=np.int64)
         self._num_objects = 0
 
     @property
@@ -161,7 +206,7 @@ class EulerHistogramBuilder:
             )
         x_lo, x_hi, y_lo, y_hi = self._grid.rect_to_cell_units(rect)
         span = snap_rect(x_lo, x_hi, y_lo, y_hi, self._grid.n1, self._grid.n2)
-        self._diff.add_box(span.a_lo, span.a_hi, span.b_lo, span.b_hi, weight)
+        self._diff.add_boxes((span.a_lo, span.b_lo), (span.a_hi, span.b_hi), weight)
         self._num_objects += weight
 
     def add_spans(
@@ -177,39 +222,33 @@ class EulerHistogramBuilder:
 
         The maintained histogram's merge path: folds its whole pending
         delta into the accumulator with one difference-array scatter
-        (:meth:`DifferenceArray2D.add_boxes`) instead of one
-        ``add_box`` per span.  A net weight that would drive the object
-        count negative raises ``ValueError`` before the accumulator is
-        touched, like :meth:`add`.
+        (:meth:`DifferenceArray.add_boxes`) instead of one call per span.
+        A net weight that would drive the object count negative raises
+        ``ValueError`` before the accumulator is touched, like
+        :meth:`add`.
 
         Span arrays must hold integer lattice coordinates and weights
-        must be integers: any integer dtype is widened to the difference
-        array's int64, while float-typed arrays raise ``ValueError``
-        up front instead of being silently truncated.
+        must be integers: the accumulator refuses float arrays with
+        ``ValueError`` instead of silently truncating them.
         """
-        weights = _coerce_span_array(weights, "weights")
+        weights = np.asarray(weights)
         if weights.size == 0:
             return
-        a_lo = _coerce_span_array(a_lo, "a_lo")
-        a_hi = _coerce_span_array(a_hi, "a_hi")
-        b_lo = _coerce_span_array(b_lo, "b_lo")
-        b_hi = _coerce_span_array(b_hi, "b_hi")
         total = int(weights.sum())
         if self._num_objects + total < 0:
             raise ValueError(
                 f"removing a net {-total} object(s) from a builder holding "
                 f"{self._num_objects} would make the count negative"
             )
-        self._diff.add_boxes(a_lo, a_hi, b_lo, b_hi, weights)
+        self._diff.add_boxes((a_lo, b_lo), (a_hi, b_hi), weights)
         self._num_objects += total
 
     def add_dataset(self, dataset: RectDataset) -> None:
         """Vectorised bulk insert of a whole dataset.
 
-        World coordinates are snapped here; the resulting spans go
-        through the same integer-dtype coercion as :meth:`add_spans`, so
-        a snapping helper that ever regressed to float output would fail
-        loudly instead of truncating.
+        World coordinates are snapped here; the accumulator refuses
+        non-integer spans, so a snapping helper that ever regressed to
+        float output would fail loudly instead of truncating.
         """
         if len(dataset) == 0:
             return
@@ -222,12 +261,7 @@ class EulerHistogramBuilder:
             grid.n1,
             grid.n2,
         )
-        self._diff.add_boxes(
-            _coerce_span_array(a_lo, "a_lo"),
-            _coerce_span_array(a_hi, "a_hi"),
-            _coerce_span_array(b_lo, "b_lo"),
-            _coerce_span_array(b_hi, "b_hi"),
-        )
+        self._diff.add_boxes((a_lo, b_lo), (a_hi, b_hi))
         self._num_objects += len(dataset)
 
     def merge(self, other: "EulerHistogramBuilder") -> None:
@@ -254,7 +288,7 @@ class EulerHistogramBuilder:
 
     def add_partial(self, a_lo: int, b_lo: int, patch: np.ndarray, num_objects: int) -> None:
         """Paste a spilled partial accumulator (a scratch patch from
-        :meth:`DifferenceArray2D.patch` plus its object count) at lattice
+        :meth:`DifferenceArray.patch` plus its object count) at lattice
         offset ``(a_lo, b_lo)``.
 
         The disk side of the spill/merge pass: a partial that was
@@ -264,7 +298,7 @@ class EulerHistogramBuilder:
         """
         if num_objects < 0:
             raise ValueError(f"partial object count must be non-negative, got {num_objects}")
-        self._diff.add_patch(a_lo, b_lo, patch)
+        self._diff.add_patch((a_lo, b_lo), patch)
         self._num_objects += int(num_objects)
 
     def export_partial(
@@ -278,7 +312,7 @@ class EulerHistogramBuilder:
         builder's entire state and :meth:`add_partial` at ``(a_lo,
         b_lo)`` reconstructs it exactly.
         """
-        return self._diff.patch(a_lo, a_hi, b_lo, b_hi), self._num_objects
+        return self._diff.patch((a_lo, b_lo), (a_hi, b_hi)), self._num_objects
 
     @property
     def accumulator_nbytes(self) -> int:
@@ -300,20 +334,23 @@ class EulerHistogramBuilder:
                 f"{self._num_objects}; more objects were removed than added"
             )
         coverage = self._diff.materialize()
-        signed = coverage * lattice_sign_matrix(self._grid.n1, self._grid.n2)
+        signed = coverage * lattice_sign(self._grid.lattice_shape)
         return EulerHistogram(self._grid, signed, self._num_objects)
 
 
-class EulerHistogram(BatchRegionSums):
+class EulerHistogram(RegionSums):
     """Immutable, queryable Euler histogram.
 
-    Construct via :meth:`from_dataset` (the common path) or from an
-    :class:`EulerHistogramBuilder`.  Scalar region sums answer one query
-    in four lookups; the ``*_batch`` methods (from
-    :class:`BatchRegionSums`) answer whole query batches in four gathers.
+    Construct via :meth:`from_dataset` (the common path), from an
+    :class:`EulerHistogramBuilder`, or in any dimension via
+    :meth:`from_boxes`.  The region sums (from :class:`RegionSums`)
+    answer one query in ``2^d`` lookups -- four in 2-d -- and whole 2-d
+    query batches in four gathers.
     """
 
-    def __init__(self, grid: Grid, signed_buckets: np.ndarray, num_objects: int) -> None:
+    def __init__(
+        self, grid: Grid | GridND, signed_buckets: np.ndarray, num_objects: int
+    ) -> None:
         expected = grid.lattice_shape
         if signed_buckets.shape != expected:
             raise ValueError(
@@ -333,12 +370,25 @@ class EulerHistogram(BatchRegionSums):
         builder.add_dataset(dataset)
         return builder.build()
 
+    @classmethod
+    def from_boxes(cls, grid: GridND, lows: np.ndarray, highs: np.ndarray) -> "EulerHistogram":
+        """Build the histogram of ``(M, d)`` world-coordinate boxes on a
+        d-dimensional grid.
+
+        Boxes are treated as open (the shrinking convention) and snapped
+        per axis by :meth:`GridND.snap_boxes`.
+        """
+        lo, hi = grid.snap_boxes(lows, highs)
+        acc = DifferenceArray(grid.lattice_shape)
+        acc.add_boxes(lo, hi)
+        return cls(grid, acc.materialize() * lattice_sign(grid.lattice_shape), len(lo[0]))
+
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
 
     @property
-    def grid(self) -> Grid:
+    def grid(self) -> Grid | GridND:
         return self._grid
 
     @property
@@ -357,9 +407,9 @@ class EulerHistogram(BatchRegionSums):
 
     @property
     def num_buckets(self) -> int:
-        """``(2*n1 - 1) * (2*n2 - 1)``, the storage figure of Section 5.2."""
-        shape = self._grid.lattice_shape
-        return shape[0] * shape[1]
+        """``(2*n1 - 1) * (2*n2 - 1)``, the storage figure of Section 5.2
+        (``prod(2*n_k - 1)`` in d dimensions)."""
+        return math.prod(self._grid.lattice_shape)
 
     @property
     def nbytes(self) -> int:
@@ -382,63 +432,18 @@ class EulerHistogram(BatchRegionSums):
     # region sums (the primitives of Sections 5.2/5.3)
     # ------------------------------------------------------------------ #
 
-    def lattice_range_sum(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
-        """Raw inclusive lattice-box sum (empty boxes sum to 0)."""
-        return int(self._cube.range_sum_2d(a_lo, a_hi, b_lo, b_hi))
+    def lattice_range_sum(self, lo: Sequence[int], hi: Sequence[int]) -> int:
+        """Raw inclusive lattice-box sum, one bound per axis on each side
+        (empty boxes sum to 0)."""
+        return int(self._cube.range_sum(lo, hi))
 
     def lattice_range_sum_batch(
         self, a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
     ) -> np.ndarray:
-        """Raw inclusive lattice-box sums for arrays of boxes: one int64
-        per box, empty boxes summing to 0, answered with four gathers."""
+        """Raw inclusive 2-d lattice-box sums for arrays of boxes: one
+        int64 per box, empty boxes summing to 0, answered with four
+        gathers."""
         return self._cube.range_sum_2d_batch(a_lo, a_hi, b_lo, b_hi)
-
-    def intersect_count(self, region: TileQuery) -> int:
-        """``n_ii`` of Equation 12/14: objects whose interiors intersect
-        the (open) region -- the sum of the buckets strictly inside it.
-
-        Exact for any aligned rectangular region (each rectangle/rectangle
-        intersection is one hole-free region).  This is also the
-        Beigel-Tanin Level-1 answer.
-        """
-        region.validate_against(self._grid)
-        return self.lattice_range_sum(
-            2 * region.qx_lo, 2 * region.qx_hi - 2, 2 * region.qy_lo, 2 * region.qy_hi - 2
-        )
-
-    def closed_region_sum(self, region: TileQuery) -> int:
-        """Sum over the closed region: its interior plus its boundary
-        lines (clipped at the data-space boundary, which carries no
-        buckets)."""
-        region.validate_against(self._grid)
-        shape = self._grid.lattice_shape
-        return self.lattice_range_sum(
-            max(2 * region.qx_lo - 1, 0),
-            min(2 * region.qx_hi - 1, shape[0] - 1),
-            max(2 * region.qy_lo - 1, 0),
-            min(2 * region.qy_hi - 1, shape[1] - 1),
-        )
-
-    def outside_sum(self, region: TileQuery) -> int:
-        """``n'_ei`` of Equation 15/19: the sum of all buckets outside the
-        closed region (excluding the region's boundary buckets).
-
-        Counts objects whose interiors intersect the region's exterior,
-        except that objects *containing* the region contribute 0 (the
-        loophole effect, Corollary 4.2 with k=2) and objects *crossing* it
-        contribute 2.
-        """
-        return self.total_sum - self.closed_region_sum(region)
-
-    def contained_count(self, region: TileQuery) -> int:
-        """S-EulerApprox's contains estimate for an aligned region:
-        ``N_cs = |S| - n'_ei`` (Equation 16).
-
-        Exact whenever no object contains or crosses the region -- in
-        particular for the Region-B side rectangles of EulerApprox, which
-        touch the data-space boundary.
-        """
-        return self._num_objects - self.outside_sum(region)
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -539,6 +544,6 @@ class EulerHistogram(BatchRegionSums):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"EulerHistogram(grid={self._grid.n1}x{self._grid.n2}, "
+            f"EulerHistogram(grid={'x'.join(map(str, self._grid.cells))}, "
             f"objects={self._num_objects}, buckets={self.num_buckets})"
         )

@@ -28,15 +28,16 @@ and friends work unchanged -- verified in
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.datasets.base import RectDataset
 from repro.errors import SummaryCorruptError
-from repro.euler.histogram import BatchRegionSums, EulerHistogram, EulerHistogramBuilder
+from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder, RegionSums
 from repro.geometry.rect import Rect
 from repro.geometry.snapping import LatticeSpan, snap_rect
 from repro.grid.grid import Grid
-from repro.grid.tiles_math import TileQuery
 from repro.obs.instruments import record_persistence_event
 
 __all__ = ["MaintainedEulerHistogram"]
@@ -121,7 +122,7 @@ class _PendingSpans:
         return int(self._data[4, : self._n].sum())
 
 
-class MaintainedEulerHistogram(BatchRegionSums):
+class MaintainedEulerHistogram(RegionSums):
     """An Euler histogram supporting online inserts and deletes.
 
     Exposes the full scalar *and* batch query surface of
@@ -229,19 +230,19 @@ class MaintainedEulerHistogram(BatchRegionSums):
     def total_sum(self) -> int:
         return self._base.total_sum + self._pending_objects
 
-    def lattice_range_sum(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> int:
+    def lattice_range_sum(self, lo: Sequence[int], hi: Sequence[int]) -> int:
         """Inclusive lattice-box sum: base cube plus pending deltas.
 
         The delta is one broadcast over the pending-span columns (the
         axis factor is symmetric, so the scalar query plays the "span"
         argument) -- no Python loop per pending update.
         """
-        base = self._base.lattice_range_sum(a_lo, a_hi, b_lo, b_hi)
+        base = self._base.lattice_range_sum(lo, hi)
         if not len(self._pending):
             return base
         p_a_lo, p_a_hi, p_b_lo, p_b_hi, weights = self._pending.columns
-        factors = _axis_factor_batch(a_lo, a_hi, p_a_lo, p_a_hi) * _axis_factor_batch(
-            b_lo, b_hi, p_b_lo, p_b_hi
+        factors = _axis_factor_batch(lo[0], hi[0], p_a_lo, p_a_hi) * _axis_factor_batch(
+            lo[1], hi[1], p_b_lo, p_b_hi
         )
         return base + int((weights * factors).sum())
 
@@ -278,32 +279,6 @@ class MaintainedEulerHistogram(BatchRegionSums):
             sums = sums + (weights[chunk][expand] * factors).sum(axis=0)
         return sums
 
-    def intersect_count(self, region: TileQuery) -> int:
-        """Exact intersect count (n_ii), pending updates included."""
-        region.validate_against(self._grid)
-        return self.lattice_range_sum(
-            2 * region.qx_lo, 2 * region.qx_hi - 2, 2 * region.qy_lo, 2 * region.qy_hi - 2
-        )
-
-    def closed_region_sum(self, region: TileQuery) -> int:
-        """Closed-region bucket sum, pending updates included."""
-        region.validate_against(self._grid)
-        shape = self._grid.lattice_shape
-        return self.lattice_range_sum(
-            max(2 * region.qx_lo - 1, 0),
-            min(2 * region.qx_hi - 1, shape[0] - 1),
-            max(2 * region.qy_lo - 1, 0),
-            min(2 * region.qy_hi - 1, shape[1] - 1),
-        )
-
-    def outside_sum(self, region: TileQuery) -> int:
-        """n'_ei: buckets outside the closed region, updates included."""
-        return self.total_sum - self.closed_region_sum(region)
-
-    def contained_count(self, region: TileQuery) -> int:
-        """S-Euler contains estimate over the maintained state."""
-        return self.num_objects - self.outside_sum(region)
-
     def snapshot(self) -> EulerHistogram:
         """An immutable point-in-time :class:`EulerHistogram` (merges
         pending updates first)."""
@@ -337,7 +312,7 @@ class MaintainedEulerHistogram(BatchRegionSums):
                     f"{self.num_objects}"
                 )
             shape = self._grid.lattice_shape
-            full_sum = self.lattice_range_sum(0, shape[0] - 1, 0, shape[1] - 1)
+            full_sum = self.lattice_range_sum((0, 0), (shape[0] - 1, shape[1] - 1))
             if full_sum != self.num_objects:
                 raise SummaryCorruptError(
                     f"full-lattice sum {full_sum} (base + pending deltas) does not "

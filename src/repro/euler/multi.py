@@ -29,6 +29,13 @@ with area >= area(q) fits inside q"): an object can only be contained in a
 query of equal or larger area, and can only contain a query of strictly
 smaller area.  Areas are measured in unit cells, e.g. the paper's
 ``10 x 10`` threshold is ``100.0``.
+
+In d dimensions (:meth:`MEulerApprox.from_boxes`) areas become volumes in
+unit cells and the dispatch is the same, with one parity twist: for a
+query no larger than the band, containers are possible, and in odd d
+S-EulerApprox's ``N_o`` counts them twice (see
+:meth:`~repro.euler.histogram.RegionSums.outside_sum`), so that branch
+uses the parity-aware EulerApprox.  In even d the two share one ``N_o``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from repro.euler.full import EulerApprox, QueryEdge
 from repro.euler.histogram import EulerHistogram
 from repro.euler.simple import SEulerApprox
 from repro.grid.grid import Grid
+from repro.grid.grid_nd import BoxQuery, GridND
 from repro.grid.tiles_math import TileQuery, TileQueryBatch
 
 __all__ = ["MEulerApprox", "area_partition", "validate_thresholds"]
@@ -149,6 +157,27 @@ class MEulerApprox:
         self._num_objects = int(num_objects)
         return self
 
+    @classmethod
+    def from_boxes(
+        cls,
+        grid: GridND,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        area_thresholds: Sequence[float],
+    ) -> "MEulerApprox":
+        """Build from ``(M, d)`` world-coordinate boxes on a d-dimensional
+        grid, banding objects by their volume in unit cells (the ``H_0``
+        threshold is the d-dimensional unit cell, 1)."""
+        thresholds = validate_thresholds(area_thresholds)
+        lows, highs = grid.box_corners(lows, highs)
+        volumes = np.prod((highs - lows) / np.asarray(grid.cell_sizes), axis=1)
+        bins = np.digitize(volumes, thresholds[1:], right=False)
+        histograms = [
+            EulerHistogram.from_boxes(grid, lows[bins == i], highs[bins == i])
+            for i in range(len(thresholds))
+        ]
+        return cls.from_histograms(histograms, grid, thresholds, lows.shape[0])
+
     @property
     def name(self) -> str:
         return f"M-EulerApprox(m={self.num_histograms})"
@@ -181,11 +210,12 @@ class MEulerApprox:
         increased space complexity" of Section 7)."""
         return sum(h.nbytes for h in self._histograms)
 
-    def estimate(self, query: TileQuery) -> Level2Counts:
+    def estimate(self, query: TileQuery | BoxQuery) -> Level2Counts:
         """Combine per-group partial answers as described above."""
         query.validate_against(self._grid)
-        q_area = float(query.area)
+        q_area = float(query.volume)
         m = self.num_histograms
+        small = self._full if self._grid.ndim % 2 else self._simple
 
         n_d = 0.0
         n_o = 0.0
@@ -200,8 +230,9 @@ class MEulerApprox:
             band_lo = 0.0 if i == 0 else self._thresholds[i]
             band_hi = self._thresholds[i + 1] if i + 1 < m else float("inf")
             if q_area <= band_lo:
-                # Nothing in this group fits inside the query.
-                partial = self._simple[i].estimate(query)
+                # Nothing in this group fits inside the query; containers
+                # may exist, so odd d needs EulerApprox's N_o.
+                partial = small[i].estimate(query)
                 n_cs_i = 0.0
             elif q_area >= band_hi:
                 # Nothing in this group can contain the query.

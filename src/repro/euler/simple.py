@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.euler.estimates import Level2Counts, Level2CountsBatch
 from repro.euler.histogram import EulerHistogram
+from repro.grid.grid_nd import BoxQuery
 from repro.grid.tiles_math import TileQuery, TileQueryBatch
 
 __all__ = ["SEulerApprox"]
@@ -41,8 +42,9 @@ class SEulerApprox:
     def histogram(self) -> EulerHistogram:
         return self._hist
 
-    def estimate(self, query: TileQuery) -> Level2Counts:
-        """Estimate the Level-2 counts for one aligned query.
+    def estimate(self, query: TileQuery | BoxQuery) -> Level2Counts:
+        """Estimate the Level-2 counts for one aligned query, of any
+        dimension.
 
         ``n_cd`` is identically 0 by the algorithm's assumption.  ``n_o``
         may come out negative when that assumption is violated badly (each

@@ -12,7 +12,6 @@ vectorised per-query :class:`ExactEvaluator` and the O(M) whole-tiling
 
 from repro.exact.continuous import ContinuousExactEvaluator
 from repro.exact.evaluator import ExactEvaluator
-from repro.exact.evaluator_nd import ExactEvaluatorND
 from repro.exact.reconstruction import reconstruct_1d, reconstruct_2d
 from repro.exact.storage import exact_contains_bucket_count, exact_contains_storage_bytes
 from repro.exact.store import ExactContainsStore1D, ExactLevel2Store2D
@@ -20,7 +19,6 @@ from repro.exact.tiling import TilingCounts, exact_tiling_counts
 
 __all__ = [
     "ExactEvaluator",
-    "ExactEvaluatorND",
     "ContinuousExactEvaluator",
     "TilingCounts",
     "exact_tiling_counts",

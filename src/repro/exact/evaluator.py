@@ -6,12 +6,15 @@ every approximation is scored against, and (run over a whole tile set) the
 reference the O(M) tiling evaluator is cross-tested with.
 
 Lattice-span predicates (see :mod:`repro.geometry.snapping` for why these
-are exactly the open-object/closed-query semantics):
+are exactly the open-object/closed-query semantics), on every axis:
 
-- interiors intersect:  ``a_lo <= 2*qx_hi - 2  and  a_hi >= 2*qx_lo`` (+ y)
-- object within query:  ``a_lo >= 2*qx_lo  and  a_hi <= 2*qx_hi - 2`` (+ y)
-- object covers query:  ``a_lo <= 2*qx_lo - 1  and  a_hi >= 2*qx_hi - 1``
-  (+ y), i.e. the object's footprint covers the query's boundary lines.
+- interiors intersect:  ``a_lo <= 2*qx_hi - 2  and  a_hi >= 2*qx_lo``
+- object within query:  ``a_lo >= 2*qx_lo  and  a_hi <= 2*qx_hi - 2``
+- object covers query:  ``a_lo <= 2*qx_lo - 1  and  a_hi >= 2*qx_hi - 1``,
+  i.e. the object's footprint covers the query's boundary lines.
+
+The scalar path serves any dimension (:meth:`ExactEvaluator.from_boxes`
+on a :class:`~repro.grid.grid_nd.GridND`); the batch paths are 2-d.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.datasets.base import RectDataset
 from repro.euler.estimates import Level2Counts, Level2CountsBatch
 from repro.geometry.snapping import snap_rects
 from repro.grid.grid import Grid
+from repro.grid.grid_nd import BoxQuery, GridND
 from repro.grid.tiles_math import TileQuery, TileQueryBatch
 
 __all__ = ["ExactEvaluator"]
@@ -45,7 +49,7 @@ class ExactEvaluator:
     def __init__(self, dataset: RectDataset, grid: Grid) -> None:
         self._grid = grid
         self._num_objects = len(dataset)
-        self._a_lo, self._a_hi, self._b_lo, self._b_hi = snap_rects(
+        a_lo, a_hi, b_lo, b_hi = snap_rects(
             grid.to_cell_units_x(dataset.x_lo),
             grid.to_cell_units_x(dataset.x_hi),
             grid.to_cell_units_y(dataset.y_lo),
@@ -53,48 +57,53 @@ class ExactEvaluator:
             grid.n1,
             grid.n2,
         )
+        #: Snapped lattice spans, one column per axis on each side.
+        self._lo, self._hi = (a_lo, b_lo), (a_hi, b_hi)
+
+    @classmethod
+    def from_boxes(cls, grid: GridND, lows: np.ndarray, highs: np.ndarray) -> "ExactEvaluator":
+        """Exact counts for ``(M, d)`` world-coordinate boxes on a
+        d-dimensional grid, snapped like :meth:`EulerHistogram.from_boxes`
+        (:meth:`GridND.snap_boxes`).  Only the scalar path answers d != 2."""
+        self = cls.__new__(cls)
+        self._grid = grid
+        self._lo, self._hi = grid.snap_boxes(lows, highs)
+        self._num_objects = len(self._lo[0])
+        return self
 
     @property
     def name(self) -> str:
         return "Exact"
 
     @property
-    def grid(self) -> Grid:
+    def grid(self) -> Grid | GridND:
         return self._grid
 
     @property
     def num_objects(self) -> int:
         return self._num_objects
 
-    def masks(self, query: TileQuery) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def masks(
+        self, query: TileQuery | BoxQuery
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Boolean object masks ``(intersects, within, covers)`` for one
         query -- the building blocks of :meth:`estimate`, exposed for tests
         and for drill-down use (e.g. listing the objects behind a tile)."""
         query.validate_against(self._grid)
-        ax_lo, ax_hi = 2 * query.qx_lo, 2 * query.qx_hi - 2
-        bx_lo, bx_hi = 2 * query.qy_lo, 2 * query.qy_hi - 2
-
-        intersects = (
-            (self._a_lo <= ax_hi)
-            & (self._a_hi >= ax_lo)
-            & (self._b_lo <= bx_hi)
-            & (self._b_hi >= bx_lo)
-        )
-        within = (
-            (self._a_lo >= ax_lo)
-            & (self._a_hi <= ax_hi)
-            & (self._b_lo >= bx_lo)
-            & (self._b_hi <= bx_hi)
-        )
-        covers = (
-            (self._a_lo <= 2 * query.qx_lo - 1)
-            & (self._a_hi >= 2 * query.qx_hi - 1)
-            & (self._b_lo <= 2 * query.qy_lo - 1)
-            & (self._b_hi >= 2 * query.qy_hi - 1)
-        )
+        # In-place ANDs: no temporary per predicate on the O(M) scan.
+        intersects = np.ones(self._num_objects, dtype=bool)
+        within = intersects.copy()
+        covers = intersects.copy()
+        for lo, hi, q_lo, q_hi in zip(self._lo, self._hi, query.lo, query.hi):
+            intersects &= lo <= 2 * q_hi - 2
+            intersects &= hi >= 2 * q_lo
+            within &= lo >= 2 * q_lo
+            within &= hi <= 2 * q_hi - 2
+            covers &= lo <= 2 * q_lo - 1
+            covers &= hi >= 2 * q_hi - 1
         return intersects, within, covers
 
-    def estimate(self, query: TileQuery) -> Level2Counts:
+    def estimate(self, query: TileQuery | BoxQuery) -> Level2Counts:
         """Exact counts (the estimator protocol's method name is kept so
         the exact evaluator can stand in anywhere an estimator is used)."""
         intersects, within, covers = self.masks(query)
@@ -127,10 +136,10 @@ class ExactEvaluator:
         n_int = np.empty(n, dtype=np.int64)
         n_cs = np.empty(n, dtype=np.int64)
         n_cd = np.empty(n, dtype=np.int64)
-        a_lo = self._a_lo[:, None]
-        a_hi = self._a_hi[:, None]
-        b_lo = self._b_lo[:, None]
-        b_hi = self._b_hi[:, None]
+        a_lo = self._lo[0][:, None]
+        a_hi = self._hi[0][:, None]
+        b_lo = self._lo[1][:, None]
+        b_hi = self._hi[1][:, None]
         for start in range(0, n, chunk):
             sl = slice(start, min(start + chunk, n))
             ax_lo = 2 * queries.qx_lo[None, sl]
@@ -206,10 +215,10 @@ class ExactEvaluator:
         sizes = np.array([ev._num_objects for ev in evaluators], dtype=np.intp)
         offsets = np.zeros(len(evaluators), dtype=np.intp)
         np.cumsum(sizes[:-1], out=offsets[1:])
-        a_lo = np.concatenate([ev._a_lo for ev in evaluators])[:, None]
-        a_hi = np.concatenate([ev._a_hi for ev in evaluators])[:, None]
-        b_lo = np.concatenate([ev._b_lo for ev in evaluators])[:, None]
-        b_hi = np.concatenate([ev._b_hi for ev in evaluators])[:, None]
+        a_lo = np.concatenate([ev._lo[0] for ev in evaluators])[:, None]
+        a_hi = np.concatenate([ev._hi[0] for ev in evaluators])[:, None]
+        b_lo = np.concatenate([ev._lo[1] for ev in evaluators])[:, None]
+        b_hi = np.concatenate([ev._hi[1] for ev in evaluators])[:, None]
 
         n = len(queries)
         total = max(int(sizes.sum()), 1)

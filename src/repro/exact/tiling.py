@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cube.difference import DifferenceArray2D
+from repro.cube.difference import DifferenceArray
 from repro.datasets.base import RectDataset
 from repro.euler.estimates import Level2Counts
 from repro.geometry.snapping import snap_rects
@@ -114,15 +114,13 @@ def exact_tiling_counts(dataset: RectDataset, grid: Grid, tile_w: int, tile_h: i
     cell_lo_y, cell_hi_y = b_lo // 2, b_hi // 2
 
     # intersect: the object's cell block, mapped to tiles.
-    intersect_acc = DifferenceArray2D(shape)
-    intersect_acc.add_boxes(
-        cell_lo_x // tile_w, cell_hi_x // tile_w, cell_lo_y // tile_h, cell_hi_y // tile_h
-    )
+    tx_lo, tx_hi = cell_lo_x // tile_w, cell_hi_x // tile_w
+    ty_lo, ty_hi = cell_lo_y // tile_h, cell_hi_y // tile_h
+    intersect_acc = DifferenceArray(shape)
+    intersect_acc.add_boxes((tx_lo, ty_lo), (tx_hi, ty_hi))
     n_intersect = intersect_acc.materialize()
 
     # within: objects whose block is a single tile on both axes.
-    tx_lo, tx_hi = cell_lo_x // tile_w, cell_hi_x // tile_w
-    ty_lo, ty_hi = cell_lo_y // tile_h, cell_hi_y // tile_h
     one_tile = (tx_lo == tx_hi) & (ty_lo == ty_hi)
     n_cs = np.bincount(
         tx_lo[one_tile] * tiles_y + ty_lo[one_tile], minlength=tiles_x * tiles_y
@@ -132,9 +130,9 @@ def exact_tiling_counts(dataset: RectDataset, grid: Grid, tile_w: int, tile_h: i
     cx_lo, cx_hi = _covered_tile_range(cell_lo_x, cell_hi_x, tile_w)
     cy_lo, cy_hi = _covered_tile_range(cell_lo_y, cell_hi_y, tile_h)
     covering = (cx_lo <= cx_hi) & (cy_lo <= cy_hi)
-    n_cd_acc = DifferenceArray2D(shape)
+    n_cd_acc = DifferenceArray(shape)
     if np.any(covering):
-        n_cd_acc.add_boxes(cx_lo[covering], cx_hi[covering], cy_lo[covering], cy_hi[covering])
+        n_cd_acc.add_boxes((cx_lo[covering], cy_lo[covering]), (cx_hi[covering], cy_hi[covering]))
     n_cd = n_cd_acc.materialize()
 
     n_o = n_intersect - n_cs - n_cd

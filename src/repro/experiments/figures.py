@@ -15,6 +15,7 @@ import numpy as np
 from repro.experiments.config import MULTI_THRESHOLD_SCHEDULES, Workbench
 from repro.experiments.runner import estimate_tiling, tiling_errors
 from repro.exact.storage import storage_comparison_row
+from repro.grid.tiles_math import TileQueryBatch
 from repro.metrics.errors import scatter_points
 from repro.metrics.timing import time_query_batch
 from repro.workloads.tiles import query_set
@@ -240,6 +241,9 @@ def fig19_query_times(
     (a) S-EulerApprox vs EulerApprox vs M-EulerApprox(2);
     (b) M-EulerApprox for m = 2..5 -- the paper's observation is that all
     curves essentially coincide (index computation dominates).
+
+    Each set is answered as one :class:`~repro.grid.tiles_math.TileQueryBatch`
+    through ``estimate_batch``, the path that serves browse rasters.
     """
     estimators = {
         "S-EulerApprox": bench.s_euler(dataset),
@@ -252,11 +256,11 @@ def fig19_query_times(
     seconds: dict[str, dict[int, float]] = {label: {} for label in estimators}
     num_queries: dict[int, int] = {}
     for n in bench.config.query_sizes:
-        queries = query_set(bench.grid, n)
+        queries = TileQueryBatch.from_queries(query_set(bench.grid, n))
         num_queries[n] = len(queries)
         for label, estimator in estimators.items():
             seconds[label][n] = time_query_batch(
-                estimator.estimate, queries, repeats=repeats
+                estimator.estimate_batch, [queries], repeats=repeats
             )
     return TimingResult(figure="Figure 19", seconds=seconds, num_queries=num_queries)
 

@@ -4,7 +4,7 @@ from repro.grid.grid import Grid
 from repro.grid.grid_nd import BoxQuery, GridND
 from repro.grid.lattice import (
     lattice_shape,
-    lattice_sign_matrix,
+    lattice_sign,
     query_boundary_slice,
     query_interior_slice,
 )
@@ -18,7 +18,7 @@ __all__ = [
     "TileQueryBatch",
     "aligned_query_cells",
     "lattice_shape",
-    "lattice_sign_matrix",
+    "lattice_sign",
     "query_interior_slice",
     "query_boundary_slice",
 ]

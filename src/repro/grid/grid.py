@@ -68,6 +68,16 @@ class Grid:
         return self.n1 * self.n2
 
     @property
+    def cells(self) -> tuple[int, int]:
+        """Per-axis cell counts ``(n1, n2)``, as on
+        :class:`~repro.grid.grid_nd.GridND`."""
+        return (self.n1, self.n2)
+
+    @property
+    def ndim(self) -> int:
+        return 2
+
+    @property
     def lattice_shape(self) -> tuple[int, int]:
         """Shape of the Euler-histogram bucket array:
         ``(2*n1 - 1, 2*n2 - 1)``."""

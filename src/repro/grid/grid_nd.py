@@ -4,8 +4,10 @@ The paper develops its model for d-dimensional hyper-rectangles (Section
 3: "Let S be a set of d-dimensional objects and R^d a hyper-rectangle that
 encloses all the objects"), and evaluates at d=2.  :class:`GridND` is the
 d-dimensional sibling of :class:`repro.grid.grid.Grid`, carrying one
-``(lo, hi, cells)`` triple per axis; it backs the d-dimensional Euler
-histogram of :mod:`repro.euler.histogram_nd`.
+``(lo, hi, cells)`` triple per axis.  The Euler histogram, its estimators
+and the exact evaluator take one through their ``from_boxes``
+constructors and answer :class:`BoxQuery` boxes with the same code that
+answers 2-d :class:`~repro.grid.tiles_math.TileQuery` tiles.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from repro.geometry.snapping import snap_axis_arrays
 
 __all__ = ["GridND", "BoxQuery"]
 
@@ -76,6 +80,35 @@ class GridND:
         """World coordinates -> cell units on one axis."""
         size = self.cell_sizes[axis]
         return (np.asarray(values, dtype=np.float64) - self.lows[axis]) / size
+
+    def box_corners(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Validate world-coordinate box corners as two ``(M, d)`` float
+        arrays, raising ``ValueError`` on any other shape."""
+        lows = np.asarray(lows, dtype=np.float64)
+        highs = np.asarray(highs, dtype=np.float64)
+        if lows.ndim != 2 or lows.shape[1] != self.ndim or lows.shape != highs.shape:
+            raise ValueError(
+                f"expected (M, {self.ndim}) corner arrays, got {lows.shape} / {highs.shape}"
+            )
+        return lows, highs
+
+    def snap_boxes(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Snap ``(M, d)`` world-coordinate boxes to lattice spans: one
+        ``lo`` and one ``hi`` int64 array per axis.
+
+        Boxes are treated as open (the shrinking convention), snapped per
+        axis with :func:`repro.geometry.snapping.snap_axis_arrays`.
+        """
+        lows, highs = self.box_corners(lows, highs)
+        spans = [
+            snap_axis_arrays(
+                self.to_cell_units(k, lows[:, k]), self.to_cell_units(k, highs[:, k]), n
+            )
+            for k, n in enumerate(self.cells)
+        ]
+        return tuple(lo for lo, _ in spans), tuple(hi for _, hi in spans)
 
 
 @dataclass(frozen=True)

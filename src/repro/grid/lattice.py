@@ -1,20 +1,22 @@
 """Lattice index algebra for the Euler histogram bucket array.
 
-The Euler histogram is a 2-d array of shape ``(2*n1 - 1, 2*n2 - 1)`` indexed
-by lattice coordinates (see :mod:`repro.geometry.snapping` for the
-coordinate system).  This module centralises the index arithmetic used when
-reading the histogram:
+The Euler histogram is an array of shape ``(2*n_k - 1)`` per axis -- in 2-d
+``(2*n1 - 1, 2*n2 - 1)`` -- indexed by lattice coordinates (see
+:mod:`repro.geometry.snapping` for the coordinate system).  This module
+centralises the index arithmetic used when reading the histogram:
 
 - :func:`query_interior_slice` -- the buckets strictly inside an aligned
   query (used for ``n_ii``, Equation 12/14),
 - :func:`query_boundary_slice` -- the buckets of the *closed* query region
   including its boundary lines (the complement of this region is "outside
   the query" for ``n_ei``, Equation 13/15),
-- :func:`lattice_sign_matrix` -- the ``+1 / -1`` pattern that negates edge
-  buckets (the histogram inversion step of Section 5.1).
+- :func:`lattice_sign` -- the ``+1 / -1`` pattern that negates edge
+  buckets (the histogram inversion step of Section 5.1), in any dimension.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from repro.grid.tiles_math import TileQuery
 
 __all__ = [
     "lattice_shape",
-    "lattice_sign_matrix",
+    "lattice_sign",
     "query_interior_slice",
     "query_boundary_slice",
 ]
@@ -35,20 +37,23 @@ def lattice_shape(n1: int, n2: int) -> tuple[int, int]:
     return (2 * n1 - 1, 2 * n2 - 1)
 
 
-def lattice_sign_matrix(n1: int, n2: int) -> np.ndarray:
-    """The edge-negation pattern of Section 5.1 as a ``+1/-1`` int8 array.
+def lattice_sign(shape: Sequence[int]) -> np.ndarray:
+    """The edge-negation pattern of Section 5.1 as a ``+1/-1`` int8 array
+    over a lattice of the given shape, in any dimension.
 
-    Lattice element ``(a, b)`` is a face when both coordinates are even, a
-    vertex when both are odd, and an edge when exactly one is odd.  Faces
-    and vertices carry ``+1`` and edges ``-1``, so that summing a region of
-    the histogram evaluates ``V_i - E_i + F_i`` (Corollary 4.1).
+    An element with ``k`` odd lattice coordinates is a codimension-``k``
+    face of the grid's cell complex and carries ``(-1)^k``.  In 2-d, cells
+    (both coordinates even) and vertices (both odd) carry ``+1`` and edges
+    ``-1``, so that summing a region of the histogram evaluates
+    ``V_i - E_i + F_i`` (Corollary 4.1); in 3-d cells and edges are ``+``,
+    faces and vertices ``-``.  Every dimension sums to 1 over the whole
+    lattice: the interior Euler characteristic of one grid block.
     """
-    shape = lattice_shape(n1, n2)
-    a = np.arange(shape[0])[:, None] % 2
-    b = np.arange(shape[1])[None, :] % 2
-    # XOR of parities: 1 exactly for edges.
-    edge = (a ^ b).astype(np.int8)
-    return (1 - 2 * edge).astype(np.int8)
+    sign = np.ones((), dtype=np.int8)
+    for axis, size in enumerate(shape):
+        axis_sign = (1 - 2 * (np.arange(size) % 2)).astype(np.int8)
+        sign = sign * axis_sign.reshape([-1 if k == axis else 1 for k in range(len(shape))])
+    return sign
 
 
 def query_interior_slice(query: TileQuery) -> tuple[slice, slice]:

@@ -54,6 +54,22 @@ class TileQuery:
         """Query area in unit cells (``area(Q)`` in Section 5.4)."""
         return self.width * self.height
 
+    @property
+    def lo(self) -> tuple[int, int]:
+        """Per-axis first covered cell, as on
+        :class:`~repro.grid.grid_nd.BoxQuery`."""
+        return (self.qx_lo, self.qy_lo)
+
+    @property
+    def hi(self) -> tuple[int, int]:
+        """Per-axis end of the covered cells (exclusive)."""
+        return (self.qx_hi, self.qy_hi)
+
+    @property
+    def volume(self) -> int:
+        """The query's size in unit cells: its :attr:`area`."""
+        return self.area
+
     def validate_against(self, grid: Grid) -> None:
         """Raise when the query pokes outside ``grid``."""
         if self.qx_hi > grid.n1 or self.qy_hi > grid.n2:

@@ -50,7 +50,7 @@ class ZonePartial:
     """Accumulated state clipped to the bounding box of its spans.
 
     ``patch`` is a difference-domain scratch patch (see
-    :meth:`repro.cube.difference.DifferenceArray2D.patch`); pasting it at
+    :meth:`repro.cube.difference.DifferenceArray.patch`); pasting it at
     lattice offset ``(a_lo, b_lo)`` via
     :meth:`EulerHistogramBuilder.add_partial` replays its updates
     exactly.  A spilled partial holds one ``zone``; the one an

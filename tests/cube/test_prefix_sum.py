@@ -32,6 +32,15 @@ class TestBasics:
         assert cube.range_sum((2, 2), (1, 3)) == 0
         assert cube.range_sum_2d(2, 1, 0, 3) == 0
 
+    def test_empty_axis_wins_over_bounds_on_any_axis(self):
+        """A box empty on any axis sums to 0 before any bound is checked,
+        whichever axis is empty, in 2-d (like ``range_sum_2d``) and 3-d."""
+        cube = PrefixSumCube(np.arange(12).reshape(3, 4))
+        assert cube.range_sum((-1, 2), (1, 1)) == 0 == cube.range_sum_2d(-1, 1, 2, 1)
+        cube3 = PrefixSumCube(np.ones((2, 3, 4), dtype=np.int64))
+        assert cube3.range_sum((-1, 2, 0), (1, 1, 2)) == 0
+        assert cube3.range_sum((0, 2, -5), (1, 1, 9)) == 0
+
     def test_out_of_bounds_raises(self):
         cube = PrefixSumCube(np.arange(12).reshape(3, 4))
         with pytest.raises(IndexError):

@@ -1,14 +1,12 @@
-"""Tests for the d-dimensional EulerApprox and its parity algebra."""
+"""Tests for EulerApprox in d dimensions and its parity algebra."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.base import RectDataset
 from repro.euler.full import EulerApprox, QueryEdge
-from repro.euler.full_nd import EulerApproxND
 from repro.euler.histogram import EulerHistogram
-from repro.euler.histogram_nd import EulerHistogramND
-from repro.exact.evaluator_nd import ExactEvaluatorND
+from repro.exact.evaluator import ExactEvaluator
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.grid_nd import BoxQuery, GridND
@@ -37,17 +35,18 @@ def _random_query(rng, grid):
 
 class TestTwoDEquivalence:
     def test_matches_specialised_euler_approx(self, rng):
-        """At d=2 with the low-x facet, EulerApproxND must equal the 2-d
-        EulerApprox with QueryEdge.LEFT, query for query."""
+        """At d=2 with the low-x facet, EulerApprox over a GridND build
+        must equal it over the 2-d build with QueryEdge.LEFT, query for
+        query."""
         grid_nd = GridND.unit_cells([8, 6])
         grid_2d = Grid(Rect(0.0, 8.0, 0.0, 6.0), 8, 6)
         data = random_dataset(rng, grid_2d, 150, degenerate_fraction=0.2)
-        hist_nd = EulerHistogramND.from_boxes(
+        hist_nd = EulerHistogram.from_boxes(
             grid_nd,
             np.column_stack([data.x_lo, data.y_lo]),
             np.column_stack([data.x_hi, data.y_hi]),
         )
-        nd = EulerApproxND(hist_nd, axis=0, low_side=True)
+        nd = EulerApprox(hist_nd, QueryEdge.LEFT)
         reference = EulerApprox(EulerHistogram.from_dataset(data, grid_2d), QueryEdge.LEFT)
         for _ in range(30):
             q = _random_query(rng, grid_nd)
@@ -58,12 +57,12 @@ class TestTwoDEquivalence:
         grid_nd = GridND.unit_cells([8, 6])
         grid_2d = Grid(Rect(0.0, 8.0, 0.0, 6.0), 8, 6)
         data = random_dataset(rng, grid_2d, 100)
-        hist_nd = EulerHistogramND.from_boxes(
+        hist_nd = EulerHistogram.from_boxes(
             grid_nd,
             np.column_stack([data.x_lo, data.y_lo]),
             np.column_stack([data.x_hi, data.y_hi]),
         )
-        nd = EulerApproxND(hist_nd, axis=1, low_side=True)
+        nd = EulerApprox(hist_nd, QueryEdge.BOTTOM)
         reference = EulerApprox(EulerHistogram.from_dataset(data, grid_2d), QueryEdge.BOTTOM)
         for _ in range(20):
             q = _random_query(rng, grid_nd)
@@ -78,8 +77,8 @@ class TestParityAlgebra:
         d = len(cells)
         lows = np.full((1, d), 0.5)
         highs = np.array([[n - 0.5 for n in cells]])
-        hist = EulerHistogramND.from_boxes(grid, lows, highs)
-        estimator = EulerApproxND(hist)
+        hist = EulerHistogram.from_boxes(grid, lows, highs)
+        estimator = EulerApprox(hist)
         center = tuple(n // 2 for n in cells)
         q = BoxQuery(lo=center, hi=tuple(c + 1 for c in center))
         counts = estimator.estimate(q)
@@ -98,9 +97,9 @@ class TestParityAlgebra:
         lows = np.vstack([lows, big_lo])
         highs = np.vstack([highs, big_hi])
 
-        hist = EulerHistogramND.from_boxes(grid, lows, highs)
-        estimator = EulerApproxND(hist)
-        exact = ExactEvaluatorND(grid, lows, highs)
+        hist = EulerHistogram.from_boxes(grid, lows, highs)
+        estimator = EulerApprox(hist)
+        exact = ExactEvaluator.from_boxes(grid, lows, highs)
         for _ in range(10):
             q = _random_query(rng, grid)
             truth = exact.estimate(q)
@@ -112,18 +111,19 @@ class TestParityAlgebra:
                 assert counts.n_cd == pytest.approx(truth.n_cd)
 
     def test_axis_validation(self):
-        grid = GridND.unit_cells([4, 4])
-        hist = EulerHistogramND.from_boxes(grid, np.zeros((0, 2)), np.zeros((0, 2)))
-        with pytest.raises(ValueError, match="axis"):
-            EulerApproxND(hist, axis=2)
+        grid = GridND.unit_cells([4])
+        hist = EulerHistogram.from_boxes(grid, np.zeros((0, 1)), np.zeros((0, 1)))
+        for edge in (QueryEdge.BOTTOM, QueryEdge.TOP):
+            with pytest.raises(ValueError, match="axis"):
+                EulerApprox(hist, edge)
 
     def test_high_side_band(self, rng):
         grid = GridND.unit_cells([6, 6])
         lows, highs = _random_boxes(rng, grid, 50)
-        hist = EulerHistogramND.from_boxes(grid, lows, highs)
-        low = EulerApproxND(hist, axis=0, low_side=True)
-        high = EulerApproxND(hist, axis=0, low_side=False)
-        exact = ExactEvaluatorND(grid, lows, highs)
+        hist = EulerHistogram.from_boxes(grid, lows, highs)
+        low = EulerApprox(hist, QueryEdge.LEFT)
+        high = EulerApprox(hist, QueryEdge.RIGHT)
+        exact = ExactEvaluator.from_boxes(grid, lows, highs)
         for _ in range(10):
             q = _random_query(rng, grid)
             truth = exact.estimate(q)
@@ -134,5 +134,5 @@ class TestParityAlgebra:
 
     def test_name(self):
         grid = GridND.unit_cells([4, 4, 4])
-        hist = EulerHistogramND.from_boxes(grid, np.zeros((0, 3)), np.zeros((0, 3)))
-        assert EulerApproxND(hist).name == "EulerApprox3D"
+        hist = EulerHistogram.from_boxes(grid, np.zeros((0, 3)), np.zeros((0, 3)))
+        assert EulerApprox(hist).name == "EulerApprox"

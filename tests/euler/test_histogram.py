@@ -187,7 +187,7 @@ class TestRegionSums:
 
     def test_empty_lattice_range_sums_zero(self, grid):
         hist = EulerHistogram.from_dataset(_dataset(grid, [Rect(1.0, 2.0, 1.0, 2.0)]), grid)
-        assert hist.lattice_range_sum(5, 4, 0, 3) == 0
+        assert hist.lattice_range_sum((5, 0), (4, 3)) == 0
 
 
 class TestDegenerateObjects:

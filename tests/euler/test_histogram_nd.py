@@ -1,4 +1,5 @@
-"""Tests for the d-dimensional Euler histogram against brute force."""
+"""Tests for the Euler histogram in 1, 3 and 4 dimensions against brute
+force, and for its agreement with the 2-d build path."""
 
 import itertools
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.euler.histogram import EulerHistogram
-from repro.euler.histogram_nd import EulerHistogramND, SEulerApproxND, _sign_array
+from repro.euler.simple import SEulerApprox
 from repro.datasets.base import RectDataset
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.grid_nd import BoxQuery, GridND
+from repro.grid.lattice import lattice_sign
 from repro.grid.tiles_math import TileQuery
 
 
@@ -50,12 +52,13 @@ def _brute_counts(lows, highs, grid: GridND, query: BoxQuery):
 
 class TestSignArray:
     def test_2d_matches_lattice_sign_matrix(self):
-        from repro.grid.lattice import lattice_sign_matrix
-
-        np.testing.assert_array_equal(_sign_array((7, 5)), lattice_sign_matrix(4, 3))
+        # Section 5.1's 2-d pattern: edges (one odd coordinate) negated.
+        a = np.arange(7)[:, None] % 2
+        b = np.arange(5)[None, :] % 2
+        np.testing.assert_array_equal(lattice_sign((7, 5)), 1 - 2 * (a ^ b))
 
     def test_3d_alternation(self):
-        sign = _sign_array((3, 3, 3))
+        sign = lattice_sign((3, 3, 3))
         assert sign[0, 0, 0] == 1   # cell
         assert sign[1, 0, 0] == -1  # face
         assert sign[1, 1, 0] == 1   # edge
@@ -65,7 +68,7 @@ class TestSignArray:
         # Interior Euler characteristic of the full grid block is 1 in
         # any dimension.
         for shape in [(5,), (5, 7), (3, 5, 7), (3, 3, 3, 3)]:
-            assert int(_sign_array(shape).sum()) == 1
+            assert int(lattice_sign(shape).sum()) == 1
 
 
 class TestAgainstBruteForce:
@@ -74,7 +77,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(42)
         grid = GridND.unit_cells(cells)
         lows, highs = _random_boxes(rng, grid, 80)
-        hist = EulerHistogramND.from_boxes(grid, lows, highs)
+        hist = EulerHistogram.from_boxes(grid, lows, highs)
         assert hist.total_sum == 80
 
         for _ in range(20):
@@ -96,7 +99,7 @@ class TestAgainstBruteForce:
             lo = rng.uniform(0.0, grid.cells[k] - 0.9, size=m)
             lows[:, k] = lo
             highs[:, k] = lo + rng.uniform(0.0, 0.9, size=m)
-        estimator = SEulerApproxND(EulerHistogramND.from_boxes(grid, lows, highs))
+        estimator = SEulerApprox(EulerHistogram.from_boxes(grid, lows, highs))
 
         for _ in range(15):
             lo = tuple(int(rng.integers(0, n)) for n in cells)
@@ -114,7 +117,7 @@ class TestAgainstBruteForce:
         grid_nd = GridND.unit_cells([6, 4])
         grid_2d = Grid(Rect(0.0, 6.0, 0.0, 4.0), 6, 4)
         lows, highs = _random_boxes(rng, grid_nd, 100)
-        hist_nd = EulerHistogramND.from_boxes(grid_nd, lows, highs)
+        hist_nd = EulerHistogram.from_boxes(grid_nd, lows, highs)
         data = RectDataset(lows[:, 0], highs[:, 0], lows[:, 1], highs[:, 1], grid_2d.extent)
         hist_2d = EulerHistogram.from_dataset(data, grid_2d)
 
@@ -150,7 +153,7 @@ class TestLoopholeInHigherDimensions:
         d = len(cells)
         lows = np.full((1, d), 0.5)
         highs = np.array([[n - 0.5 for n in cells]])
-        hist = EulerHistogramND.from_boxes(grid, lows, highs)
+        hist = EulerHistogram.from_boxes(grid, lows, highs)
         center = tuple(n // 2 for n in cells)
         q = BoxQuery(lo=center, hi=tuple(c + 1 for c in center))
         assert hist.intersect_count(q) == 1
@@ -161,15 +164,15 @@ class TestValidation:
     def test_shape_mismatch(self):
         grid = GridND.unit_cells([4, 4])
         with pytest.raises(ValueError, match="lattice"):
-            EulerHistogramND(grid, np.zeros((3, 3)), 0)
+            EulerHistogram(grid, np.zeros((3, 3)), 0)
 
     def test_bad_corner_arrays(self):
         grid = GridND.unit_cells([4, 4])
         with pytest.raises(ValueError, match="corner arrays"):
-            EulerHistogramND.from_boxes(grid, np.zeros((3, 3)), np.zeros((3, 3)))
+            EulerHistogram.from_boxes(grid, np.zeros((3, 3)), np.zeros((3, 3)))
 
     def test_name(self):
         grid = GridND.unit_cells([4, 4, 4])
-        hist = EulerHistogramND.from_boxes(grid, np.zeros((0, 3)), np.zeros((0, 3)))
-        assert SEulerApproxND(hist).name == "S-EulerApprox3D"
+        hist = EulerHistogram.from_boxes(grid, np.zeros((0, 3)), np.zeros((0, 3)))
+        assert SEulerApprox(hist).name == "S-EulerApprox"
         assert hist.num_buckets == 7 * 7 * 7

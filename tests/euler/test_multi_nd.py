@@ -1,14 +1,13 @@
-"""Tests for the d-dimensional M-EulerApprox."""
+"""Tests for M-EulerApprox in d dimensions."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.base import RectDataset
-from repro.euler.full_nd import EulerApproxND
-from repro.euler.histogram_nd import EulerHistogramND
+from repro.euler.full import EulerApprox
+from repro.euler.histogram import EulerHistogram
 from repro.euler.multi import MEulerApprox
-from repro.euler.multi_nd import MEulerApproxND
-from repro.exact.evaluator_nd import ExactEvaluatorND
+from repro.exact.evaluator import ExactEvaluator
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.grid_nd import BoxQuery, GridND
@@ -38,7 +37,7 @@ def test_2d_matches_specialised_m_euler(rng):
     grid_nd = GridND.unit_cells([8, 6])
     grid_2d = Grid(Rect(0.0, 8.0, 0.0, 6.0), 8, 6)
     data = random_dataset(rng, grid_2d, 150, degenerate_fraction=0.2)
-    nd = MEulerApproxND(
+    nd = MEulerApprox.from_boxes(
         grid_nd,
         np.column_stack([data.x_lo, data.y_lo]),
         np.column_stack([data.x_hi, data.y_hi]),
@@ -52,12 +51,7 @@ def test_2d_matches_specialised_m_euler(rng):
         q2 = TileQuery(q.lo[0], q.hi[0], q.lo[1], q.hi[1])
         nd_counts = nd.estimate(q)
         ref_counts = reference.estimate(q2)
-        # 2-d simple/full share one N_o equation, so the only dispatch
-        # difference (case 1 using full) is invisible: exact agreement.
-        assert nd_counts.n_d == ref_counts.n_d
-        assert nd_counts.n_o == pytest.approx(ref_counts.n_o)
-        assert nd_counts.n_cs == pytest.approx(ref_counts.n_cs)
-        assert nd_counts.n_cd == pytest.approx(ref_counts.n_cd)
+        assert nd_counts == ref_counts
 
 
 def test_3d_containers_and_smalls(rng):
@@ -68,8 +62,8 @@ def test_3d_containers_and_smalls(rng):
     lows = np.vstack([small_lo, big_lo])
     highs = np.vstack([small_hi, big_hi])
 
-    multi = MEulerApproxND(grid, lows, highs, [1.0, 27.0])
-    exact = ExactEvaluatorND(grid, lows, highs)
+    multi = MEulerApprox.from_boxes(grid, lows, highs, [1.0, 27.0])
+    exact = ExactEvaluator.from_boxes(grid, lows, highs)
     q = BoxQuery(lo=(2, 2, 2), hi=(4, 4, 4))  # volume 8 < 27
     truth = exact.estimate(q)
     counts = multi.estimate(q)
@@ -82,8 +76,8 @@ def test_3d_containers_and_smalls(rng):
 def test_3d_invariants_on_random_queries(rng):
     grid = GridND.unit_cells([5, 4, 6])
     lows, highs = _random_boxes(rng, grid, 80)
-    multi = MEulerApproxND(grid, lows, highs, [1.0, 8.0, 64.0])
-    exact = ExactEvaluatorND(grid, lows, highs)
+    multi = MEulerApprox.from_boxes(grid, lows, highs, [1.0, 8.0, 64.0])
+    exact = ExactEvaluator.from_boxes(grid, lows, highs)
     for _ in range(15):
         q = _random_query(rng, grid)
         truth = exact.estimate(q)
@@ -95,8 +89,8 @@ def test_3d_invariants_on_random_queries(rng):
 def test_m1_equals_full_nd(rng):
     grid = GridND.unit_cells([5, 5, 5])
     lows, highs = _random_boxes(rng, grid, 60)
-    multi = MEulerApproxND(grid, lows, highs, [1.0])
-    single = EulerApproxND(EulerHistogramND.from_boxes(grid, lows, highs))
+    multi = MEulerApprox.from_boxes(grid, lows, highs, [1.0])
+    single = EulerApprox(EulerHistogram.from_boxes(grid, lows, highs))
     for _ in range(15):
         q = _random_query(rng, grid)
         assert multi.estimate(q) == single.estimate(q)
@@ -105,10 +99,10 @@ def test_m1_equals_full_nd(rng):
 def test_validation(rng):
     grid = GridND.unit_cells([4, 4])
     with pytest.raises(ValueError, match="corner arrays"):
-        MEulerApproxND(grid, np.zeros((3, 3)), np.zeros((3, 3)), [1.0])
+        MEulerApprox.from_boxes(grid, np.zeros((3, 3)), np.zeros((3, 3)), [1.0])
     with pytest.raises(ValueError, match="unit cell"):
-        MEulerApproxND(grid, np.zeros((0, 2)), np.zeros((0, 2)), [2.0])
-    multi = MEulerApproxND(grid, np.zeros((0, 2)), np.zeros((0, 2)), [1.0, 4.0])
-    assert multi.name == "M-EulerApprox2D(m=2)"
-    assert multi.volume_thresholds == (1.0, 4.0)
+        MEulerApprox.from_boxes(grid, np.zeros((0, 2)), np.zeros((0, 2)), [2.0])
+    multi = MEulerApprox.from_boxes(grid, np.zeros((0, 2)), np.zeros((0, 2)), [1.0, 4.0])
+    assert multi.name == "M-EulerApprox(m=2)"
+    assert multi.area_thresholds == (1.0, 4.0)
     assert multi.num_objects == 0

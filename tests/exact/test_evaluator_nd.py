@@ -1,12 +1,11 @@
-"""Tests for the d-dimensional exact evaluator."""
+"""Tests for the exact evaluator in d dimensions."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.base import RectDataset
 from repro.exact.evaluator import ExactEvaluator
-from repro.exact.evaluator_nd import ExactEvaluatorND
-from repro.euler.histogram_nd import EulerHistogramND
+from repro.euler.histogram import EulerHistogram
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.grid_nd import BoxQuery, GridND
@@ -30,7 +29,7 @@ def test_2d_agrees_with_specialised_evaluator(rng):
     grid_nd = GridND.unit_cells([8, 6])
     grid_2d = Grid(Rect(0.0, 8.0, 0.0, 6.0), 8, 6)
     data = random_dataset(rng, grid_2d, 150, degenerate_fraction=0.2)
-    nd = ExactEvaluatorND(
+    nd = ExactEvaluator.from_boxes(
         grid_nd,
         np.column_stack([data.x_lo, data.y_lo]),
         np.column_stack([data.x_hi, data.y_hi]),
@@ -45,8 +44,8 @@ def test_2d_agrees_with_specialised_evaluator(rng):
 def test_3d_intersect_matches_histogram(rng):
     grid = GridND.unit_cells([5, 4, 6])
     lows, highs = _random_boxes(rng, grid, 120)
-    evaluator = ExactEvaluatorND(grid, lows, highs)
-    hist = EulerHistogramND.from_boxes(grid, lows, highs)
+    evaluator = ExactEvaluator.from_boxes(grid, lows, highs)
+    hist = EulerHistogram.from_boxes(grid, lows, highs)
     for _ in range(25):
         lo = tuple(int(rng.integers(0, n)) for n in grid.cells)
         hi = tuple(int(rng.integers(a + 1, n + 1)) for a, n in zip(lo, grid.cells))
@@ -57,7 +56,7 @@ def test_3d_intersect_matches_histogram(rng):
 def test_counts_partition(rng):
     grid = GridND.unit_cells([4, 4, 4])
     lows, highs = _random_boxes(rng, grid, 60)
-    evaluator = ExactEvaluatorND(grid, lows, highs)
+    evaluator = ExactEvaluator.from_boxes(grid, lows, highs)
     q = BoxQuery(lo=(1, 1, 1), hi=(3, 3, 3))
     counts = evaluator.estimate(q)
     assert counts.total == 60
@@ -67,7 +66,7 @@ def test_counts_partition(rng):
 def test_full_space_query(rng):
     grid = GridND.unit_cells([4, 4, 4])
     lows, highs = _random_boxes(rng, grid, 40)
-    evaluator = ExactEvaluatorND(grid, lows, highs)
+    evaluator = ExactEvaluator.from_boxes(grid, lows, highs)
     counts = evaluator.estimate(BoxQuery(lo=(0, 0, 0), hi=(4, 4, 4)))
     assert counts.n_cs == 40
 
@@ -75,8 +74,8 @@ def test_full_space_query(rng):
 def test_validation(rng):
     grid = GridND.unit_cells([4, 4])
     with pytest.raises(ValueError, match="corner arrays"):
-        ExactEvaluatorND(grid, np.zeros((5, 3)), np.zeros((5, 3)))
-    evaluator = ExactEvaluatorND(grid, np.zeros((0, 2)), np.zeros((0, 2)))
+        ExactEvaluator.from_boxes(grid, np.zeros((5, 3)), np.zeros((5, 3)))
+    evaluator = ExactEvaluator.from_boxes(grid, np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError):
         evaluator.estimate(BoxQuery(lo=(0, 0), hi=(5, 4)))
-    assert evaluator.name == "Exact2D"
+    assert evaluator.name == "Exact"

@@ -5,7 +5,7 @@ import pytest
 
 from repro.grid.lattice import (
     lattice_shape,
-    lattice_sign_matrix,
+    lattice_sign,
     query_boundary_slice,
     query_interior_slice,
 )
@@ -27,12 +27,12 @@ class TestLatticeShape:
 
 class TestSignMatrix:
     def test_pattern_3x3(self):
-        signs = lattice_sign_matrix(2, 2)
+        signs = lattice_sign((3, 3))
         expected = np.array([[1, -1, 1], [-1, 1, -1], [1, -1, 1]], dtype=np.int8)
         np.testing.assert_array_equal(signs, expected)
 
     def test_faces_and_vertices_positive_edges_negative(self):
-        signs = lattice_sign_matrix(4, 3)
+        signs = lattice_sign((7, 5))
         assert (signs[::2, ::2] == 1).all()    # faces
         assert (signs[1::2, 1::2] == 1).all()  # vertices
         assert (signs[1::2, ::2] == -1).all()  # vertical-line edges
@@ -42,7 +42,7 @@ class TestSignMatrix:
         # V - E + F over the full interior lattice of an n1 x n2 region is
         # 1 (Corollary 4.1 applied to the whole data space).
         for n1, n2 in [(1, 1), (2, 3), (5, 4), (7, 7)]:
-            assert int(lattice_sign_matrix(n1, n2).sum()) == 1
+            assert int(lattice_sign(lattice_shape(n1, n2)).sum()) == 1
 
 
 class TestSlices:

@@ -40,8 +40,7 @@ def _crossover_count(evaluator: ExactEvaluator, query) -> int:
     """Objects that span the query along exactly one axis while lying
     strictly inside the query's open span along the other: the only
     footprint shape whose exterior intersection has two pieces."""
-    a_lo, a_hi = evaluator._a_lo, evaluator._a_hi
-    b_lo, b_hi = evaluator._b_lo, evaluator._b_hi
+    (a_lo, b_lo), (a_hi, b_hi) = evaluator._lo, evaluator._hi
 
     spans_x = (a_lo <= 2 * query.qx_lo - 1) & (a_hi >= 2 * query.qx_hi - 1)
     spans_y = (b_lo <= 2 * query.qy_lo - 1) & (b_hi >= 2 * query.qy_hi - 1)
