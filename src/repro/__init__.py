@@ -21,106 +21,123 @@ Quickstart::
     print(estimator.estimate(tile), exact.estimate(tile))
 """
 
-from repro.baselines import (
-    BeigelTaninIntersect,
-    CellCountHistogram,
-    CumulativeDensity,
-    MinskewHistogram,
-)
-from repro.browse import (
-    AttributeCatalog,
-    BrowseResult,
-    CircuitBreaker,
-    DeltaSource,
-    DeltaTracker,
-    FallbackChain,
-    GeoBrowsingService,
-    PyramidSource,
-    ResilientBrowsingService,
-    RetryPolicy,
-)
-from repro.cache import CacheKey, TileResultCache
-from repro.datasets import (
-    DATASET_NAMES,
-    RectDataset,
-    adl_like,
-    by_name,
-    ca_road_like,
-    sp_skew,
-    sz_skew,
-)
-from repro.euler import (
-    EulerApprox,
-    EulerHistogram,
-    EulerHistogramBuilder,
-    HistogramPyramid,
-    Level2BatchEstimator,
-    Level2Counts,
-    Level2CountsBatch,
-    Level2Estimator,
-    MaintainedEulerHistogram,
-    MEulerApprox,
-    QueryEdge,
-    SEulerApprox,
-    UnalignedEstimator,
-    as_batch_estimator,
-    tune_area_thresholds,
-)
-from repro.exact import (
-    ContinuousExactEvaluator,
-    ExactContainsStore1D,
-    ExactEvaluator,
-    ExactLevel2Store2D,
-    exact_contains_bucket_count,
-    exact_contains_storage_bytes,
-    exact_tiling_counts,
-)
-from repro.errors import (
-    BrowseError,
-    CatalogAlignmentError,
-    DeadlineExceededError,
-    EstimatorFailedError,
-    InvalidRegionError,
-    OverloadedError,
-    SummaryCorruptError,
-    TenantQuotaExceededError,
-)
-from repro.gateway import (
-    AdmissionController,
-    Gateway,
-    GatewayResponse,
-    GatewayServer,
-    ServiceTimeWindow,
-    TenantCatalog,
-    TileRequest,
-)
-from repro.geometry import (
-    Level1Relation,
-    Level2Relation,
-    Level3Relation,
-    Polygon,
-    Polyline,
-    Rect,
-    dataset_from_geometries,
-)
-from repro.grid import BoxQuery, Grid, GridND, TileQuery, TileQueryBatch, aligned_query_cells
-from repro.index import GridBucketIndex
-from repro.ingest import (
-    SyntheticChunkSource,
-    ZoneMap,
-    build_zoned,
-    open_chunk_source,
-)
-from repro.joins import JoinSearchEngine, JoinSearchResult, JoinSketch, SummaryCatalog
-from repro.metrics import average_relative_error
-from repro.selectivity import SelectivityEstimator, SpatialQueryPlanner
-from repro.workloads import (
-    PAPER_QUERY_SET_SIZES,
-    browsing_tile_batch,
-    browsing_tiles,
-    generate_catalog_sources,
-    paper_query_sets,
-    query_set,
+from repro._exports import lazy_exports
+
+# Each public name is imported from its subpackage on first use, so that
+# importing one submodule (a spawned build worker imports
+# ``repro.ingest.worker``) does not load the whole library.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines": (
+            "BeigelTaninIntersect",
+            "CellCountHistogram",
+            "CumulativeDensity",
+            "MinskewHistogram",
+        ),
+        "repro.browse": (
+            "AttributeCatalog",
+            "BrowseResult",
+            "CircuitBreaker",
+            "DeltaSource",
+            "DeltaTracker",
+            "FallbackChain",
+            "GeoBrowsingService",
+            "PyramidSource",
+            "ResilientBrowsingService",
+            "RetryPolicy",
+        ),
+        "repro.cache": ("CacheKey", "TileResultCache"),
+        "repro.datasets": (
+            "DATASET_NAMES",
+            "RectDataset",
+            "adl_like",
+            "by_name",
+            "ca_road_like",
+            "sp_skew",
+            "sz_skew",
+        ),
+        "repro.euler": (
+            "EulerApprox",
+            "EulerHistogram",
+            "EulerHistogramBuilder",
+            "HistogramPyramid",
+            "Level2BatchEstimator",
+            "Level2Counts",
+            "Level2CountsBatch",
+            "Level2Estimator",
+            "MaintainedEulerHistogram",
+            "MEulerApprox",
+            "QueryEdge",
+            "SEulerApprox",
+            "UnalignedEstimator",
+            "as_batch_estimator",
+            "tune_area_thresholds",
+        ),
+        "repro.exact": (
+            "ContinuousExactEvaluator",
+            "ExactContainsStore1D",
+            "ExactEvaluator",
+            "ExactLevel2Store2D",
+            "exact_contains_bucket_count",
+            "exact_contains_storage_bytes",
+            "exact_tiling_counts",
+        ),
+        "repro.errors": (
+            "BrowseError",
+            "CatalogAlignmentError",
+            "DeadlineExceededError",
+            "EstimatorFailedError",
+            "InvalidRegionError",
+            "OverloadedError",
+            "SummaryCorruptError",
+            "TenantQuotaExceededError",
+        ),
+        "repro.gateway": (
+            "AdmissionController",
+            "Gateway",
+            "GatewayResponse",
+            "GatewayServer",
+            "ServiceTimeWindow",
+            "TenantCatalog",
+            "TileRequest",
+        ),
+        "repro.geometry": (
+            "Level1Relation",
+            "Level2Relation",
+            "Level3Relation",
+            "Polygon",
+            "Polyline",
+            "Rect",
+            "dataset_from_geometries",
+        ),
+        "repro.grid": (
+            "BoxQuery",
+            "Grid",
+            "GridND",
+            "TileQuery",
+            "TileQueryBatch",
+            "aligned_query_cells",
+        ),
+        "repro.index": ("GridBucketIndex",),
+        "repro.ingest": (
+            "SyntheticChunkSource",
+            "ZoneMap",
+            "build_zoned",
+            "open_chunk_source",
+        ),
+        "repro.joins": ("JoinSearchEngine", "JoinSearchResult", "JoinSketch", "SummaryCatalog"),
+        "repro.metrics": ("average_relative_error",),
+        "repro.selectivity": ("SelectivityEstimator", "SpatialQueryPlanner"),
+        "repro.workloads": (
+            "PAPER_QUERY_SET_SIZES",
+            "browsing_tile_batch",
+            "browsing_tiles",
+            "generate_catalog_sources",
+            "paper_query_sets",
+            "query_set",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

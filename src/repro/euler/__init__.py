@@ -22,27 +22,34 @@ states its model for d dimensions and evaluates d=2); the batch paths are
 :class:`~repro.euler.full.EulerApprox`.
 """
 
-from repro.euler.base import (
-    Level2BatchEstimator,
-    Level2Estimator,
-    ScalarBatchFallback,
-    as_batch_estimator,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.euler.base": (
+            "Level2BatchEstimator",
+            "Level2Estimator",
+            "ScalarBatchFallback",
+            "as_batch_estimator",
+        ),
+        "repro.euler.estimates": ("Level2Counts", "Level2CountsBatch"),
+        "repro.euler.euler_formula": (
+            "euler_characteristic",
+            "interior_counts",
+            "region_euler_sum",
+        ),
+        "repro.euler.exterior": ("ExteriorHistogram",),
+        "repro.euler.full": ("EulerApprox", "QueryEdge"),
+        "repro.euler.histogram": ("EulerHistogram", "EulerHistogramBuilder", "RegionSums"),
+        "repro.euler.maintained": ("MaintainedEulerHistogram",),
+        "repro.euler.multi": ("MEulerApprox", "area_partition"),
+        "repro.euler.pyramid": ("HistogramPyramid", "pyramid_level_grids"),
+        "repro.euler.simple": ("SEulerApprox",),
+        "repro.euler.tuning": ("TuningResult", "tune_area_thresholds"),
+        "repro.euler.unaligned": ("RelationEnvelope", "UnalignedEstimator"),
+    },
 )
-from repro.euler.estimates import Level2Counts, Level2CountsBatch
-from repro.euler.euler_formula import (
-    euler_characteristic,
-    interior_counts,
-    region_euler_sum,
-)
-from repro.euler.exterior import ExteriorHistogram
-from repro.euler.full import EulerApprox, QueryEdge
-from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder, RegionSums
-from repro.euler.maintained import MaintainedEulerHistogram
-from repro.euler.multi import MEulerApprox, area_partition
-from repro.euler.pyramid import HistogramPyramid, pyramid_level_grids
-from repro.euler.simple import SEulerApprox
-from repro.euler.tuning import TuningResult, tune_area_thresholds
-from repro.euler.unaligned import RelationEnvelope, UnalignedEstimator
 
 __all__ = [
     "EulerHistogram",

@@ -201,14 +201,17 @@ class EulerApprox:
         n_cs_b = hist.num_objects - (total - hist._closed_sum(*region_b)) if has_b else 0
         return n_i_a + n_cs_b
 
-    def contained_in_query_estimate(self, query: TileQuery | BoxQuery) -> float:
-        """The ``N_cd`` estimate alone (Equation 21)."""
-        n_ei_prime = self._hist.outside_sum(query)
+    def _contained_estimate(self, query: TileQuery | BoxQuery, n_ei_prime: int) -> float:
+        """``N_cd`` (Equation 21) given the query's ``n'_ei``."""
         singles = [
             float(self._contained(self._split_sum(query, edge), n_ei_prime))
             for edge in self._edges
         ]
         return sum(singles) / len(singles)
+
+    def contained_in_query_estimate(self, query: TileQuery | BoxQuery) -> float:
+        """The ``N_cd`` estimate alone (Equation 21)."""
+        return self._contained_estimate(query, self._hist.outside_sum(query))
 
     def estimate(self, query: TileQuery | BoxQuery) -> Level2Counts:
         """Estimate the Level-2 counts for one aligned query."""
@@ -218,7 +221,7 @@ class EulerApprox:
         n_ei_prime = self._hist.outside_sum(query)
 
         n_d = float(n_total - n_ii)
-        n_cd = self.contained_in_query_estimate(query)
+        n_cd = self._contained_estimate(query, n_ei_prime)
         n_o = self._overlap(n_ei_prime, n_d, n_cd)
         n_cs = float(n_total) - n_cd - n_d - n_o
         return Level2Counts(n_d=n_d, n_cs=n_cs, n_cd=n_cd, n_o=n_o)
@@ -248,20 +251,25 @@ class EulerApprox:
         n_cs_b = np.where(has_b, hist.num_objects - (total - hist._closed_sum_batch(*region_b)), 0)
         return n_i_a + n_cs_b
 
-    def contained_in_query_estimate_batch(self, queries: TileQueryBatch) -> np.ndarray:
-        """Batch ``N_cd`` estimates (Equation 21), one float64 per query."""
-        n_ei_prime = self._hist.outside_sum_batch(queries)
+    def _contained_estimate_batch(
+        self, queries: TileQueryBatch, n_ei_prime: np.ndarray
+    ) -> np.ndarray:
+        """Batch ``N_cd`` (Equation 21) given the batch's ``n'_ei``."""
         acc = np.zeros(len(queries), dtype=np.float64)
         for edge in self._edges:
             split = self._split_sum_batch(queries, edge)
             acc = acc + self._contained(split, n_ei_prime).astype(np.float64)
         return acc / len(self._edges)
 
+    def contained_in_query_estimate_batch(self, queries: TileQueryBatch) -> np.ndarray:
+        """Batch ``N_cd`` estimates (Equation 21), one float64 per query."""
+        return self._contained_estimate_batch(queries, self._hist.outside_sum_batch(queries))
+
     def estimate_batch(self, queries: TileQueryBatch) -> Level2CountsBatch:
         """Vectorised :meth:`estimate` over a 2-d query batch.
 
         A constant number of batched gathers regardless of batch size
-        (five region sums for a single-edge split, eleven for ``ALL``);
+        (four region sums for a single-edge split, ten for ``ALL``);
         per-query values are bit-identical to the scalar path.
         """
         queries.validate_against(self._hist.grid)
@@ -270,7 +278,7 @@ class EulerApprox:
         n_ei_prime = self._hist.outside_sum_batch(queries)
 
         n_d = (n_total - n_ii).astype(np.float64)
-        n_cd = self.contained_in_query_estimate_batch(queries)
+        n_cd = self._contained_estimate_batch(queries, n_ei_prime)
         n_o = self._overlap(n_ei_prime, n_d, n_cd)
         n_cs = float(n_total) - n_cd - n_d - n_o
         return Level2CountsBatch(n_d=n_d, n_cs=n_cs, n_cd=n_cd, n_o=n_o)

@@ -491,7 +491,17 @@ class EulerHistogram(RegionSums):
         """Persist to a compressed ``.npz``: the signed buckets plus grid
         metadata, stamped with a CRC-32 checksum so corruption is caught
         at load.  A browsing service builds once, ships the file, and
-        serves queries from the loaded copy."""
+        serves queries from the loaded copy.
+
+        The format holds a 2-d :class:`~repro.grid.grid.Grid`'s extent and
+        cells; a histogram on any other grid (a
+        :class:`~repro.grid.grid_nd.GridND` from :meth:`from_boxes`, even a
+        2-d one) raises ``ValueError`` before anything is written."""
+        if not isinstance(self._grid, Grid):
+            raise ValueError(
+                f"cannot save a histogram on a {type(self._grid).__name__}: "
+                "the persisted format holds a 2-d Grid's extent and cells"
+            )
         save_verified_npz(
             path,
             {

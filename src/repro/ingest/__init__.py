@@ -9,18 +9,25 @@ histograms bit-identical to an in-memory build: replayable chunk sources
 :func:`~repro.ingest.pipeline.build_zoned`.  See DESIGN.md section 17.
 """
 
-from repro.ingest.accumulator import ZoneAccumulator, ZonePartial, load_zone_partial
-from repro.ingest.chunks import (
-    ChunkSource,
-    DatasetChunkSource,
-    NdjsonChunkSource,
-    NpyChunkSource,
-    SyntheticChunkSource,
-    open_chunk_source,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ingest.accumulator": ("ZoneAccumulator", "ZonePartial", "load_zone_partial"),
+        "repro.ingest.chunks": (
+            "ChunkSource",
+            "DatasetChunkSource",
+            "NdjsonChunkSource",
+            "NpyChunkSource",
+            "SyntheticChunkSource",
+            "open_chunk_source",
+        ),
+        "repro.ingest.pipeline": ("IngestReport", "ZonedBuildResult", "build_zoned"),
+        "repro.ingest.pool": ("IngestWorkerError", "ZoneBuildPool", "ZonePoolResult"),
+        "repro.ingest.zones": ("CURVES", "ZoneMap", "hilbert_keys", "morton_keys"),
+    },
 )
-from repro.ingest.pipeline import IngestReport, ZonedBuildResult, build_zoned
-from repro.ingest.pool import IngestWorkerError, ZoneBuildPool, ZonePoolResult
-from repro.ingest.zones import CURVES, ZoneMap, hilbert_keys, morton_keys
 
 __all__ = [
     "CURVES",

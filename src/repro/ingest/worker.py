@@ -28,7 +28,11 @@ order-independent, so the workers' partials merge bit-identically to a
 single-builder build no matter how chunks were dealt.
 
 This module must stay importable with no side effects: ``spawn`` workers
-re-import it by qualified name.
+re-import it by qualified name.  The package inits on that import path
+(``repro``, ``repro.ingest``, ``repro.euler``) must stay lazy as well, so
+that every worker of every pooled build loads only the modules this loop
+runs, not the serving, search or evaluation layers;
+``tests/ingest/test_worker_imports.py`` holds that closure.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ workload layers, which the lightweight metric hooks (used from the
 persistence layer) must not.
 """
 
+from repro._exports import lazy_exports
 from repro.obs.export import (
     parse_prometheus_text,
     samples_from_json,
@@ -61,10 +62,4 @@ __all__ = [
     "to_text",
 ]
 
-
-def __getattr__(name: str):
-    if name == "AccuracyProbe":
-        from repro.obs.accuracy import AccuracyProbe
-
-        return AccuracyProbe
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, {"repro.obs.accuracy": ("AccuracyProbe",)})

@@ -146,3 +146,26 @@ def flip_npz_member_byte(path: str | os.PathLike, member: str) -> None:
     start = info.header_offset + 30 + name_len + extra_len
     raw[start + info.compress_size // 2] ^= 0xFF
     path.write_bytes(raw)
+
+
+def fresh_interpreter_json(code: str):
+    """Run ``code`` in a fresh Python interpreter that imports this
+    checkout's ``repro`` and return the JSON it prints: what a spawned
+    process sees, with nothing this test session imported."""
+    import json
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return json.loads(out.stdout)

@@ -7,6 +7,7 @@ from repro.euler.histogram import EulerHistogram
 from repro.euler.simple import SEulerApprox
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
+from repro.grid.grid_nd import GridND
 
 from tests.conftest import random_dataset, random_query
 
@@ -51,6 +52,21 @@ def test_empty_histogram_roundtrip(grid, tmp_path):
     loaded = EulerHistogram.load(path)
     assert loaded.num_objects == 0
     assert loaded.total_sum == 0
+
+
+@pytest.mark.parametrize("cells", [(4, 4, 4), (8, 10)])
+def test_save_refuses_a_gridnd_histogram_before_writing(cells, rng, tmp_path):
+    """The format holds a 2-d Grid's extent and cells: a ``from_boxes``
+    histogram on a GridND, even a 2-d one, is refused by its grid's type
+    and leaves no file behind."""
+    grid = GridND.unit_cells(cells)
+    lows = rng.uniform(0.0, 2.0, size=(30, len(cells)))
+    highs = lows + rng.uniform(0.5, 2.0, size=(30, len(cells)))
+    hist = EulerHistogram.from_boxes(grid, lows, highs)
+    path = tmp_path / "hist.npz"
+    with pytest.raises(ValueError, match="GridND"):
+        hist.save(path)
+    assert not path.exists()
 
 
 class TestIntegrityVerification:
