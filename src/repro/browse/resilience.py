@@ -92,6 +92,7 @@ from repro.errors import (
     InvalidRegionError,
 )
 from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
+from repro.euler.estimates import RELATION_FIELDS
 from repro.euler.pyramid import HistogramPyramid
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
@@ -112,15 +113,6 @@ __all__ = [
     "ResilientBrowsingService",
     "RetryPolicy",
 ]
-
-#: Browsable relation name -> Level2Counts field.
-RELATION_FIELDS: dict[str, str] = {
-    "contains": "n_cs",
-    "contained": "n_cd",
-    "overlap": "n_o",
-    "disjoint": "n_d",
-    "intersect": "n_intersect",
-}
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ import argparse
 import sys
 import time
 
-from repro.browse.service import GeoBrowsingService, RELATION_FIELDS
 from repro.datasets import DATASET_NAMES, RectDataset, by_name
 from repro.errors import SummaryCorruptError
+from repro.euler.estimates import RELATION_FIELDS
 from repro.euler.histogram import EulerHistogram
 from repro.euler.simple import SEulerApprox
 from repro.geometry.rect import Rect
@@ -522,6 +522,7 @@ def _cmd_build_zoned(args: argparse.Namespace) -> int:
 
 def _cmd_browse(args: argparse.Namespace) -> int:
     from repro.browse.delta import DeltaTracker
+    from repro.browse.service import GeoBrowsingService
     from repro.cache import TileResultCache
     from repro.obs import BrowseInstrumentation
 

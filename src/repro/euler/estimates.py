@@ -6,7 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Level2Counts", "Level2CountsBatch"]
+__all__ = ["RELATION_FIELDS", "Level2Counts", "Level2CountsBatch"]
+
+#: Browsable relation name -> :class:`Level2Counts` field.
+RELATION_FIELDS: dict[str, str] = {
+    "contains": "n_cs",
+    "contained": "n_cd",
+    "overlap": "n_o",
+    "disjoint": "n_d",
+    "intersect": "n_intersect",
+}
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,28 +4,43 @@ The heart of bounded-memory construction: a :class:`ZoneAccumulator`
 owns one :class:`~repro.euler.histogram.EulerHistogramBuilder` per zone
 it has seen spans for, charges their difference-array footprints against
 a byte budget, and when the budget is exceeded spills the
-least-recently-touched zones to disk as :class:`ZonePartial` files.
+least-recently-touched zones to disk as :class:`ZonePartial` records.
 :meth:`ZoneAccumulator.finish` folds everything the accumulator holds --
-its live zones, then its own spill files -- into one partial, so every
-build participant hands back exactly one partial and no spill file
-outlives the accumulator that wrote it.
+its live zones, then its own spill records -- into one partial, so every
+build participant hands back exactly one partial and no spill outlives
+the accumulator that wrote it.
 
 A spilled partial is the builder's scratch clipped to the bounding box
 of the spans it actually received (plus the difference array's
 past-the-end row/column).  Each object touches only four corners of it,
-so the file keeps just the patch's nonzero entries -- flat positions and
-values, with the patch shape, offset, object count and grid identity --
-inside the repo's CRC-32 ``.npz`` envelope (:mod:`repro.persistence`): a
-corrupt or mismatched spill fails loudly when it is folded instead of
-silently skewing counts.  Difference-domain addition is linear and
-int64-exact, so folding every partial of every zone into one builder
-reproduces the accumulator's state bit-for-bit no matter how many times
-a zone was spilled.
+so a spill keeps just the patch's nonzero entries.  It is one flat
+record appended to the accumulator's one spill log,
+``<spill_dir>/<label>.spill`` (:func:`spill_log_path`):
+
+- a fixed header (:data:`RECORD_HEADER`): magic and version, zone,
+  patch offset ``(a_lo, b_lo)``, patch shape ``(rows, cols)``, object
+  count, entry count, the grid's cells ``(n1, n2)`` and its extent;
+- the entries' flat positions in the patch, then their values, each as
+  raw int64;
+- a uint32 CRC-32 over every preceding byte of the record.
+
+Spilling a record is one write at the end of the log and folding it is
+one read: no archive directory, compression or member headers.  Byte
+order is native: a record is read back only by the process that wrote
+it, since every participant folds its own log and no spill crosses a
+process boundary.  :func:`load_zone_partial` checks everything a record
+claims, so a truncated, corrupt or mismatched spill fails loudly when it
+is folded instead of silently skewing counts.  Difference-domain
+addition is linear and int64-exact, so folding every partial of every
+zone into one builder reproduces the accumulator's state bit-for-bit no
+matter how many times a zone was spilled.
 """
 
 from __future__ import annotations
 
 import os
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +48,31 @@ import numpy as np
 from repro.errors import SummaryCorruptError
 from repro.euler.histogram import EulerHistogramBuilder
 from repro.grid.grid import Grid
-from repro.persistence import load_verified_npz, save_verified_npz
+from repro.obs.instruments import record_persistence_event
 
-__all__ = ["ALL_ZONES", "ZoneAccumulator", "ZonePartial", "load_zone_partial"]
+__all__ = ["ALL_ZONES", "ZoneAccumulator", "ZonePartial", "load_zone_partial", "spill_log_path"]
 
-#: ``kind`` stamped into spill files' persistence envelope.
+#: ``kind`` of the ``repro_persistence_ops_total`` events spills record.
 SPILL_KIND = "zone partial"
 
 #: ``zone`` of the partial :meth:`ZoneAccumulator.finish` hands back: it
 #: folds every zone its accumulator saw.
 ALL_ZONES = -1
+
+#: Spill record header, native byte order, no padding: magic, version,
+#: zone, a_lo, b_lo, rows, cols, num_objects, entries, n1, n2, then the
+#: grid extent (x_lo, x_hi, y_lo, y_hi).
+RECORD_HEADER = struct.Struct("=4sI9q4d")
+RECORD_MAGIC = b"ZSPL"
+RECORD_VERSION = 1
+#: The CRC-32 that closes a record.
+RECORD_TRAILER = struct.Struct("=I")
+
+
+def spill_log_path(spill_dir: str | os.PathLike, label: str) -> str:
+    """The spill log of the accumulator labelled ``label``: the one file
+    it appends spills to, and the one a pool deletes for a lost worker."""
+    return os.path.join(os.fspath(spill_dir), f"{label}.spill")
 
 
 @dataclass(frozen=True)
@@ -70,89 +100,105 @@ class ZonePartial:
     def nbytes(self) -> int:
         return int(self.patch.nbytes)
 
-    def save(self, path: str | os.PathLike, grid: Grid) -> None:
-        """Persist the patch's nonzero entries with the CRC-32 envelope
-        plus the grid identity, so a merge against the wrong grid is
-        caught at load."""
+    def to_record(self, grid: Grid) -> bytes:
+        """This partial as one spill record (see the module docstring):
+        the patch's nonzero entries plus the grid identity, so a fold
+        against the wrong grid is caught at load."""
         flat = np.ravel(self.patch)
-        positions = np.flatnonzero(flat)
-        save_verified_npz(
-            path,
-            {
-                "zone": np.int64(self.zone),
-                "offset": np.array([self.a_lo, self.b_lo], dtype=np.int64),
-                "shape": np.array(self.patch.shape, dtype=np.int64),
-                "positions": positions,
-                "values": flat[positions],
-                "num_objects": np.int64(self.num_objects),
-                "cells": np.array([grid.n1, grid.n2], dtype=np.int64),
-                "extent": np.array(grid.extent.as_tuple(), dtype=np.float64),
-            },
-            kind=SPILL_KIND,
+        positions = np.flatnonzero(flat).astype(np.int64, copy=False)
+        values = np.ascontiguousarray(flat[positions], dtype=np.int64)
+        rows, cols = self.patch.shape
+        header = RECORD_HEADER.pack(
+            RECORD_MAGIC,
+            RECORD_VERSION,
+            self.zone,
+            self.a_lo,
+            self.b_lo,
+            rows,
+            cols,
+            self.num_objects,
+            positions.size,
+            grid.n1,
+            grid.n2,
+            *grid.extent.as_tuple(),
         )
+        crc = zlib.crc32(values, zlib.crc32(positions, zlib.crc32(header)))
+        record_persistence_event(SPILL_KIND, "save", "ok")
+        return b"".join((header, positions, values, RECORD_TRAILER.pack(crc)))
 
 
-def load_zone_partial(path: str | os.PathLike, grid: Grid) -> ZonePartial:
-    """Load a spilled partial, verifying checksum, grid identity and
-    that every stored entry lies inside a patch that fits the lattice."""
-    payload = load_verified_npz(
-        path,
-        kind=SPILL_KIND,
-        required=(
-            "zone", "offset", "shape", "positions", "values", "num_objects", "cells", "extent"
-        ),
-    )
-    cells = np.asarray(payload["cells"], dtype=np.int64).reshape(-1)
-    extent = np.asarray(payload["extent"], dtype=np.float64).reshape(-1)
-    if (
-        cells.shape != (2,)
-        or extent.shape != (4,)
-        or (int(cells[0]), int(cells[1])) != (grid.n1, grid.n2)
-        or tuple(float(v) for v in extent) != grid.extent.as_tuple()
-    ):
+def load_zone_partial(
+    path: str | os.PathLike, grid: Grid, offset: int, length: int
+) -> ZonePartial:
+    """Load the spill record of ``length`` bytes at ``offset`` in the log
+    at ``path``, verifying its framing, checksum, grid identity and that
+    every stored entry lies inside a patch that fits the lattice.  Any
+    failure raises :class:`~repro.errors.SummaryCorruptError` naming the
+    file."""
+    try:
+        with open(path, "rb") as log:
+            log.seek(offset)
+            record = log.read(length)
+    except OSError as exc:
+        record_persistence_event(SPILL_KIND, "load", "unreadable")
+        raise SummaryCorruptError(f"zone partial {path!s} is unreadable: {exc}") from exc
+    header_size = RECORD_HEADER.size
+    if len(record) != length or length < header_size + RECORD_TRAILER.size:
+        record_persistence_event(SPILL_KIND, "load", "unreadable")
+        raise SummaryCorruptError(
+            f"zone partial {path!s} is truncated: {len(record)} of {length} bytes "
+            f"at offset {offset}"
+        )
+    (
+        magic, version, zone, a_lo, b_lo, rows, cols, num_objects, entries, n1, n2, *extent
+    ) = RECORD_HEADER.unpack_from(record)
+    if magic != RECORD_MAGIC or version != RECORD_VERSION:
+        record_persistence_event(SPILL_KIND, "load", "unreadable")
+        raise SummaryCorruptError(
+            f"zone partial {path!s} is not a version-{RECORD_VERSION} spill record "
+            f"(magic {magic!r}, version {version})"
+        )
+    # Each entry is an int64 position plus an int64 value.
+    if length != header_size + 16 * entries + RECORD_TRAILER.size:
+        record_persistence_event(SPILL_KIND, "load", "unreadable")
+        raise SummaryCorruptError(
+            f"zone partial {path!s} is {length} bytes long but its header "
+            f"claims {entries} entries"
+        )
+    (stored,) = RECORD_TRAILER.unpack_from(record, length - RECORD_TRAILER.size)
+    actual = zlib.crc32(memoryview(record)[: length - RECORD_TRAILER.size])
+    if stored != actual:
+        record_persistence_event(SPILL_KIND, "load", "checksum_mismatch")
+        raise SummaryCorruptError(
+            f"zone partial {path!s} failed checksum verification "
+            f"(stored {stored:#010x}, computed {actual:#010x})"
+        )
+    record_persistence_event(SPILL_KIND, "load", "ok")
+    if (n1, n2) != (grid.n1, grid.n2) or tuple(extent) != grid.extent.as_tuple():
         raise SummaryCorruptError(
             f"zone partial {path!s} was built for a different grid "
-            f"(cells {cells.tolist()}, extent {extent.tolist()}); refusing to merge"
+            f"(cells {[n1, n2]}, extent {extent}); refusing to merge"
         )
-    offset = np.asarray(payload["offset"], dtype=np.int64).reshape(-1)
-    shape = np.asarray(payload["shape"], dtype=np.int64).reshape(-1)
-    num_objects = int(payload["num_objects"])
-    lattice = np.asarray(grid.lattice_shape, dtype=np.int64)
+    lattice = grid.lattice_shape
     if (
-        offset.shape != (2,)
-        or shape.shape != (2,)
-        or offset.min() < 0
-        or shape.min() < 0
-        or np.any(offset + shape > lattice + 1)
-        or num_objects < 0
+        min(a_lo, b_lo, rows, cols, num_objects) < 0
+        or a_lo + rows > lattice[0] + 1
+        or b_lo + cols > lattice[1] + 1
     ):
         raise SummaryCorruptError(
             f"zone partial {path!s} holds a malformed offset, shape or count"
         )
-    positions = np.asarray(payload["positions"])
-    values = np.asarray(payload["values"])
-    if (
-        positions.ndim != 1
-        or positions.shape != values.shape
-        or not np.issubdtype(positions.dtype, np.integer)
-        or not np.issubdtype(values.dtype, np.integer)
-    ):
-        raise SummaryCorruptError(f"zone partial {path!s} holds malformed entries")
-    if positions.size and (
-        positions[0] < 0
-        or positions[-1] >= int(shape[0]) * int(shape[1])
-        or np.any(np.diff(positions) <= 0)
+    positions = np.frombuffer(record, dtype=np.int64, count=entries, offset=header_size)
+    values = np.frombuffer(
+        record, dtype=np.int64, count=entries, offset=header_size + 8 * entries
+    )
+    if entries and (
+        positions[0] < 0 or positions[-1] >= rows * cols or np.any(np.diff(positions) <= 0)
     ):
         raise SummaryCorruptError(f"zone partial {path!s} holds entries outside its patch")
-    patch = np.zeros((int(shape[0]), int(shape[1])), dtype=np.int64)
+    patch = np.zeros((rows, cols), dtype=np.int64)
     patch.reshape(-1)[positions] = values
-    return ZonePartial(
-        zone=int(payload["zone"]),
-        a_lo=int(offset[0]),
-        b_lo=int(offset[1]),
-        patch=patch,
-        num_objects=num_objects,
-    )
+    return ZonePartial(zone=zone, a_lo=a_lo, b_lo=b_lo, patch=patch, num_objects=num_objects)
 
 
 class ZoneAccumulator:
@@ -167,9 +213,11 @@ class ZoneAccumulator:
 
     The accumulator tracks the bounding box of every zone's spans so
     spills clip to the smallest patch that carries the zone's state.
-    :attr:`spill_paths` lists the spill files it wrote and has not yet
-    folded; :meth:`finish` folds and deletes them, :meth:`discard`
-    deletes them when the build ends without a result.
+    Spills append to one log, :attr:`spill_path`, named from ``label``;
+    :attr:`spill_records` lists the ``(offset, length)`` of each record
+    in it not yet folded.  :meth:`finish` folds the records and deletes
+    the log; :meth:`discard` deletes it when the build ends without a
+    result.
     """
 
     def __init__(
@@ -190,14 +238,13 @@ class ZoneAccumulator:
                 f"{shape[0]}x{shape[1]} lattice); raise --memory-mb"
             )
         self._budget_bytes = int(budget_bytes)
-        self._spill_dir = os.fspath(spill_dir)
-        self._label = label
+        # Known before the first write, so a failed append is still deleted.
+        self.spill_path = spill_log_path(spill_dir, label)
+        self.spill_records: list[tuple[int, int]] = []
         self._builders: dict[int, EulerHistogramBuilder] = {}
         self._bboxes: dict[int, list[int]] = {}
         self._lru: dict[int, int] = {}
         self._clock = 0
-        self._spill_seq = 0
-        self.spill_paths: list[str] = []
         self.objects = 0
         self.spills = 0
         self.peak_bytes = 0
@@ -274,29 +321,33 @@ class ZoneAccumulator:
         partial = ZonePartial(
             zone=zone, a_lo=bbox[0], b_lo=bbox[2], patch=patch, num_objects=num_objects
         )
-        path = os.path.join(
-            self._spill_dir, f"{self._label}-zone{zone:06d}-{self._spill_seq:05d}.npz"
-        )
-        self._spill_seq += 1
-        # Listed before it is written, so a failed write is still deleted.
-        self.spill_paths.append(path)
-        partial.save(path, self._grid)
+        record = partial.to_record(self._grid)
+        offset = sum(self.spill_records[-1]) if self.spill_records else 0
+        # The first spill creates the log or truncates a stale one; each
+        # record goes where the last one listed ends.
+        with open(self.spill_path, "r+b" if offset else "wb") as log:
+            log.seek(offset)
+            log.write(record)
+        self.spill_records.append((offset, len(record)))
         self.spills += 1
 
     def finish(self) -> list[ZonePartial]:
         """Fold everything this accumulator holds into one partial.
 
         Live zones fold into one of their builders, each freed as it is
-        added; then each spill file in :attr:`spill_paths` is loaded,
-        added and deleted before the next one is read, so at most one
-        reloaded partial is held.  A builder is allocated only when no
-        zone is live, so the budget holds here too.  Returns the folded
-        partial (``zone == ALL_ZONES``) in a one-element list, or an
-        empty list when no span ever arrived.
+        added; then the spill records are folded newest first, each
+        loaded, added and cut off the end of the log before the next one
+        is read, so at most one reloaded partial is held and disk space
+        is released as the fold proceeds.  The log is deleted once every
+        record is folded.  A builder is allocated only when no zone is
+        live, so the budget holds here too.  Returns the folded partial
+        (``zone == ALL_ZONES``) in a one-element list, or an empty list
+        when no span ever arrived.
 
         A corrupt or mismatched spill raises
-        :class:`~repro.errors.SummaryCorruptError`; the files not yet
-        folded stay in :attr:`spill_paths` for :meth:`discard`.
+        :class:`~repro.errors.SummaryCorruptError`; the records not yet
+        folded stay in :attr:`spill_records`, and :meth:`discard` deletes
+        the log.
         """
         shape = self._grid.lattice_shape
         box = [shape[0], -1, shape[1], -1]
@@ -309,9 +360,9 @@ class ZoneAccumulator:
             else:
                 target.merge(builder)
         self._lru.clear()
-        while self.spill_paths:
-            path = self.spill_paths[-1]
-            partial = load_zone_partial(path, self._grid)
+        while self.spill_records:
+            offset, length = self.spill_records[-1]
+            partial = load_zone_partial(self.spill_path, self._grid, offset, length)
             if target is None:
                 target = EulerHistogramBuilder(self._grid)
                 self.peak_bytes = max(self.peak_bytes, self.builder_nbytes)
@@ -319,8 +370,11 @@ class ZoneAccumulator:
             rows, cols = partial.patch.shape
             _grow(box, partial.a_lo, partial.a_lo + rows - 2, partial.b_lo, partial.b_lo + cols - 2)
             del partial  # freed before the next one loads
-            os.unlink(path)
-            self.spill_paths.pop()
+            self.spill_records.pop()
+            if self.spill_records:
+                os.truncate(self.spill_path, offset)
+            else:
+                os.unlink(self.spill_path)
         if target is None:
             return []
         patch, num_objects = target.export_partial(*box)
@@ -331,17 +385,17 @@ class ZoneAccumulator:
         ]
 
     def discard(self) -> None:
-        """Release the builders and delete every spill file not yet
-        folded: a build that ends without a result leaves none of this
-        accumulator's files behind (idempotent)."""
+        """Release the builders and delete the spill log: a build that
+        ends without a result leaves none of this accumulator's spills
+        behind (idempotent)."""
         self._builders.clear()
         self._bboxes.clear()
         self._lru.clear()
-        while self.spill_paths:
-            try:
-                os.unlink(self.spill_paths.pop())
-            except OSError:
-                pass
+        self.spill_records.clear()
+        try:
+            os.unlink(self.spill_path)
+        except OSError:
+            pass
 
 
 def _grow(box: list[int], a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> None:

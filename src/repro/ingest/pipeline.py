@@ -11,16 +11,19 @@ to a direct ``add_dataset`` build of the same stream:
    to a zone of the shared :class:`~repro.ingest.zones.ZoneMap` and
    scatters it into a budgeted
    :class:`~repro.ingest.accumulator.ZoneAccumulator`, spilling cold
-   zones to checksummed, sparse disk partials under memory pressure;
-3. chunks lost to worker crashes are re-read from the (replayable)
-   source and accumulated inline -- the build completes bit-identically
-   no matter how many workers died;
+   zones as checksummed, sparse records to its own spill log under
+   memory pressure;
+3. chunks lost to worker crashes, and chunks no worker would take, are
+   re-read from the (replayable) source and accumulated inline once the
+   pool has closed -- the build completes bit-identically no matter how
+   many workers died, and the inline accumulator never holds its budget
+   while a worker holds its share;
 4. each participant -- every pool worker and the inline accumulator --
-   folds its live zones and its own spill files into one partial
+   folds its live zones and its own spill log into one partial
    (:meth:`~repro.ingest.accumulator.ZoneAccumulator.finish`), and a
    merge pass adds those at most ``workers + 1`` partials into one
-   global builder.  No spill path crosses a process boundary, and a
-   build that ends without a result leaves none of its spill files.
+   global builder.  No spill crosses a process boundary, and a build
+   that ends without a result leaves none of its spill logs.
 
 Bit-parity is structural, not statistical: snapping is deterministic,
 difference-domain accumulation is int64-exact and order-independent, and
@@ -58,7 +61,17 @@ DEFAULT_CHUNK_SIZE = 250_000
 
 @dataclass(frozen=True)
 class IngestReport:
-    """What one zoned build did, for metrics, benchmarks and the CLI."""
+    """What one zoned build did, for metrics, benchmarks and the CLI.
+
+    Every chunk counts once: ``chunks_pool`` under a worker that
+    finished, ``chunks_inline`` in a build that ran no pool (``workers
+    <= 1``, a budget too small to share, or no worker came up), and
+    ``chunks_replayed`` when it was re-read after the pool closed
+    because its worker was lost or no worker would take it.
+    ``peak_accumulator_bytes`` is the larger of the pool's peak (its
+    workers' peaks summed) and the inline accumulator's, which never
+    run at the same time.
+    """
 
     source: str
     objects: int
@@ -177,6 +190,7 @@ def build_zoned(
     chunks_pool = chunks_inline = chunks_replayed = 0
     crashes = spills = 0
     peak_bytes = 0
+    refused: list[int] = []
     partials: list[ZonePartial] = []
     inline_acc: ZoneAccumulator | None = None
 
@@ -214,8 +228,7 @@ def build_zoned(
                         if pool.dispatch(index, chunk):
                             chunks_pool += 1
                         else:
-                            _accumulate_inline(inline_accumulator(), zone_map, chunk)
-                            chunks_inline += 1
+                            refused.append(index)
                     result = pool.drain()
             finally:
                 pool.close()
@@ -224,12 +237,14 @@ def build_zoned(
             partials.extend(result.partials)
             crashes = result.crashes
             spills += result.spills
-            peak_bytes += result.peak_bytes
+            peak_bytes = result.peak_bytes
             # A lost chunk was dispatched, but its pool-side work died
-            # with the worker -- count it once, under replay.
-            lost = sorted(set(result.lost_chunks))
+            # with the worker -- count it once, under replay.  Replay
+            # starts only now that the pool has closed, so the inline
+            # accumulator's budget is never held beside the workers'.
+            lost = set(result.lost_chunks)
             chunks_pool -= len(lost)
-            for index in lost:
+            for index in sorted(lost.union(refused)):
                 _accumulate_inline(inline_accumulator(), zone_map, source.reread(index))
                 chunks_replayed += 1
         else:
@@ -242,7 +257,7 @@ def build_zoned(
         if inline_acc is not None:
             partials.extend(inline_acc.finish())
             spills += inline_acc.spills
-            peak_bytes += inline_acc.peak_bytes
+            peak_bytes = max(peak_bytes, inline_acc.peak_bytes)
 
         # ---- merge pass: one folded partial per participant ---- #
         # Int64 difference-domain addition is order-independent.
@@ -253,8 +268,8 @@ def build_zoned(
             )
         histogram = global_builder.build()
     finally:
-        # The pool deleted its workers' files on close; the inline
-        # accumulator deletes whatever it has not folded.
+        # The pool deleted its workers' logs on close; the inline
+        # accumulator deletes its own.
         if inline_acc is not None:
             inline_acc.discard()
         if own_spill_dir:

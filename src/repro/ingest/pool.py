@@ -7,12 +7,13 @@ pass.  It is the codebase's one process pool.  Its failure model is
 built for *stateful* workers:
 
 - **crash** -- a worker accumulates state across every chunk it was
-  dealt, so losing it loses all of that state, including spill files of
+  dealt, so losing it loses all of that state, including a spill log of
   unknown completeness.  The pool therefore records every chunk index
   ever assigned to the worker as *lost*, deletes the dead worker's spill
-  files (its label names them), and respawns a fresh worker for future
+  log (its label names it), and respawns a fresh worker for future
   chunks.  The pipeline replays lost chunks inline from the replayable
-  source -- the build always completes, bit-identical.
+  source once the pool has closed -- the build always completes,
+  bit-identical.
 - **stall** -- a dispatch or drain that sees no progress within the
   timeout treats the busy workers as crashed (reap, lose, replay): a
   hung worker must never hang the build, nor outlive it.
@@ -22,15 +23,16 @@ built for *stateful* workers:
   replay.
 
 Workers report ``("result", ...)`` exactly once, on ``finish``: each
-folds its live zones and its own spill files into one bbox-clipped
-partial that rides the pipe.  Spill files never cross the process
-boundary; whatever a worker leaves on disk -- after a crash, an error
-or an aborted build -- the pool deletes by the worker's label.
+folds its live zones and its own spill log into one bbox-clipped
+partial that rides the pipe.  Spills never cross the process boundary;
+a worker's log is ``<spill_dir>/<label>.spill``
+(:func:`~repro.ingest.accumulator.spill_log_path`), and whatever a
+worker leaves there -- after a crash, an error or an aborted build --
+the pool deletes by the worker's label.
 """
 
 from __future__ import annotations
 
-import glob
 import multiprocessing
 import os
 import time
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
 
 from repro.datasets.base import RectDataset
-from repro.ingest.accumulator import ZonePartial
+from repro.ingest.accumulator import ZonePartial, spill_log_path
 from repro.ingest.worker import build_worker_main
 from repro.ingest.zones import ZoneMap
 
@@ -109,8 +111,8 @@ class ZoneBuildPool:
 
     ``budget_bytes`` is the **per-worker** accumulator budget (the
     pipeline divides the global ``--memory-mb`` budget by the worker
-    count).  ``spill_dir`` must exist and outlive the pool; spill files
-    are namespaced per worker incarnation so a crashed worker's files
+    count).  ``spill_dir`` must exist and outlive the pool; each worker
+    incarnation has its own spill log there, so a crashed worker's log
     can be discarded without touching survivors'.
     """
 
@@ -158,7 +160,7 @@ class ZoneBuildPool:
 
     def _crash(self, worker: _BuildWorker, *, respawn: bool = True) -> None:
         """A worker is dead or condemned: all chunks it ever saw are
-        lost, its spill files are garbage, and (optionally) a fresh
+        lost, its spill log is garbage, and (optionally) a fresh
         worker takes over its slot for future chunks."""
         self.result.crashes += 1
         self.result.lost_chunks.extend(worker.assigned)
@@ -170,11 +172,7 @@ class ZoneBuildPool:
         except OSError:  # pragma: no cover
             pass
         _reap(worker.process)
-        for path in glob.glob(os.path.join(self._spill_dir, f"{worker.label}-*.npz")):
-            try:
-                os.unlink(path)
-            except OSError:  # pragma: no cover
-                pass
+        self._delete_spill_log(worker)
         if respawn and not self._closed:
             self._workers[worker.slot] = self._spawn_worker(worker.slot)
 
@@ -212,7 +210,7 @@ class ZoneBuildPool:
         return [w.pid for w in self._workers if w.ready and w.pid is not None]
 
     def close(self) -> None:
-        """Stop every worker and delete any spill files it left behind
+        """Stop every worker and delete any spill log it left behind
         (idempotent)."""
         if self._closed:
             return
@@ -229,11 +227,15 @@ class ZoneBuildPool:
                 w.conn.close()
             except OSError:  # pragma: no cover
                 pass
-            for path in glob.glob(os.path.join(self._spill_dir, f"{w.label}-*.npz")):
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover
-                    pass
+            self._delete_spill_log(w)
+
+    def _delete_spill_log(self, worker: _BuildWorker) -> None:
+        """Delete the spill log a stopped worker left, if any (a worker
+        that finished its fold already deleted it)."""
+        try:
+            os.unlink(spill_log_path(self._spill_dir, worker.label))
+        except OSError:
+            pass
 
     def __enter__(self) -> "ZoneBuildPool":
         return self

@@ -13,7 +13,7 @@ A build worker's whole life:
      Any failure replies ``("error", chunk_index, repr)`` -- a data or
      accumulator error is a build-aborting bug, not a crash to mask.
    - ``("finish",)`` -- fold the live zones and the worker's own spill
-     files into one partial (:meth:`ZoneAccumulator.finish`) and reply
+     log into one partial (:meth:`ZoneAccumulator.finish`) and reply
      ``("result", index, partials, stats)``, where ``partials`` holds
      that one partial (none if the worker was dealt no objects).  No
      spill path leaves the worker.  A corrupt spill replies ``("error",

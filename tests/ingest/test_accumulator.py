@@ -1,6 +1,8 @@
-"""Budgeted zone accumulation, spill round-trips and merge exactness."""
+"""Budgeted zone accumulation, spill records and merge exactness."""
 
-import zipfile
+import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -9,11 +11,15 @@ from repro.errors import SummaryCorruptError
 from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
-from repro.ingest.accumulator import ZoneAccumulator, ZonePartial, load_zone_partial
+from repro.ingest.accumulator import (
+    RECORD_HEADER,
+    ZoneAccumulator,
+    ZonePartial,
+    load_zone_partial,
+)
 from repro.ingest.worker import snap_columns
 from repro.ingest.zones import ZoneMap
-
-from tests.conftest import flip_npz_member_byte
+from repro.obs import MetricsRegistry, set_default_registry
 
 
 @pytest.fixture
@@ -28,12 +34,9 @@ def _snapped(grid, n=400, seed=7):
     return data, snap_columns(grid, data.x_lo, data.x_hi, data.y_lo, data.y_hi)
 
 
-def _merge_all(grid, partials, spill_paths):
+def _merge_all(grid, partials):
     builder = EulerHistogramBuilder(grid)
     for partial in partials:
-        builder.add_partial(partial.a_lo, partial.b_lo, partial.patch, partial.num_objects)
-    for path in spill_paths:
-        partial = load_zone_partial(path, grid)
         builder.add_partial(partial.a_lo, partial.b_lo, partial.patch, partial.num_objects)
     return builder.build()
 
@@ -51,8 +54,9 @@ class TestZoneAccumulator:
         assert acc.spills == 0
         assert acc.objects == len(data)
         direct = EulerHistogram.from_dataset(data, grid)
-        merged = _merge_all(grid, acc.finish(), acc.spill_paths)
+        merged = _merge_all(grid, acc.finish())
         np.testing.assert_array_equal(merged.buckets(), direct.buckets())
+        assert not os.path.exists(acc.spill_path)
 
     def test_tight_budget_spills_but_merges_exactly(self, grid, tmp_path):
         data, (a_lo, a_hi, b_lo, b_hi) = _snapped(grid, n=600)
@@ -66,11 +70,18 @@ class TestZoneAccumulator:
         assert acc.spills > 0
         # The budget is an invariant, not a soft target.
         assert acc.peak_bytes <= 2 * acc_builder_bytes(grid)
-        assert all(p.endswith(".npz") for p in acc.spill_paths)
-        merged = _merge_all(grid, acc.finish(), acc.spill_paths)
+        # One log holds every spill, its records back to back.
+        assert os.listdir(tmp_path) == ["ingest.spill"]
+        assert len(acc.spill_records) == acc.spills
+        ends = [0] + [offset + length for offset, length in acc.spill_records]
+        assert [offset for offset, _ in acc.spill_records] == ends[:-1]
+        assert os.path.getsize(acc.spill_path) == ends[-1]
+        merged = _merge_all(grid, acc.finish())
         direct = EulerHistogram.from_dataset(data, grid)
         np.testing.assert_array_equal(merged.buckets(), direct.buckets())
         assert merged.num_objects == len(data)
+        # The fold deletes the log once every record is folded.
+        assert acc.spill_records == [] and os.listdir(tmp_path) == []
 
     def test_budget_caps_live_bytes(self, grid, tmp_path):
         data, (a_lo, a_hi, b_lo, b_hi) = _snapped(grid, n=600)
@@ -98,49 +109,134 @@ def acc_builder_bytes(grid):
 
 
 class TestZonePartialPersistence:
-    def _partial(self, grid):
+    def _partial(self, grid, zone=4):
         builder = EulerHistogramBuilder(grid)
         a = np.array([3, 5]); b = np.array([2, 6])
         builder.add_spans(a, a + 2, b, b + 1, np.ones(2, dtype=np.int64))
         patch, count = builder.export_partial(3, 7, 2, 7)
-        return ZonePartial(zone=4, a_lo=3, b_lo=2, patch=patch, num_objects=count)
+        return ZonePartial(zone=zone, a_lo=3, b_lo=2, patch=patch, num_objects=count)
+
+    def _log(self, path, grid, *partials):
+        """Write ``partials`` to one log; returns each record's
+        ``(offset, length)``."""
+        records = [p.to_record(grid) for p in partials]
+        path.write_bytes(b"".join(records))
+        offsets = np.cumsum([0] + [len(r) for r in records])
+        return [(int(o), len(r)) for o, r in zip(offsets, records)]
 
     def test_round_trip(self, grid, tmp_path):
-        partial = self._partial(grid)
-        path = tmp_path / "p.npz"
-        partial.save(path, grid)
-        loaded = load_zone_partial(path, grid)
+        first = self._partial(grid)
+        empty = ZonePartial(
+            zone=9, a_lo=0, b_lo=1, patch=np.zeros((3, 2), np.int64), num_objects=0
+        )
+        path = tmp_path / "p.spill"
+        spans = self._log(path, grid, first, empty)
+        loaded = load_zone_partial(path, grid, *spans[0])
         assert (loaded.zone, loaded.a_lo, loaded.b_lo) == (4, 3, 2)
-        assert loaded.num_objects == partial.num_objects
-        np.testing.assert_array_equal(loaded.patch, partial.patch)
+        assert loaded.num_objects == first.num_objects
+        np.testing.assert_array_equal(loaded.patch, first.patch)
+        loaded = load_zone_partial(path, grid, *spans[1])
+        assert (loaded.zone, loaded.a_lo, loaded.b_lo, loaded.num_objects) == (9, 0, 1, 0)
+        np.testing.assert_array_equal(loaded.patch, empty.patch)
 
     def test_rejects_grid_mismatch(self, grid, tmp_path):
-        partial = self._partial(grid)
-        path = tmp_path / "p.npz"
-        partial.save(path, grid)
+        path = tmp_path / "p.spill"
+        (span,) = self._log(path, grid, self._partial(grid))
         other = Grid(grid.extent, grid.n1 // 2, grid.n2)
         with pytest.raises(SummaryCorruptError, match="different grid"):
-            load_zone_partial(path, other)
+            load_zone_partial(path, other, *span)
         shifted = Grid(Rect(0.0, 24.0, 0.0, 8.0), grid.n1, grid.n2)
         with pytest.raises(SummaryCorruptError, match="different grid"):
-            load_zone_partial(path, shifted)
+            load_zone_partial(path, shifted, *span)
 
     def test_rejects_corruption(self, grid, tmp_path):
-        partial = self._partial(grid)
-        path = tmp_path / "p.npz"
-        partial.save(path, grid)
+        """Every single flipped byte -- header, positions, values or
+        trailer -- fails the load."""
+        path = tmp_path / "p.spill"
+        (span,) = self._log(path, grid, self._partial(grid))
         pristine = path.read_bytes()
-        with zipfile.ZipFile(path) as archive:
-            members = [
-                name for name in archive.namelist()
-                if name not in ("checksum.npy", "format_version.npy")
-            ]
-        assert "values.npy" in members and "positions.npy" in members
-        for member in members:
-            path.write_bytes(pristine)
-            flip_npz_member_byte(path, member)
-            with pytest.raises(SummaryCorruptError):
-                load_zone_partial(path, grid)
+        entries = (len(pristine) - RECORD_HEADER.size - 4) // 16
+        assert entries > 0
+        for i in range(len(pristine)):
+            rotten = bytearray(pristine)
+            rotten[i] ^= 0xFF
+            path.write_bytes(rotten)
+            with pytest.raises(SummaryCorruptError, match="p.spill"):
+                load_zone_partial(path, grid, *span)
+
+    def test_rejects_a_log_cut_mid_record(self, grid, tmp_path):
+        path = tmp_path / "p.spill"
+        first, second = self._log(path, grid, self._partial(grid), self._partial(grid, 5))
+        for cut in (second[0] + 7, second[0] + RECORD_HEADER.size + 3, sum(second) - 1):
+            os.truncate(path, cut)
+            with pytest.raises(SummaryCorruptError, match="truncated"):
+                load_zone_partial(path, grid, *second)
+        assert load_zone_partial(path, grid, *first).zone == 4
+
+    def test_rejects_a_length_its_header_disagrees_with(self, grid, tmp_path):
+        path = tmp_path / "p.spill"
+        first, _ = self._log(path, grid, self._partial(grid), self._partial(grid, 5))
+        with pytest.raises(SummaryCorruptError, match="claims"):
+            load_zone_partial(path, grid, first[0], first[1] + 16)
+
+    @pytest.mark.parametrize(
+        "lie, match",
+        [
+            ({"a_lo": 30}, "malformed"),
+            ({"rows": -1}, "malformed"),
+            ({"num_objects": -1}, "malformed"),
+            ({"swap": True}, "outside its patch"),
+            ({"last": 10**6}, "outside its patch"),
+        ],
+        ids=[
+            "offset-outside-lattice", "negative-shape", "negative-count", "unsorted", "past-patch"
+        ],
+    )
+    def test_rejects_a_sealed_record_that_lies(self, grid, tmp_path, lie, match):
+        """A record with a valid checksum is still checked against the
+        lattice and its own patch."""
+        record = bytearray(self._partial(grid).to_record(grid))
+        fields = list(RECORD_HEADER.unpack_from(record))
+        names = ("magic", "version", "zone", "a_lo", "b_lo", "rows", "cols", "num_objects")
+        for name, value in lie.items():
+            if name in names:
+                fields[names.index(name)] = value
+        RECORD_HEADER.pack_into(record, 0, *fields)
+        entries = fields[8]
+        positions = np.frombuffer(record, np.int64, entries, RECORD_HEADER.size).copy()
+        if lie.get("swap"):
+            positions[[0, 1]] = positions[[1, 0]]
+        if "last" in lie:
+            positions[-1] = lie["last"]
+        record[RECORD_HEADER.size : RECORD_HEADER.size + positions.nbytes] = positions.tobytes()
+        record[-4:] = struct.pack("=I", zlib.crc32(record[:-4]))
+        path = tmp_path / "p.spill"
+        path.write_bytes(record)
+        with pytest.raises(SummaryCorruptError, match=match):
+            load_zone_partial(path, grid, 0, len(record))
+
+    def test_persistence_events(self, grid, tmp_path):
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            path = tmp_path / "p.spill"
+            (span,) = self._log(path, grid, self._partial(grid))
+            load_zone_partial(path, grid, *span)
+            pristine = path.read_bytes()
+            path.write_bytes(pristine[:-1] + bytes([pristine[-1] ^ 1]))
+            with pytest.raises(SummaryCorruptError, match="checksum"):
+                load_zone_partial(path, grid, *span)
+            path.write_bytes(pristine[:-1])
+            with pytest.raises(SummaryCorruptError, match="truncated"):
+                load_zone_partial(path, grid, *span)
+        finally:
+            set_default_registry(previous)
+        ops = registry.get("repro_persistence_ops_total")
+        kind = "zone partial"
+        assert ops.labels(kind=kind, op="save", outcome="ok").value == 1
+        assert ops.labels(kind=kind, op="load", outcome="ok").value == 1
+        assert ops.labels(kind=kind, op="load", outcome="checksum_mismatch").value == 1
+        assert ops.labels(kind=kind, op="load", outcome="unreadable").value == 1
 
 
 class TestBuilderMergeApi:

@@ -127,6 +127,8 @@ class _KillOnChunk(ZoneBuildPool):
 
 
 def test_worker_crash_replays_lost_chunks_exactly(source, grid, direct, tmp_path, monkeypatch):
+    keep = tmp_path / "unrelated.spill"
+    keep.write_bytes(b"not ours")
     monkeypatch.setattr(
         "repro.ingest.pipeline.ZoneBuildPool",
         lambda *a, **kw: _KillOnChunk(*a, kill_after=5, **kw),
@@ -140,8 +142,31 @@ def test_worker_crash_replays_lost_chunks_exactly(source, grid, direct, tmp_path
     # Replay is bit-exact and no chunk is double counted.
     assert result.histogram.num_objects == N_OBJECTS
     np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
-    # The dead incarnation's spill files are gone.
-    assert not list(tmp_path.glob("*.npz"))
+    # The dead incarnation's spill log is gone; nothing else is touched.
+    assert list(tmp_path.iterdir()) == [keep]
+
+
+def test_crash_replay_stays_inside_the_memory_budget(grid, tmp_path, monkeypatch):
+    """Lost chunks replay inline only after the pool has closed, so the
+    inline accumulator never holds its budget beside the workers'."""
+    source = SyntheticChunkSource("sz_skew", N_OBJECTS, 200, seed=21)
+    keep = tmp_path / "unrelated.spill"
+    keep.write_bytes(b"not ours")
+    monkeypatch.setattr(
+        "repro.ingest.pipeline.ZoneBuildPool",
+        lambda *a, **kw: _KillOnChunk(*a, kill_after=10, **kw),
+    )
+    result = build_zoned(
+        source, grid, zones=24, workers=2, start_method="fork", memory_mb=1,
+        spill_dir=tmp_path,
+    )
+    report = result.report
+    assert report.crashes >= 1 and report.chunks_replayed >= 1 and report.spills > 0
+    assert report.peak_accumulator_bytes <= report.budget_bytes
+    direct = EulerHistogram.from_dataset(source.materialize(), grid)
+    np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
+    assert result.histogram.num_objects == N_OBJECTS
+    assert list(tmp_path.iterdir()) == [keep]
 
 
 def test_crash_during_drain_forfeits_chunks(source, grid, tmp_path):
@@ -282,6 +307,6 @@ def test_pool_spills_are_deleted_on_close(grid, tmp_path):
         assert pool.ensure_ready() == 1
     finally:
         pool.close()
-    assert not list(tmp_path.glob("*.npz"))
+    assert list(tmp_path.iterdir()) == []
     # close() is idempotent.
     pool.close()

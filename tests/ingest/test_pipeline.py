@@ -10,11 +10,9 @@ from repro.errors import SummaryCorruptError
 from repro.euler.histogram import EulerHistogram, EulerHistogramBuilder
 from repro.grid.grid import Grid
 from repro.ingest import DatasetChunkSource, SyntheticChunkSource, build_zoned
-from repro.ingest.accumulator import ZonePartial
+from repro.ingest.accumulator import ZoneAccumulator, ZonePartial
 from repro.ingest.pool import IngestWorkerError
 from repro.obs import IngestInstrumentation
-
-from tests.conftest import flip_npz_member_byte
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +99,8 @@ class TestMergePass:
         load = accumulator.load_zone_partial
         add = EulerHistogramBuilder.add_partial
 
-        def traced_load(path, grid):
-            partial = load(path, grid)
+        def traced_load(path, grid, offset, length):
+            partial = load(path, grid, offset, length)
             events.append(("load", id(partial.patch)))
             return partial
 
@@ -142,7 +140,7 @@ class TestSpillDirOwnership:
         )
         assert result.report.spills > 0
         assert spill_dir.is_dir()
-        assert list(spill_dir.glob("*.npz")) == [keep]
+        assert list(spill_dir.iterdir()) == [keep]
 
     def test_failed_build_leaves_no_spill_in_callers_dir(self, grid, tmp_path, monkeypatch):
         """A build that dies mid-stream deletes the spills it wrote, not
@@ -152,13 +150,13 @@ class TestSpillDirOwnership:
         keep = spill_dir / "unrelated.npz"
         keep.write_bytes(b"not ours")
         saves = []
-        save = ZonePartial.save
+        to_record = ZonePartial.to_record
 
-        def counted_save(self, path, grid):
-            saves.append(path)
-            save(self, path, grid)
+        def counted_to_record(self, grid):
+            saves.append(self.zone)
+            return to_record(self, grid)
 
-        monkeypatch.setattr(ZonePartial, "save", counted_save)
+        monkeypatch.setattr(ZonePartial, "to_record", counted_to_record)
         source = _FailsAtChunk(SyntheticChunkSource("sp_skew", 4000, 500, seed=1), 6)
         with pytest.raises(OSError, match="chunk 6"):
             build_zoned(source, grid, zones=64, memory_mb=1, spill_dir=spill_dir)
@@ -202,16 +200,22 @@ class TestCorruptSpill:
     def test_spill_corrupted_after_writing_aborts_the_build(
         self, source, grid, tmp_path, monkeypatch, workers, error
     ):
-        """Bit rot in a spill file fails the build where the spill is
+        """Bit rot in a spill record fails the build where the spill is
         folded -- inline or in a worker -- and is never skipped; no spill
-        file stays behind."""
-        save = ZonePartial.save
+        log stays behind."""
+        spill = ZoneAccumulator._spill
 
-        def save_then_rot(self, path, grid):
-            save(self, path, grid)
-            flip_npz_member_byte(path, "values.npy")
+        def spill_then_rot(self, zone):
+            spill(self, zone)
+            # Flip the byte before the trailer: the record's last value.
+            offset, length = self.spill_records[-1]
+            with open(self.spill_path, "r+b") as log:
+                log.seek(offset + length - 5)
+                byte = log.read(1)[0]
+                log.seek(offset + length - 5)
+                log.write(bytes([byte ^ 0xFF]))
 
-        monkeypatch.setattr(ZonePartial, "save", save_then_rot)
+        monkeypatch.setattr(ZoneAccumulator, "_spill", spill_then_rot)
         with pytest.raises(error, match="SummaryCorruptError|zone partial"):
             build_zoned(
                 source, grid, zones=64, memory_mb=1, workers=workers,

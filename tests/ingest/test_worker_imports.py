@@ -5,7 +5,9 @@ A ``spawn`` worker starts a fresh interpreter and imports
 (``repro``, ``repro.ingest``, ``repro.euler``) resolve their public names
 on first use, so the worker loads the snap-and-scatter code it runs and
 none of the serving, search or evaluation layers -- each of which would
-add its import time to every pool start.
+add its import time to every pool start.  A worker that
+``repro build --parallel`` starts under ``spawn`` also re-imports the
+CLI as ``__mp_main__``, so ``repro.cli`` holds the same closure.
 """
 
 from __future__ import annotations
@@ -28,12 +30,21 @@ UNUSED_BY_WORKER = (
 )
 
 
-def test_worker_import_loads_no_serving_or_search_layer():
+def _unused_by_worker(module: str) -> list[str]:
+    """What a fresh interpreter's ``import module`` loads of the packages
+    a build worker never runs."""
     loaded = fresh_interpreter_json(
-        "import json, sys, repro.ingest.worker; print(json.dumps(sorted(sys.modules)))"
+        f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     )
-    assert "repro.ingest.worker" in loaded
-    unused = [
+    assert module in loaded
+    return [
         m for m in loaded if any(m == p or m.startswith(p + ".") for p in UNUSED_BY_WORKER)
     ]
-    assert unused == []
+
+
+def test_worker_import_loads_no_serving_or_search_layer():
+    assert _unused_by_worker("repro.ingest.worker") == []
+
+
+def test_cli_import_loads_no_serving_or_search_layer():
+    assert _unused_by_worker("repro.cli") == []

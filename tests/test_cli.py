@@ -84,6 +84,34 @@ class TestBuildZoned:
         np.testing.assert_array_equal(zoned.buckets(), direct.buckets())
         assert zoned.num_objects == direct.num_objects
 
+    def test_spawn_pool_that_spills_is_bit_identical(
+        self, tmp_path, data_path, hist_path, capsys
+    ):
+        """A CLI-started spawn pool whose workers spill under a 1 MiB
+        budget: each worker re-imports the CLI, writes and folds its own
+        spill log, and the merge matches the direct build bit for bit."""
+        import re
+
+        import numpy as np
+
+        out = tmp_path / "zoned.npz"
+        code = main(
+            [
+                "build", str(data_path), "-o", str(out),
+                "--cells", "90", "45",
+                "--zones", "16", "--chunk-size", "300", "--memory-mb", "1",
+                "--parallel", "2", "--start-method", "spawn",
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "2 workers, 0 crashes" in printed
+        assert int(re.search(r"(\d+) spills", printed).group(1)) > 0
+        direct = EulerHistogram.load(hist_path)
+        zoned = EulerHistogram.load(out)
+        np.testing.assert_array_equal(zoned.buckets(), direct.buckets())
+        assert zoned.num_objects == direct.num_objects
+
     def test_reports_the_zoned_pipeline(self, tmp_path, data_path, capsys):
         out = tmp_path / "zoned.npz"
         main(
