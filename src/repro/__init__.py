@@ -38,14 +38,12 @@ __getattr__, __dir__ = lazy_exports(
         "repro.browse": (
             "AttributeCatalog",
             "BrowseResult",
-            "CircuitBreaker",
             "DeltaSource",
             "DeltaTracker",
             "FallbackChain",
             "GeoBrowsingService",
             "PyramidSource",
             "ResilientBrowsingService",
-            "RetryPolicy",
         ),
         "repro.cache": ("CacheKey", "TileResultCache"),
         "repro.datasets": (
@@ -209,8 +207,6 @@ __all__ = [
     # resilient serving layer
     "ResilientBrowsingService",
     "FallbackChain",
-    "CircuitBreaker",
-    "RetryPolicy",
     "PyramidSource",
     # cache & viewport deltas
     "TileResultCache",

@@ -4,13 +4,7 @@ resilient serving layer."""
 from repro.browse.catalog import AttributeCatalog, SummedEstimator
 from repro.browse.delta import DeltaPlan, DeltaSource, DeltaTracker, plan_delta
 from repro.browse.refine import PyramidSource, RefinementStep
-from repro.browse.resilience import (
-    CircuitBreaker,
-    EstimatorTier,
-    FallbackChain,
-    ResilientBrowsingService,
-    RetryPolicy,
-)
+from repro.browse.resilience import FallbackChain, ResilientBrowsingService
 from repro.browse.service import (
     BrowseResult,
     GeoBrowsingService,
@@ -24,9 +18,6 @@ __all__ = [
     "SummedEstimator",
     "ResilientBrowsingService",
     "FallbackChain",
-    "CircuitBreaker",
-    "EstimatorTier",
-    "RetryPolicy",
     "resolve_browse_request",
     "DeltaPlan",
     "DeltaSource",

@@ -5,7 +5,7 @@ tile queries -- hundreds of trial queries -- from one summary.  Both
 public services answer it here:
 :class:`ResilientBrowsingService` configures every stage, and
 :class:`~repro.browse.service.GeoBrowsingService` is the same pipeline
-with one estimator, one attempt, no pyramid and one chunk per raster.
+with one estimator, no pyramid and one chunk per raster.
 
 :meth:`ResilientBrowsingService.browse` runs these stages in order; each
 opens one span on the request trace and feeds
@@ -34,14 +34,13 @@ Waves are sized from the remaining budget.  The service learns a
 seconds-per-tile cost from the chunks it answers, on its own clock
 (:class:`ChunkCost`).  When the predicted cost of the open tiles, times
 :data:`WAVE_HEADROOM`, fits a positive remaining budget (no deadline is
-an unbounded one) and also fits ``attempt_timeout``, the open tiles
-leave as one chunk and the pyramid prefill is skipped (plan
-``budget``).  A cold service (no cost sample yet, plan ``cold``) and a
-tight or expired budget (plan ``pressure``) answer in ``chunk_rows``
-row chunks, after the coarse-first prefill when a pyramid and a
-deadline are given.  Each request runs on the one thread that called
-:meth:`ResilientBrowsingService.browse`; concurrent requests share the
-service's cost, breakers and cache, which are lock-guarded.
+an unbounded one), the open tiles leave as one chunk and the pyramid
+prefill is skipped (plan ``budget``).  A cold service (no cost sample
+yet, plan ``cold``) and a tight or expired budget (plan ``pressure``)
+answer in ``chunk_rows`` row chunks, after the coarse-first prefill
+when a pyramid and a deadline are given.  Each request runs on the one
+thread that called :meth:`ResilientBrowsingService.browse`; concurrent
+requests share the service's cost and cache, which are lock-guarded.
 
 The failure story of the chain:
 
@@ -50,25 +49,22 @@ The failure story of the chain:
   -- a partial choropleth beats a timeout page.  Row chunks are the
   granularity under pressure; when the whole raster fits the budget it
   is one chunk.
-- **Fallback chain.**  Estimators are tried in order per chunk (e.g. the
-  exact evaluator first, S-EulerApprox as the cheap degradation; append
-  ``ScalarBatchFallback(primary)`` to degrade the batch path to the
-  scalar loop).  A chunk answer containing non-finite counts is treated
-  as a failure, so NaN corruption falls through to the next tier instead
-  of reaching the client.
-- **Circuit breaker.**  Each tier trips open after ``failure_threshold``
-  consecutive failures and is skipped while open; after ``cooldown``
-  seconds (on the injected clock) a half-open probe is allowed, and a
-  success closes the breaker again.
-- **Retries.**  Transient faults are retried per tier with deterministic
-  exponential backoff before falling through the chain.
+- **Fallback chain.**  Each tier is asked at most once per chunk, in
+  order (e.g. the exact evaluator first, S-EulerApprox as the cheap
+  degradation; append ``ScalarBatchFallback(primary)`` to degrade the
+  batch path to the scalar loop).  A tile costs a constant number of
+  lookups into an in-process summary, so a chunk's answer -- or its
+  failure -- depends only on the query, and asking the same tier again
+  would recompute the same failure.  An exception, a wrong shape or a
+  non-finite count falls through to the next tier, so NaN corruption
+  never reaches the client.
 
 All failures surface through the structured taxonomy of
 :mod:`repro.errors`; if every tier fails a chunk the service raises
 :class:`~repro.errors.EstimatorFailedError` carrying the per-tier causes
--- never a bare ``ValueError``.  The clock and sleep functions are
-injectable so the whole layer is deterministic under test (see
-:mod:`repro.testing.faults`).
+-- never a bare ``ValueError`` -- unless a pyramid level rescues the
+chunk.  The clock is injectable so the whole layer is deterministic
+under test (see :mod:`repro.testing.faults`).
 """
 
 from __future__ import annotations
@@ -97,7 +93,7 @@ from repro.euler.pyramid import HistogramPyramid
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery, TileQueryBatch, aligned_query_cells
-from repro.obs.instruments import BrowseInstrumentation, classify_failure
+from repro.obs.instruments import BrowseInstrumentation
 from repro.obs.trace import RequestTrace
 from repro.workloads.tiles import (
     browsing_tile_batch_at,
@@ -107,11 +103,8 @@ from repro.workloads.tiles import (
 
 __all__ = [
     "ChunkCost",
-    "CircuitBreaker",
-    "EstimatorTier",
     "FallbackChain",
     "ResilientBrowsingService",
-    "RetryPolicy",
 ]
 
 
@@ -259,8 +252,7 @@ def resolve_browse_request(
 Clock = Callable[[], float]
 
 #: Safety factor on a predicted wave: the open tiles leave as one chunk
-#: only when their measured cost times this fits the remaining budget
-#: (and ``attempt_timeout``).
+#: only when their measured cost times this fits the remaining budget.
 WAVE_HEADROOM = 4.0
 
 #: Weight an older chunk keeps in :class:`ChunkCost` per newer chunk.
@@ -314,257 +306,32 @@ class ChunkCost:
             return self._tiles
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-tier retry discipline: ``attempts`` total tries per chunk,
-    with deterministic exponential backoff between them.
-
-    The delay before retry ``i`` (0-based) is
-    ``backoff_base * backoff_multiplier ** i`` seconds -- deterministic
-    by design so fault-injection tests can assert the exact schedule.
-    """
-
-    attempts: int = 2
-    backoff_base: float = 0.0
-    backoff_multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be at least 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be non-negative")
-
-    def delay(self, retry_index: int) -> float:
-        """Backoff before the ``retry_index``-th retry, in seconds."""
-        return self.backoff_base * self.backoff_multiplier**retry_index
-
-
-class CircuitBreaker:
-    """A per-estimator circuit breaker with half-open recovery probes.
-
-    States: ``closed`` (normal), ``open`` (skipped after
-    ``failure_threshold`` consecutive failures), ``half_open`` (one probe
-    allowed once ``cooldown`` seconds have elapsed on ``clock``).  A
-    successful probe closes the breaker; a failed probe re-opens it with
-    a fresh ``opened_at``, restarting the cooldown.
-
-    The breaker trips on exactly the K-th consecutive failure (K =
-    ``failure_threshold``), and while half-open admits exactly one
-    probe: ``allows()`` returns ``True`` at the open-to-half-open
-    transition and ``False`` until the probe's outcome is recorded, so
-    concurrent callers cannot pile onto a recovering tier.  All state is
-    lock-guarded; ``on_transition(old, new)`` fires on every state
-    change (the observability layer wires it to a transition counter).
-    """
-
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 3,
-        cooldown: float = 1.0,
-        clock: Clock = time.monotonic,
-        on_transition: Callable[[str, str], None] | None = None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-        self._failure_threshold = failure_threshold
-        self._cooldown = cooldown
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._consecutive_failures = 0
-        self._opened_at = 0.0
-        #: Optional ``(old_state, new_state)`` observer; assignable after
-        #: construction so chains can wire instrumentation to named tiers.
-        self.on_transition = on_transition
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"`` or ``"half_open"``."""
-        with self._lock:
-            return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        """Failures recorded since the last success."""
-        with self._lock:
-            return self._consecutive_failures
-
-    def _set_state(self, new_state: str) -> None:
-        """Transition (callers hold the lock) and notify the observer."""
-        old_state = self._state
-        if old_state == new_state:
-            return
-        self._state = new_state
-        if self.on_transition is not None:
-            self.on_transition(old_state, new_state)
-
-    def allows(self) -> bool:
-        """Whether a call may be attempted now.
-
-        In the open state this is where the cooldown expiry transitions
-        the breaker to half-open, admitting one recovery probe; while
-        that probe is outstanding (state half-open), further calls are
-        rejected until :meth:`record_success` or :meth:`record_failure`
-        resolves it.
-        """
-        with self._lock:
-            if self._state == "open":
-                if self._clock() - self._opened_at >= self._cooldown:
-                    self._set_state("half_open")
-                    return True
-                return False
-            if self._state == "half_open":
-                return False
-            return True
-
-    def record_success(self) -> None:
-        """Note a successful call: closes the breaker, resets the count."""
-        with self._lock:
-            self._set_state("closed")
-            self._consecutive_failures = 0
-
-    def record_failure(self) -> None:
-        """Note a failed call: a failed half-open probe or the K-th
-        consecutive failure trips the breaker open with a fresh
-        ``opened_at``."""
-        with self._lock:
-            self._consecutive_failures += 1
-            if (
-                self._state == "half_open"
-                or self._consecutive_failures >= self._failure_threshold
-            ):
-                self._opened_at = self._clock()
-                self._set_state("open")
-
-
-class EstimatorTier:
-    """One estimator in a fallback chain, with its breaker and stats.
-
-    Stat updates go through :meth:`note_attempt`/:meth:`note_failure`/
-    :meth:`note_success`, which are lock-guarded so the chunks of
-    concurrent requests never lose increments; the counters themselves
-    stay plain ints for cheap reads.
-    """
-
-    def __init__(self, estimator: Level2Estimator, breaker: CircuitBreaker) -> None:
-        self._batch: Level2BatchEstimator = as_batch_estimator(estimator)
-        self.breaker = breaker
-        self._stats_lock = threading.Lock()
-        #: Chunk attempts routed to this tier (including retries).
-        self.attempts = 0
-        #: Attempts that failed (exception, timeout overrun, or NaN).
-        self.failures = 0
-        #: Chunks this tier answered.
-        self.successes = 0
-
-    def note_attempt(self) -> None:
-        """Count one attempt (thread-safe)."""
-        with self._stats_lock:
-            self.attempts += 1
-
-    def note_failure(self) -> None:
-        """Count one failed attempt (thread-safe)."""
-        with self._stats_lock:
-            self.failures += 1
-
-    def note_success(self) -> None:
-        """Count one answered chunk (thread-safe)."""
-        with self._stats_lock:
-            self.successes += 1
-
-    @property
-    def name(self) -> str:
-        """The wrapped estimator's label."""
-        return self._batch.name
-
-    @property
-    def estimator(self) -> Level2BatchEstimator:
-        """The wrapped (batch-adapted) estimator."""
-        return self._batch
-
-
 class FallbackChain:
     """Answers tile-batch chunks through an ordered estimator chain.
 
-    Each chunk walks the tiers in order: closed (or half-open) breakers
-    are attempted up to ``retry.attempts`` times with deterministic
-    backoff; an exception, a non-finite count, or an attempt overrunning
-    ``attempt_timeout`` counts as a failure and eventually falls through
-    to the next tier.  When every tier fails, the chunk raises
-    :class:`~repro.errors.EstimatorFailedError` with the per-tier causes.
+    ``tiers`` holds the batch-adapted estimators, primary first.  Each
+    chunk calls every tier's ``estimate_batch`` at most once, in order,
+    until one answers: an exception, a wrong shape or a non-finite count
+    falls through to the next tier.  When every tier fails, the chunk
+    raises :class:`~repro.errors.EstimatorFailedError` with the per-tier
+    causes.  With instruments, each failure counts into
+    ``repro_tier_failures_total{tier,reason}``: ``error`` when
+    ``estimate_batch`` raised, ``bad_output`` when the chain rejected
+    its answer.
     """
 
     def __init__(
         self,
         estimators: Sequence[Level2Estimator],
         *,
-        failure_threshold: int = 3,
-        cooldown: float = 1.0,
-        retry: RetryPolicy | None = None,
-        attempt_timeout: float | None = None,
-        clock: Clock = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
         instruments: BrowseInstrumentation | None = None,
     ) -> None:
         if not estimators:
             raise ValueError("a fallback chain needs at least one estimator")
-        if attempt_timeout is not None and attempt_timeout <= 0:
-            raise ValueError("attempt_timeout must be positive when given")
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._attempt_timeout = attempt_timeout
-        self._clock = clock
-        self._sleep = sleep
         self._obs = instruments
-        self.tiers = tuple(
-            EstimatorTier(
-                estimator,
-                CircuitBreaker(
-                    failure_threshold=failure_threshold, cooldown=cooldown, clock=clock
-                ),
-            )
-            for estimator in estimators
+        self.tiers: tuple[Level2BatchEstimator, ...] = tuple(
+            as_batch_estimator(estimator) for estimator in estimators
         )
-        if instruments is not None:
-            for tier in self.tiers:
-                tier.breaker.on_transition = instruments.breaker_hook(tier.name)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Tier labels, primary first."""
-        return tuple(tier.name for tier in self.tiers)
-
-    @property
-    def attempt_timeout(self) -> float | None:
-        """Seconds one attempt may take (``None``: no limit)."""
-        return self._attempt_timeout
-
-    def _attempt(
-        self, tier: EstimatorTier, batch: TileQueryBatch, field_name: str
-    ) -> np.ndarray:
-        """One attempt on one tier; raises on any injected/real failure."""
-        started = self._clock()
-        estimates = tier.estimator.estimate_batch(batch)
-        elapsed = self._clock() - started
-        if self._attempt_timeout is not None and elapsed > self._attempt_timeout:
-            raise TimeoutError(
-                f"estimator {tier.name!r} took {elapsed:.3f}s for a "
-                f"{len(batch)}-tile chunk (limit {self._attempt_timeout:.3f}s)"
-            )
-        values = np.asarray(getattr(estimates, field_name), dtype=np.float64)
-        if values.shape != (len(batch),):
-            raise ValueError(
-                f"estimator {tier.name!r} returned shape {values.shape} "
-                f"for a {len(batch)}-query chunk"
-            )
-        if not np.isfinite(values).all():
-            bad = int(np.count_nonzero(~np.isfinite(values)))
-            raise ValueError(
-                f"estimator {tier.name!r} returned {bad} non-finite count(s)"
-            )
-        return values
 
     def estimate_chunk_tiered(
         self,
@@ -572,75 +339,44 @@ class FallbackChain:
         field_name: str,
         *,
         trace: RequestTrace | None = None,
-    ) -> tuple[np.ndarray, EstimatorTier]:
+    ) -> tuple[np.ndarray, Level2BatchEstimator]:
         """Answer one chunk of tile queries, falling through the chain.
 
         Returns the float64 counts for ``field_name``, one per query, and
         the tier that answered -- callers caching results need to know
         whether the answer is authoritative (primary tier) or degraded.
         Raises :class:`~repro.errors.EstimatorFailedError` when no tier
-        can answer.  When a trace is given, every tier attempt is
+        can answer.  When a trace is given, every tier called is
         recorded as an ``attempt:<tier>`` span with its outcome.
         """
         causes: list[BaseException] = []
-        obs = self._obs
-        for depth, tier in enumerate(self.tiers):
-            if not tier.breaker.allows():
-                if obs is not None:
-                    obs.tier_skips.labels(tier=tier.name).inc()
-                causes.append(
-                    RuntimeError(f"circuit open for estimator {tier.name!r}")
-                )
+        for tier in self.tiers:
+            span_cm = (
+                trace.span(f"attempt:{tier.name}") if trace is not None else nullcontext()
+            )
+            reason = "error"
+            try:
+                with span_cm:
+                    estimates = tier.estimate_batch(batch)
+                    # From here on a failure is the chain rejecting the answer.
+                    reason = "bad_output"
+                    values = np.asarray(getattr(estimates, field_name), dtype=np.float64)
+                    if values.shape != (len(batch),):
+                        raise ValueError(
+                            f"estimator {tier.name!r} returned shape {values.shape} "
+                            f"for a {len(batch)}-query chunk"
+                        )
+                    if not np.isfinite(values).all():
+                        bad = int(np.count_nonzero(~np.isfinite(values)))
+                        raise ValueError(
+                            f"estimator {tier.name!r} returned {bad} non-finite count(s)"
+                        )
+            except Exception as exc:
+                causes.append(exc)
+                if self._obs is not None:
+                    self._obs.tier_failures.labels(tier=tier.name, reason=reason).inc()
                 continue
-            last_exc: BaseException | None = None
-            for attempt in range(self._retry.attempts):
-                tier.note_attempt()
-                if obs is not None:
-                    obs.tier_attempts.labels(tier=tier.name).inc()
-                    if attempt:
-                        obs.tier_retries.labels(tier=tier.name).inc()
-                attempt_started = self._clock()
-                span_cm = (
-                    trace.span(f"attempt:{tier.name}", attempt=attempt)
-                    if trace is not None
-                    else nullcontext()
-                )
-                try:
-                    with span_cm:
-                        values = self._attempt(tier, batch, field_name)
-                except Exception as exc:
-                    tier.note_failure()
-                    tier.breaker.record_failure()
-                    if obs is not None:
-                        obs.tier_seconds.labels(tier=tier.name).observe(
-                            self._clock() - attempt_started
-                        )
-                        obs.tier_failures.labels(
-                            tier=tier.name, reason=classify_failure(exc)
-                        ).inc()
-                    last_exc = exc
-                    # A pure state read, on purpose: ``allows()`` has the
-                    # side effect of admitting the half-open probe, so
-                    # using it as a mid-retry check would burn the probe
-                    # the moment a zero-cooldown breaker tripped.
-                    if tier.breaker.state == "open":
-                        break  # tripped open mid-chunk: stop retrying this tier
-                    if attempt + 1 < self._retry.attempts:
-                        delay = self._retry.delay(attempt)
-                        if delay > 0:
-                            self._sleep(delay)
-                else:
-                    tier.note_success()
-                    tier.breaker.record_success()
-                    if obs is not None:
-                        obs.tier_seconds.labels(tier=tier.name).observe(
-                            self._clock() - attempt_started
-                        )
-                        obs.tier_successes.labels(tier=tier.name).inc()
-                        obs.fallback_depth.observe(depth)
-                    return values, tier
-            if last_exc is not None:
-                causes.append(last_exc)
+            return values, tier
         raise EstimatorFailedError(
             f"all {len(self.tiers)} estimator tier(s) failed for a "
             f"{len(batch)}-tile chunk: "
@@ -658,13 +394,13 @@ class ResilientBrowsingService:
     when the measured cost fits the remaining budget, row chunks
     otherwise.
     :class:`~repro.browse.service.GeoBrowsingService` is this class
-    configured with one estimator and one attempt.
+    configured with one estimator and one chunk per raster.
 
     Parameters
     ----------
     estimators:
-        The fallback chain, primary first (a single estimator works
-        too); or pass a prebuilt :class:`FallbackChain` via ``chain``.
+        The fallback chain's tiers, primary first (a single estimator
+        works too).
     grid:
         The service's evaluation grid.
     chunk_rows:
@@ -673,13 +409,13 @@ class ResilientBrowsingService:
         chunk measured yet) uses it too; once the measured cost of the
         open tiles, times :data:`WAVE_HEADROOM`, fits the remaining
         budget, they leave as one chunk.
-    clock, sleep:
-        Injectable time sources (monotonic seconds / backoff sleeper);
-        tests substitute fakes for determinism.
+    clock:
+        Injectable monotonic seconds; tests substitute a fake for
+        determinism.
     instruments:
         An optional :class:`~repro.obs.instruments.BrowseInstrumentation`;
         when given, every request is traced (the trace rides on
-        ``BrowseResult.telemetry``), tier/breaker/tile outcomes are
+        ``BrowseResult.telemetry``), tier failures and tile outcomes are
         recorded, and its accuracy probe (if any) samples each answered
         raster.  ``None`` (the default) keeps the path uninstrumented.
     cache:
@@ -731,13 +467,7 @@ class ResilientBrowsingService:
         grid: Grid,
         *,
         chunk_rows: int = 4,
-        failure_threshold: int = 3,
-        cooldown: float = 1.0,
-        retry: RetryPolicy | None = None,
-        attempt_timeout: float | None = None,
         clock: Clock = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-        chain: FallbackChain | None = None,
         instruments: BrowseInstrumentation | None = None,
         cache: TileResultCache | None = None,
         delta: DeltaTracker | None = None,
@@ -758,18 +488,7 @@ class ResilientBrowsingService:
         self._refine_fraction = refine_fraction
         if isinstance(estimators, Level2Estimator):
             estimators = [estimators]
-        if chain is None:
-            chain = FallbackChain(
-                estimators,
-                failure_threshold=failure_threshold,
-                cooldown=cooldown,
-                retry=retry,
-                attempt_timeout=attempt_timeout,
-                clock=clock,
-                sleep=sleep,
-                instruments=instruments,
-            )
-        self._chain = chain
+        self._chain = FallbackChain(estimators, instruments=instruments)
         self._grid = grid
         #: Raster rows per chunk under pressure; ``None`` answers every
         #: raster as one chunk.
@@ -779,7 +498,7 @@ class ResilientBrowsingService:
         self._obs = instruments
         self._cache = cache
         self._delta = delta
-        self._summary = backing_summary(chain.tiers[0].estimator)
+        self._summary = backing_summary(self._chain.tiers[0])
         self._summary_token = summary_token(self._summary)
 
     @property
@@ -789,7 +508,7 @@ class ResilientBrowsingService:
 
     @property
     def chain(self) -> FallbackChain:
-        """The fallback chain answering chunks (stats live on its tiers)."""
+        """The fallback chain answering chunks."""
         return self._chain
 
     @property
@@ -957,17 +676,15 @@ class ResilientBrowsingService:
         """How ``n_open`` open tiles leave: the plan label and the rows
         per chunk.  ``budget`` -- the whole raster as one chunk -- when
         the measured cost of the open tiles times :data:`WAVE_HEADROOM`
-        fits a positive remaining budget and ``attempt_timeout``;
-        otherwise ``chunk_rows`` chunks, under ``cold`` (no cost sample
-        yet) or ``pressure``."""
+        fits a positive remaining budget; otherwise ``chunk_rows``
+        chunks, under ``cold`` (no cost sample yet) or ``pressure``."""
         chunk_rows = self._chunk_rows or rows
         per_tile = self._cost.seconds_per_tile
         if per_tile is None:
             return "cold", chunk_rows
         cost = per_tile * WAVE_HEADROOM * n_open
         remaining = math.inf if deadline is None else deadline - (self._clock() - started)
-        timeout = self._chain.attempt_timeout
-        if remaining > 0 and cost <= remaining and (timeout is None or cost <= timeout):
+        if remaining > 0 and cost <= remaining:
             return "budget", rows
         return "pressure", chunk_rows
 
@@ -1168,7 +885,7 @@ class ResilientBrowsingService:
     def _estimate_chunk(
         self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
         idx: np.ndarray,
-    ) -> tuple[TileQueryBatch, np.ndarray | None, EstimatorTier | None]:
+    ) -> tuple[TileQueryBatch, np.ndarray | None, Level2BatchEstimator | None]:
         """One chunk through the fallback chain: its corner batch, its
         values and the answering tier.  The values are ``None`` when the
         chain is exhausted but a pyramid level can rescue the chunk.  An

@@ -14,9 +14,9 @@ It is a constructor, not a second implementation: the raster is answered
 by the staged pipeline of
 :class:`~repro.browse.resilience.ResilientBrowsingService` (resolve ->
 delta -> cache probe -> chunk waves -> assemble), configured with one
-estimator, one attempt and no pyramid.  Every raster is one chunk: a
-single vectorised ``estimate_batch`` per raster -- a constant number of
-numpy gathers regardless of ``rows x cols``.  Estimators without a
+estimator and no pyramid.  Every raster is one chunk: a single
+vectorised ``estimate_batch`` per raster -- a constant number of numpy
+gathers regardless of ``rows x cols``.  Estimators without a
 native batch path are adapted via
 :func:`~repro.euler.base.as_batch_estimator`; wrap one in
 :class:`~repro.euler.base.ScalarBatchFallback` to serve rasters through
@@ -34,7 +34,6 @@ from repro.browse.resilience import (
     RELATION_FIELDS,
     BrowseResult,
     ResilientBrowsingService,
-    RetryPolicy,
     resolve_browse_request,
 )
 from repro.cache import TileResultCache
@@ -51,12 +50,9 @@ class GeoBrowsingService(ResilientBrowsingService):
     The browse pipeline with one estimator, configured for the plain
     case.  Its failure contract:
 
-    - **One attempt.**  Each chunk gets exactly one ``estimate_batch``
-      call; there are no retries and no fallback tier.
-    - **The shared breaker.**  The estimator sits behind the pipeline's
-      circuit breaker, shared by every request of this service: after 3
-      consecutive failed chunks it is skipped for 1 s, then one probe
-      request may close it again.
+    - **One call.**  Each raster is one chunk and gets exactly one
+      ``estimate_batch`` call.  There is no fallback tier, and no state
+      carries a failure from one request to the next.
     - **Taxonomy errors only.**  A malformed request raises
       :class:`~repro.errors.InvalidRegionError`.  An estimator exception
       or a non-finite count raises
@@ -90,7 +86,6 @@ class GeoBrowsingService(ResilientBrowsingService):
         super().__init__(
             [estimator],
             grid,
-            retry=RetryPolicy(attempts=1),
             instruments=instruments,
             cache=cache,
             delta=delta,

@@ -20,13 +20,13 @@ queued, one of three things:
 
 Everything here is pure synchronous logic on an injectable clock -- no
 asyncio, no threads -- so the triage rules are unit-testable with a fake
-clock, exactly like the circuit breakers in
-:mod:`repro.browse.resilience`.  The gateway calls it only from the
-event loop, which serialises all state access: the window keeps no lock,
-and every read trims it.  Each call costs a constant number of Python
-steps (the window's bisect, insert and delete run in C over at most
-``max_samples`` floats), because it runs once or twice per arrival on
-the loop that also decodes and encodes every request.
+clock, exactly like the wave plan in :mod:`repro.browse.resilience`.
+The gateway calls it only from the event loop, which serialises all
+state access: the window keeps no lock, and every read trims it.  Each
+call costs a constant number of Python steps (the window's bisect,
+insert and delete run in C over at most ``max_samples`` floats),
+because it runs once or twice per arrival on the loop that also decodes
+and encodes every request.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ artifacts.  The catalog separates what is *shared* from what must be
   safe and collapses memory to one copy per dataset.
 - **Isolated: serving state.**  Every ``(tenant, dataset)`` pair gets
   its *own* :class:`~repro.browse.resilience.ResilientBrowsingService`
-  -- its own circuit breakers (one tenant's faulty traffic cannot trip
-  another tenant's tiers open) and its own session-keyed
+  -- its own learned chunk cost and its own session-keyed
   :class:`~repro.browse.delta.DeltaTracker` with a per-tenant session
   bound, so one tenant's pan storm evicts only its own reuse state,
   never a neighbour's.
@@ -50,7 +49,7 @@ class DatasetBlueprint:
     service is built from; ``cache`` is the shared tile-result cache
     (``None`` disables caching); ``service_kwargs`` is forwarded to each
     :class:`~repro.browse.resilience.ResilientBrowsingService`
-    (``chunk_rows``, retry/breaker knobs, ...).
+    (``chunk_rows``, ``pyramid``, ...).
     """
 
     name: str
@@ -108,8 +107,8 @@ class TenantCatalog:
     Datasets are registered first (:meth:`register_dataset`), tenants
     after (:meth:`add_tenant`), naming the datasets they may browse.
     Services are built eagerly at tenant registration -- construction is
-    cheap (the estimators are shared; only breakers and trackers are
-    per-tenant) and eager failure beats a 500 at request time.
+    cheap (the estimators are shared; only the chunk cost and the delta
+    tracker are per-tenant) and eager failure beats a 500 at request time.
     """
 
     def __init__(

@@ -162,10 +162,12 @@ def build_zoned(
     workers:
         Worker processes; ``0`` or ``1`` builds inline in this process.
     spill_dir:
-        Where zone partials spill.  Defaults to a temporary directory
-        removed when the build finishes; a caller-provided directory is
-        left in place, and none of the build's own files stay in it,
-        whether the build succeeds or fails.
+        Where zone partials spill: each build makes its own
+        ``repro-ingest-*`` directory inside it (inside the system
+        temporary directory when ``None``) and removes it when the build
+        finishes, whether it succeeds or fails.  Builds that share a
+        ``spill_dir`` therefore never touch each other's spill logs, and
+        the caller's directory keeps exactly what it held before.
     instruments:
         Optional :class:`~repro.obs.instruments.IngestInstrumentation`
         to record the ``repro_ingest_*`` families into.
@@ -182,10 +184,7 @@ def build_zoned(
             f"({builder_nbytes} B for a {shape[0]}x{shape[1]} lattice)"
         )
 
-    own_spill_dir = spill_dir is None
-    spill_root = (
-        tempfile.mkdtemp(prefix="repro-ingest-") if own_spill_dir else os.fspath(spill_dir)
-    )
+    spill_root = tempfile.mkdtemp(prefix="repro-ingest-", dir=spill_dir)
     started = time.monotonic()
     chunks_pool = chunks_inline = chunks_replayed = 0
     crashes = spills = 0
@@ -269,11 +268,10 @@ def build_zoned(
         histogram = global_builder.build()
     finally:
         # The pool deleted its workers' logs on close; the inline
-        # accumulator deletes its own.
+        # accumulator deletes its own, and the build's directory goes last.
         if inline_acc is not None:
             inline_acc.discard()
-        if own_spill_dir:
-            shutil.rmtree(spill_root, ignore_errors=True)
+        shutil.rmtree(spill_root, ignore_errors=True)
 
     elapsed = time.monotonic() - started
     report = IngestReport(

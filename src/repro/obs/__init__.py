@@ -24,7 +24,6 @@ from repro.obs.instruments import (
     BrowseInstrumentation,
     IngestInstrumentation,
     JoinInstrumentation,
-    classify_failure,
     record_persistence_event,
 )
 from repro.obs.registry import (
@@ -50,7 +49,6 @@ __all__ = [
     "MetricsRegistry",
     "RequestTrace",
     "Span",
-    "classify_failure",
     "get_default_registry",
     "parse_prometheus_text",
     "record_persistence_event",

@@ -150,7 +150,8 @@ def parse_prometheus_text(text: str) -> dict[str, float]:
     """Flatten Prometheus exposition text to ``{sample_key: value}``.
 
     The sample key is the exposition line's name-plus-labels part with
-    labels in sorted order, e.g. ``repro_tier_attempts_total{tier="Exact"}``.
+    labels in sorted order, e.g.
+    ``repro_tier_failures_total{reason="error",tier="Exact"}``.
     A minimal parser for round-trip checks, not a full scraper.
     """
     samples: dict[str, float] = {}

@@ -1,9 +1,9 @@
 """The serving stack's pre-wired metric families.
 
-:class:`BrowseInstrumentation` is the bundle both browsing services, the
-fallback chain and the circuit breakers record into: one registry, every
-family declared once up front (so the hot path never re-validates metric
-names), plus a trace factory on the same clock.  Passing one instance to
+:class:`BrowseInstrumentation` is the bundle both browsing services and
+the fallback chain record into: one registry, every family declared once
+up front (so the hot path never re-validates metric names), plus a trace
+factory on the same clock.  Passing one instance to
 :class:`~repro.browse.service.GeoBrowsingService` or
 :class:`~repro.browse.resilience.ResilientBrowsingService` turns the
 whole stack observable; passing nothing keeps the uninstrumented fast
@@ -20,7 +20,6 @@ name                                                   type       labels
 ``repro_browse_tiles_total``                           counter    service, outcome
 ``repro_browse_deadline_margin_seconds``               gauge      service
 ``repro_browse_deadline_expirations_total``            counter    service
-``repro_browse_fallback_depth``                        histogram  --
 ``repro_cache_hits_total``                             counter    service
 ``repro_cache_misses_total``                           counter    service
 ``repro_delta_rasters_total``                          counter    service, outcome
@@ -29,13 +28,7 @@ name                                                   type       labels
 ``repro_pyramid_refine_rounds``                        histogram  service
 ``repro_pyramid_first_raster_seconds``                 histogram  service
 ``repro_pyramid_rescued_chunks_total``                 counter    service
-``repro_tier_attempts_total``                          counter    tier
-``repro_tier_retries_total``                           counter    tier
-``repro_tier_successes_total``                         counter    tier
-``repro_tier_failures_total``                          counter    tier, reason
-``repro_tier_skips_total``                             counter    tier
-``repro_tier_attempt_seconds``                         histogram  tier
-``repro_breaker_transitions_total``                    counter    tier, from_state, to_state
+``repro_tier_failures_total``                          counter    tier, reason (error, bad_output)
 ``repro_persistence_ops_total``                        counter    kind, op, outcome
 ``repro_gateway_requests_total``                       counter    tenant, outcome
 ``repro_gateway_shed_total``                           counter    reason
@@ -79,29 +72,11 @@ __all__ = [
     "BrowseInstrumentation",
     "IngestInstrumentation",
     "JoinInstrumentation",
-    "classify_failure",
     "record_persistence_event",
 ]
 
-#: Buckets for the fallback-depth histogram: tier index that answered.
-_DEPTH_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0)
-
 #: Buckets for pyramid refinement rounds per request.
 _REFINE_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
-
-
-def classify_failure(exc: BaseException) -> str:
-    """Bucket an estimator failure for the ``reason`` label.
-
-    ``timeout`` for attempt-budget overruns, ``bad_output`` for answers
-    rejected by validation (wrong shape, non-finite counts), ``error``
-    for everything else (exceptions out of the estimator itself).
-    """
-    if isinstance(exc, TimeoutError):
-        return "timeout"
-    if isinstance(exc, ValueError):
-        return "bad_output"
-    return "error"
 
 
 class BrowseInstrumentation:
@@ -207,46 +182,12 @@ class BrowseInstrumentation:
             help="Chunks whose exhausted fallback chain was rescued from the coarsest pyramid level",
             labels=("service",),
         )
-        self.fallback_depth = r.histogram(
-            "repro_browse_fallback_depth",
-            help="Tier index that answered each chunk (0 = primary)",
-            buckets=_DEPTH_BUCKETS,
-        )
-        self.tier_attempts = r.counter(
-            "repro_tier_attempts_total",
-            help="Chunk attempts routed to a tier, retries included",
-            labels=("tier",),
-        )
-        self.tier_retries = r.counter(
-            "repro_tier_retries_total",
-            help="Attempts that were retries of a failed attempt",
-            labels=("tier",),
-        )
-        self.tier_successes = r.counter(
-            "repro_tier_successes_total",
-            help="Chunks a tier answered",
-            labels=("tier",),
-        )
         self.tier_failures = r.counter(
             "repro_tier_failures_total",
-            help="Failed tier attempts, by failure reason",
+            help="Chunks a tier failed (error: estimate_batch raised; bad_output: "
+            "wrong shape or non-finite counts); a tier is called only for the "
+            "chunks the tier before it failed",
             labels=("tier", "reason"),
-        )
-        self.tier_skips = r.counter(
-            "repro_tier_skips_total",
-            help="Chunks that skipped a tier because its breaker was open",
-            labels=("tier",),
-        )
-        self.tier_seconds = r.histogram(
-            "repro_tier_attempt_seconds",
-            help="Per-attempt tier latency",
-            labels=("tier",),
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self.breaker_transitions = r.counter(
-            "repro_breaker_transitions_total",
-            help="Circuit breaker state transitions",
-            labels=("tier", "from_state", "to_state"),
         )
         self.gateway_requests = r.counter(
             "repro_gateway_requests_total",
@@ -285,16 +226,6 @@ class BrowseInstrumentation:
     def new_trace(self) -> RequestTrace:
         """A fresh trace on the instrumentation clock."""
         return RequestTrace(clock=self.clock)
-
-    def breaker_hook(self, tier_name: str) -> Callable[[str, str], None]:
-        """An ``on_transition`` callback wired to the transition counter."""
-
-        def hook(old_state: str, new_state: str) -> None:
-            self.breaker_transitions.labels(
-                tier=tier_name, from_state=old_state, to_state=new_state
-            ).inc()
-
-        return hook
 
 
 class IngestInstrumentation:

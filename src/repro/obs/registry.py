@@ -226,7 +226,7 @@ class Counter(_MetricFamily):
 
 
 class Gauge(_MetricFamily):
-    """A value that can go either way (deadline margin, breaker depth)."""
+    """A value that can go either way (deadline margin, queue depth)."""
 
     kind = "gauge"
 

@@ -1,9 +1,10 @@
 """Deterministic fault injection for resilience testing.
 
 The resilience layer (:mod:`repro.browse.resilience`) promises specific
-degradation behaviour -- fallback after failures, breakers tripping after
-K consecutive errors, NaN corruption never reaching a client.  Those
-promises are only testable against an estimator that fails *on cue*:
+degradation behaviour -- fallback to the next tier after a failed call,
+partial rasters under a deadline, NaN corruption never reaching a
+client.  Those promises are only testable against an estimator that
+fails *on cue*:
 :class:`FaultyEstimator` wraps any real estimator and injects exceptions,
 latency and NaN-corrupted counts according to a :class:`FaultSchedule`,
 either scripted call-by-call or drawn from a seeded RNG.  Everything is
@@ -41,7 +42,7 @@ FAULT_KINDS = ("none", "error", "latency", "nan")
 
 
 class InjectedFault(RuntimeError):
-    """The transient failure :class:`FaultyEstimator` raises on cue."""
+    """The failure :class:`FaultyEstimator` raises on cue."""
 
 
 class FaultSchedule:

@@ -132,9 +132,7 @@ class TestResilientCache:
         )
         fallback = SEulerApprox(hist)
         cache = TileResultCache()
-        service = ResilientBrowsingService(
-            [primary, fallback], GRID, cache=cache, failure_threshold=10_000
-        )
+        service = ResilientBrowsingService([primary, fallback], GRID, cache=cache)
         region = TileQuery(0, 12, 0, 8)
         result = service.browse(region, 4, 6)
         assert result.valid is None or result.valid.all()
@@ -155,14 +153,13 @@ class TestResilientCache:
             [primary, fallback],
             GRID,
             cache=cache,
-            failure_threshold=10_000,
             chunk_rows=2,
         )
         region = TileQuery(0, 12, 0, 8)
         reference = GeoBrowsingService(SEulerApprox(hist), GRID).browse(region, 4, 6)
         result = service.browse(region, 4, 6)
         np.testing.assert_array_equal(result.counts, reference.counts)
-        # The retried/recovered primary answered at least one chunk.
+        # The recovered primary answered at least one chunk.
         assert len(cache) > 0
 
     def test_chunked_resilient_parity(self, hist):

@@ -13,7 +13,7 @@ costs the primary at least one chunk call, which is past the seeded
 schedule's first fault whatever the thread interleaving.  One-row
 chunks add a call per row while the service is cold, and the
 interpreter's switch interval is cut to a microsecond so requests
-interleave inside the shared cache, breaker and tier updates."""
+interleave inside the shared cache and cost updates."""
 
 import sys
 import threading
@@ -66,14 +66,7 @@ def test_threaded_stress_with_faults_cache_and_shards(hist):
         sleep=lambda _s: None,
     )
     cache = TileResultCache()
-    service = ResilientBrowsingService(
-        [primary, estimator],
-        GRID,
-        cache=cache,
-        chunk_rows=1,
-        failure_threshold=10_000,  # keep the breaker out of the way
-        sleep=lambda _s: None,
-    )
+    service = ResilientBrowsingService([primary, estimator], GRID, cache=cache, chunk_rows=1)
 
     errors: list[str] = []
     barrier = threading.Barrier(NUM_WORKERS)
@@ -116,8 +109,3 @@ def test_threaded_stress_with_faults_cache_and_shards(hist):
     # The shared cache saw real traffic and stayed coherent.
     total_tiles = NUM_WORKERS * REQUESTS_PER_WORKER  # lower bound: 6 tiles/raster
     assert cache.hits + cache.misses >= total_tiles
-    # Tier stats were counted under their locks: attempts cover every
-    # chunk outcome recorded.
-    tier0, tier1 = service.chain.tiers
-    assert tier0.attempts == tier0.successes + tier0.failures
-    assert tier1.attempts >= tier1.successes

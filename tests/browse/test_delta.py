@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.browse.delta import DeltaTracker, plan_delta
-from repro.browse.resilience import ResilientBrowsingService, RetryPolicy
+from repro.browse.resilience import ResilientBrowsingService
 from repro.browse.service import RELATION_FIELDS, GeoBrowsingService
 from repro.cache import TileResultCache
 from repro.euler.histogram import EulerHistogram
@@ -281,7 +281,6 @@ class TestResilientDelta:
             [primary, fallback],
             GRID,
             delta=DeltaTracker(),
-            failure_threshold=10_000,
             instruments=instruments,
         )
         region = TileQuery(0, 12, 0, 8)
@@ -307,9 +306,7 @@ class TestResilientDelta:
             [primary, fallback],
             GRID,
             delta=DeltaTracker(),
-            failure_threshold=10_000,
             chunk_rows=2,
-            retry=RetryPolicy(attempts=1),
         )
         region = TileQuery(0, 12, 0, 8)
         result = service.browse(region, 4, 6)

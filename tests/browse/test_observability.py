@@ -2,16 +2,15 @@
 
 The acceptance scenario of the tentpole: a degraded browse (fault
 injection + deadline) must produce a telemetry snapshot showing tier
-fallback counts, breaker transitions, per-stage latency histograms and
-NaN-tile counts -- and the snapshot must export identically via
-Prometheus text and JSON.
+failure counts, per-stage latency histograms and NaN-tile counts -- and
+the snapshot must export identically via Prometheus text and JSON.
 """
 
 import numpy as np
 import pytest
 
 from repro.browse.delta import DeltaTracker
-from repro.browse.resilience import ResilientBrowsingService, RetryPolicy
+from repro.browse.resilience import ResilientBrowsingService
 from repro.browse.service import GeoBrowsingService
 from repro.cache import TileResultCache
 from repro.euler.base import ScalarBatchFallback
@@ -71,21 +70,19 @@ def exact(grid, data):
 
 
 def degraded_browse(grid, exact, hist, clock, instruments):
-    """A scripted degraded request: flaky primary, slow fallback, tight
-    deadline -- exercises retries, a breaker trip, fallback and expiry."""
-    primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",) * 4))
+    """A scripted degraded request: a primary that fails every chunk, a
+    slow fallback, a tight deadline -- exercises fallback and expiry.
+    Returns the result and the primary's call count."""
+    primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",), cycle=True))
     fallback = FaultyBatchEstimator(
         SEulerApprox(hist),
         FaultSchedule(script=("latency",), cycle=True, latency=0.3),
         sleep=clock.advance,
     )
     service = ResilientBrowsingService(
-        [primary, fallback], grid, chunk_rows=1,
-        failure_threshold=2, cooldown=60.0,
-        retry=RetryPolicy(attempts=1), clock=clock, sleep=lambda s: None,
-        instruments=instruments,
+        [primary, fallback], grid, chunk_rows=1, clock=clock, instruments=instruments,
     )
-    return service.browse(REGION, rows=8, cols=6, deadline=1.5)
+    return service.browse(REGION, rows=8, cols=6, deadline=1.5), primary.calls
 
 
 class TestPlainServiceTelemetry:
@@ -136,7 +133,7 @@ class TestPlainServiceTelemetry:
         result = service.browse(REGION, rows=4, cols=6)
         attempts = [s.name for s in result.telemetry.spans if s.name.startswith("attempt:")]
         assert attempts == ["attempt:Exact"]
-        assert isinstance(service.chain.tiers[0].estimator, ScalarBatchFallback)
+        assert isinstance(service.chain.tiers[0], ScalarBatchFallback)
 
 
 class TestDegradedBrowseTelemetry:
@@ -145,11 +142,11 @@ class TestDegradedBrowseTelemetry:
         clock = FakeClock()
         registry = MetricsRegistry(clock=clock)
         instruments = BrowseInstrumentation(registry, clock=clock)
-        result = degraded_browse(grid, exact, hist, clock, instruments)
-        return result, instruments
+        result, primary_calls = degraded_browse(grid, exact, hist, clock, instruments)
+        return result, instruments, primary_calls
 
     def test_partial_raster_with_telemetry(self, snapshot):
-        result, _ = snapshot
+        result, _, _ = snapshot
         assert not result.is_complete
         assert result.telemetry is not None
         root = result.telemetry.spans[0]
@@ -157,24 +154,16 @@ class TestDegradedBrowseTelemetry:
         assert root.attrs["valid_fraction"] == result.valid_fraction
 
     def test_tier_fallback_counts(self, snapshot):
-        _, instruments = snapshot
-        reg = instruments.registry
-        failures = reg.get("repro_tier_failures_total")
-        assert failures.labels(tier="Faulty(Exact)", reason="error").value == 2
-        # after the trip, remaining chunks skip the open primary
-        assert reg.get("repro_tier_skips_total").labels(tier="Faulty(Exact)").value > 0
-        assert instruments.fallback_depth.count > 0
-        assert instruments.fallback_depth.sum > 0  # some chunks answered at depth 1
-
-    def test_breaker_transition_counter(self, snapshot):
-        _, instruments = snapshot
-        transitions = instruments.registry.get("repro_breaker_transitions_total")
-        assert transitions.labels(
-            tier="Faulty(Exact)", from_state="closed", to_state="open"
-        ).value == 1
+        _, instruments, primary_calls = snapshot
+        failures = instruments.registry.get("repro_tier_failures_total")
+        # One failure per chunk sent to the primary, and the fallback --
+        # called only for those chunks -- answered every one of them.
+        assert primary_calls == 5
+        assert failures.labels(tier="Faulty(Exact)", reason="error").value == primary_calls
+        assert [s["labels"]["tier"] for s in failures.samples()] == ["Faulty(Exact)"]
 
     def test_deadline_and_nan_tile_counters(self, snapshot):
-        result, instruments = snapshot
+        result, instruments, _ = snapshot
         reg = instruments.registry
         assert reg.get("repro_browse_deadline_expirations_total").labels(
             service="resilient"
@@ -186,13 +175,13 @@ class TestDegradedBrowseTelemetry:
         assert instruments.deadline_margin.labels(service="resilient").value <= 0.0
 
     def test_stage_latency_histogram_recorded(self, snapshot):
-        _, instruments = snapshot
+        _, instruments, _ = snapshot
         chunk = instruments.stage_seconds.labels(service="resilient", stage="chunk")
         assert chunk.count > 0
         assert chunk.sum > 0.0  # the injected latency is on the same clock
 
     def test_waves_span_says_why_the_raster_was_chunked(self, snapshot):
-        result, _ = snapshot
+        result, _, _ = snapshot
         # A cold service (no chunk measured yet) answers in chunk_rows
         # chunks; the span and its rendering name the plan.
         waves = next(s for s in result.telemetry.spans if s.name == "waves")
@@ -200,7 +189,7 @@ class TestDegradedBrowseTelemetry:
         assert "plan=cold chunks=8" in result.telemetry.render()
 
     def test_trace_has_attempt_spans_with_errors(self, snapshot):
-        result, _ = snapshot
+        result, _, _ = snapshot
         attempts = [s for s in result.telemetry.spans if s.name.startswith("attempt:")]
         assert any(s.attrs.get("error") == "InjectedFault" for s in attempts)
         assert any("error" not in s.attrs for s in attempts)
@@ -208,7 +197,7 @@ class TestDegradedBrowseTelemetry:
     def test_exports_agree(self, snapshot):
         """Acceptance: the snapshot exports identically via Prometheus
         text and JSON."""
-        _, instruments = snapshot
+        _, instruments, _ = snapshot
         prom = parse_prometheus_text(to_prometheus_text(instruments.registry))
         doc = samples_from_json(to_json(instruments.registry))
         assert prom == doc

@@ -8,12 +8,7 @@ timers, no flakes.
 import numpy as np
 import pytest
 
-from repro.browse.resilience import (
-    CircuitBreaker,
-    FallbackChain,
-    ResilientBrowsingService,
-    RetryPolicy,
-)
+from repro.browse.resilience import FallbackChain, ResilientBrowsingService
 from repro.browse.service import GeoBrowsingService
 from repro.errors import (
     BrowseError,
@@ -22,6 +17,7 @@ from repro.errors import (
     InvalidRegionError,
 )
 from repro.euler.base import ScalarBatchFallback
+from repro.euler.estimates import Level2CountsBatch
 from repro.euler.histogram import EulerHistogram
 from repro.euler.pyramid import HistogramPyramid
 from repro.euler.simple import SEulerApprox
@@ -80,6 +76,61 @@ class PerTileLatency:
         self.calls += 1
         self._clock.advance(self._fixed + self._per_tile * len(queries))
         return self._inner.estimate_batch(queries)
+
+
+class NanAtOrigin:
+    """A batch estimator answering NaN on every tile that covers cell
+    (0, 0) -- the same bad answer each time it is asked -- and counting
+    its ``estimate_batch`` calls."""
+
+    def __init__(self, estimator):
+        self._inner = estimator
+        self.calls = 0
+
+    @property
+    def name(self):
+        return self._inner.name
+
+    def estimate(self, query):
+        return self._inner.estimate(query)
+
+    def estimate_batch(self, queries):
+        self.calls += 1
+        counts = self._inner.estimate_batch(queries)
+        origin = (queries.qx_lo == 0) & (queries.qy_lo == 0)
+        return Level2CountsBatch(
+            **{
+                name: np.where(origin, np.nan, getattr(counts, name))
+                for name in ("n_d", "n_cs", "n_cd", "n_o")
+            }
+        )
+
+
+class Broken:
+    """A batch estimator whose every ``estimate_batch`` call fails the
+    given way: ``raise`` raises ``exc``, ``nan`` answers NaN everywhere
+    and ``shape`` answers one count too few."""
+
+    def __init__(self, estimator, failure, exc=None):
+        self._inner = estimator
+        self._failure = failure
+        self._exc = exc
+
+    @property
+    def name(self):
+        return f"Broken({self._inner.name})"
+
+    def estimate(self, query):
+        return self._inner.estimate(query)
+
+    def estimate_batch(self, queries):
+        if self._failure == "raise":
+            raise self._exc
+        counts = self._inner.estimate_batch(queries)
+        fields = ("n_d", "n_cs", "n_cd", "n_o")
+        if self._failure == "nan":
+            return Level2CountsBatch(**{name: np.full(len(queries), np.nan) for name in fields})
+        return Level2CountsBatch(**{name: getattr(counts, name)[:-1] for name in fields})
 
 
 @pytest.fixture
@@ -187,145 +238,13 @@ class TestFaultyEstimator:
         assert np.isfinite(clean.n_o).all()
 
 
-class TestCircuitBreaker:
-    def test_trips_after_k_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=5.0, clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allows()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allows()
-
-    def test_success_resets_the_count(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_recovers(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=2.0, clock=clock)
-        breaker.record_failure()
-        assert not breaker.allows()
-        clock.advance(2.0)
-        assert breaker.allows() and breaker.state == "half_open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_failed_probe_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=1.0, clock=clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allows()
-        breaker.record_failure()  # single probe failure re-opens immediately
-        assert breaker.state == "open" and not breaker.allows()
-
-    def test_trips_on_exactly_the_kth_failure(self):
-        """The K-th consecutive failure -- not K+1 -- opens the breaker."""
-        for threshold in (1, 2, 5):
-            breaker = CircuitBreaker(failure_threshold=threshold, clock=FakeClock())
-            for i in range(threshold - 1):
-                breaker.record_failure()
-                assert breaker.state == "closed", f"tripped early at failure {i + 1}"
-            breaker.record_failure()
-            assert breaker.state == "open"
-
-    def test_failed_probe_restarts_the_cooldown(self):
-        """Re-opening stamps a fresh opened_at: the next probe waits a
-        full cooldown from the probe failure, not from the original trip."""
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0, clock=clock)
-        breaker.record_failure()  # opens at t=0
-        clock.advance(10.0)
-        assert breaker.allows()  # probe admitted at t=10
-        breaker.record_failure()  # probe fails -> re-opened at t=10
-        clock.advance(9.9)  # t=19.9: only 9.9s since re-open
-        assert not breaker.allows()
-        clock.advance(0.1)  # t=20: full cooldown since re-open
-        assert breaker.allows()
-
-    def test_half_open_admits_exactly_one_probe(self):
-        """Only the admitting allows() call wins; until the probe's
-        outcome is recorded every other caller is rejected."""
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allows()  # the probe
-        assert not breaker.allows()  # concurrent caller: rejected
-        assert not breaker.allows()
-        breaker.record_success()
-        assert breaker.allows()  # closed again: normal traffic
-
-    def test_state_reads_do_not_admit_the_probe(self):
-        """Reading .state is pure -- only allows() may transition the
-        breaker to half-open (the chain relies on this mid-retry)."""
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(5.0)
-        for _ in range(3):
-            assert breaker.state == "open"
-        assert breaker.allows()  # the probe is still available
-        assert breaker.state == "half_open"
-
-    def test_transition_hook_sees_every_state_change(self):
-        clock = FakeClock()
-        transitions = []
-        breaker = CircuitBreaker(
-            failure_threshold=2, cooldown=1.0, clock=clock,
-            on_transition=lambda old, new: transitions.append((old, new)),
-        )
-        breaker.record_failure()
-        breaker.record_failure()  # trip
-        clock.advance(1.0)
-        breaker.allows()  # admit the probe
-        breaker.record_failure()  # failed probe re-opens
-        clock.advance(1.0)
-        breaker.allows()
-        breaker.record_success()  # recovered
-        assert transitions == [
-            ("closed", "open"),
-            ("open", "half_open"),
-            ("half_open", "open"),
-            ("open", "half_open"),
-            ("half_open", "closed"),
-        ]
-
-    def test_redundant_success_fires_no_transition(self):
-        transitions = []
-        breaker = CircuitBreaker(
-            clock=FakeClock(),
-            on_transition=lambda old, new: transitions.append((old, new)),
-        )
-        breaker.record_success()  # already closed: no-op transition
-        assert transitions == []
-
-
-class TestRetryPolicy:
-    def test_deterministic_backoff(self):
-        policy = RetryPolicy(attempts=4, backoff_base=0.1, backoff_multiplier=2.0)
-        assert [policy.delay(i) for i in range(3)] == [0.1, 0.2, 0.4]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-1.0)
-
-
 class TestFallbackChain:
     def test_failing_primary_falls_back_to_complete_raster(self, grid, exact, hist):
         """Acceptance: FaultyEstimator failures on the primary still yield
         a complete raster, answered by the fallback."""
         primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",) * 10))
         service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=2,
-            retry=RetryPolicy(attempts=1), clock=FakeClock(), sleep=lambda s: None,
+            [primary, SEulerApprox(hist)], grid, chunk_rows=2, clock=FakeClock(),
         )
         result = service.browse(REGION, rows=4, cols=6)
         assert result.is_complete and result.valid is None
@@ -334,24 +253,22 @@ class TestFallbackChain:
         )
         np.testing.assert_array_equal(result.counts, expected.counts)
 
-    def test_transient_fault_recovered_by_retry(self, grid, exact):
-        slept = []
+    def test_a_failed_tier_is_called_once_and_the_next_answers(self, grid, exact, hist):
+        """A primary that fails one chunk is not asked again for it: the
+        second tier answers, with one call on each tier."""
         primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",)))
-        service = ResilientBrowsingService(
-            [primary], grid, chunk_rows=8,
-            retry=RetryPolicy(attempts=2, backoff_base=0.5),
-            clock=FakeClock(), sleep=slept.append,
-        )
-        result = service.browse(REGION, rows=4, cols=6)
-        assert result.is_complete
-        np.testing.assert_array_equal(result.counts, reference_counts(exact, grid))
-        assert slept == [0.5]  # one deterministic backoff before the retry
+        fallback = FaultyBatchEstimator(SEulerApprox(hist), FaultSchedule())
+        chain = FallbackChain([primary, fallback])
+        batch = browsing_tile_batch(REGION, 4, 6)
+        values, tier = chain.estimate_chunk_tiered(batch, "n_o")
+        assert tier is chain.tiers[1]
+        assert (primary.calls, fallback.calls) == (1, 1)
+        np.testing.assert_array_equal(values, SEulerApprox(hist).estimate_batch(batch).n_o)
 
     def test_nan_corruption_never_reaches_the_client(self, grid, exact, hist):
         primary = FaultyBatchEstimator(exact, FaultSchedule(script=("nan",) * 10, seed=2))
         service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=2,
-            retry=RetryPolicy(attempts=1), clock=FakeClock(), sleep=lambda s: None,
+            [primary, SEulerApprox(hist)], grid, chunk_rows=2, clock=FakeClock(),
         )
         result = service.browse(REGION, rows=4, cols=6)
         assert result.is_complete
@@ -366,100 +283,19 @@ class TestFallbackChain:
                 SEulerApprox(hist), FaultSchedule(script=("nan",), cycle=True, seed=9)
             ),
         ]
-        service = ResilientBrowsingService(
-            chain, grid, chunk_rows=2,
-            retry=RetryPolicy(attempts=2), clock=FakeClock(), sleep=lambda s: None,
-        )
+        service = ResilientBrowsingService(chain, grid, chunk_rows=2, clock=FakeClock())
         with pytest.raises(EstimatorFailedError) as excinfo:
             service.browse(REGION, rows=4, cols=6)
         assert isinstance(excinfo.value, BrowseError)
         assert len(excinfo.value.causes) == 2
         assert isinstance(excinfo.value.causes[0], InjectedFault)
 
-    def test_breaker_trips_and_skips_the_primary(self, grid, exact, hist):
-        primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",), cycle=True))
-        service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=1,
-            failure_threshold=3, cooldown=60.0,
-            retry=RetryPolicy(attempts=1), clock=FakeClock(), sleep=lambda s: None,
-        )
-        result = service.browse(REGION, rows=8, cols=6)
-        assert result.is_complete
-        primary_tier = service.chain.tiers[0]
-        assert primary_tier.breaker.state == "open"
-        # 3 failures tripped it; the remaining 5 chunks never touched it.
-        assert primary.calls == 3
-        assert primary_tier.attempts == 3
-
-    def test_half_open_probe_restores_the_primary(self, grid, exact, hist):
-        clock = FakeClock()
-        primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",) * 2))
-        service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=8,
-            failure_threshold=2, cooldown=10.0,
-            retry=RetryPolicy(attempts=2), clock=clock, sleep=lambda s: None,
-        )
-        service.browse(REGION, rows=4, cols=6)  # trips the primary open
-        assert service.chain.tiers[0].breaker.state == "open"
-        clock.advance(10.0)
-        result = service.browse(REGION, rows=4, cols=6)  # half-open probe succeeds
-        assert service.chain.tiers[0].breaker.state == "closed"
-        np.testing.assert_array_equal(result.counts, reference_counts(exact, grid))
-
-    def test_mid_chunk_trip_stops_retrying_the_tier(self, grid, exact, hist):
-        """Once a tier trips open mid-chunk, remaining retries are not
-        spent on it -- the chunk falls through immediately."""
-        primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",) * 10))
-        service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=8,
-            failure_threshold=1, cooldown=60.0,
-            retry=RetryPolicy(attempts=3), clock=FakeClock(), sleep=lambda s: None,
-        )
-        result = service.browse(REGION, rows=4, cols=6)
-        assert result.is_complete
-        assert primary.calls == 1  # tripped on the first failure, never retried
-
-    def test_zero_cooldown_trip_does_not_burn_the_probe(self, grid, exact, hist):
-        """Regression: the mid-retry open check must not call allows() --
-        with a zero cooldown that would admit (and burn) the half-open
-        probe inside the same chunk's retry loop."""
-        primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error", "error")))
-        service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=2,
-            failure_threshold=1, cooldown=0.0,
-            retry=RetryPolicy(attempts=2), clock=FakeClock(), sleep=lambda s: None,
-        )
-        result = service.browse(REGION, rows=4, cols=6)
-        assert result.is_complete
-        # Exactly one attempt per chunk: the trip ends chunk 1's retries,
-        # and chunk 2 spends the single half-open probe (which fails and
-        # re-opens).  The buggy check produced a third call here.
-        assert primary.calls == 2
-        assert service.chain.tiers[0].successes == 0
-
-    def test_timeout_overrun_counts_as_failure(self, grid, exact, hist):
-        clock = FakeClock()
-        primary = FaultyBatchEstimator(
-            exact,
-            FaultSchedule(script=("latency",), cycle=True, latency=0.5),
-            sleep=clock.advance,
-        )
-        service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=8,
-            attempt_timeout=0.1, retry=RetryPolicy(attempts=1),
-            clock=clock, sleep=lambda s: None,
-        )
-        result = service.browse(REGION, rows=4, cols=6)
-        assert result.is_complete
-        assert service.chain.tiers[0].failures == 1
-        assert service.chain.tiers[1].successes == 1
-
     def test_scalar_loop_as_last_resort_tier(self, grid, exact, hist):
         """The scalar loop rides the chain as a ScalarBatchFallback tier."""
         primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",), cycle=True))
         service = ResilientBrowsingService(
             [primary, ScalarBatchFallback(SEulerApprox(hist))], grid, chunk_rows=4,
-            retry=RetryPolicy(attempts=1), clock=FakeClock(), sleep=lambda s: None,
+            clock=FakeClock(),
         )
         result = service.browse(REGION, rows=4, cols=6)
         assert result.is_complete
@@ -548,7 +384,7 @@ class TestErrorTaxonomy:
             service.browse(REGION, rows=4, cols=6, relation="touches")
 
     def test_plain_service_rejects_non_finite_answers(self, grid, exact):
-        """A NaN-corrupted batch fails the plain form's single attempt
+        """A NaN-corrupted batch fails the plain form's single call
         instead of reaching the client as a 'complete' raster."""
         faulty = FaultyBatchEstimator(exact, FaultSchedule(script=("nan",)))
         with pytest.raises(EstimatorFailedError) as excinfo:
@@ -570,10 +406,7 @@ class TestErrorTaxonomy:
         primary = FaultyBatchEstimator(
             exact, FaultSchedule(seed=11, error_rate=0.5, nan_rate=0.5)
         )
-        service = ResilientBrowsingService(
-            [primary], grid, chunk_rows=1,
-            retry=RetryPolicy(attempts=1), clock=FakeClock(), sleep=lambda s: None,
-        )
+        service = ResilientBrowsingService([primary], grid, chunk_rows=1, clock=FakeClock())
         for _ in range(5):
             try:
                 result = service.browse(REGION, rows=4, cols=6)
@@ -581,6 +414,56 @@ class TestErrorTaxonomy:
                 assert isinstance(exc, BrowseError)
             else:
                 assert np.isfinite(result.counts).all()
+
+
+class TestDeterministicFailures:
+    """An estimator's answer depends only on the query, so a region it
+    cannot answer fails on every request, once per request, and never
+    changes how another region is served."""
+
+    def test_a_non_finite_region_fails_alone(self, grid, hist):
+        estimator = NanAtOrigin(SEulerApprox(hist))
+        service = ResilientBrowsingService(estimator, grid)
+        bad, healthy = TileQuery(0, 4, 0, 4), TileQuery(4, 12, 4, 8)
+        for request in range(1, 4):
+            with pytest.raises(EstimatorFailedError, match="non-finite"):
+                service.browse(bad, rows=2, cols=2)
+            assert estimator.calls == request
+        result = service.browse(healthy, rows=2, cols=2)
+        assert result.is_complete
+        np.testing.assert_array_equal(
+            result.counts,
+            GeoBrowsingService(SEulerApprox(hist), grid).browse(healthy, rows=2, cols=2).counts,
+        )
+
+
+class TestFailureReasons:
+    """``repro_tier_failures_total{reason}`` says who rejected a chunk:
+    ``error`` when ``estimate_batch`` raised, whatever the exception
+    type, ``bad_output`` when the chain's own checks rejected the
+    answer."""
+
+    @pytest.mark.parametrize(
+        "failure, exc, reason",
+        [
+            ("raise", ValueError("bad query"), "error"),
+            ("raise", IndexError("out of range"), "error"),
+            ("raise", InjectedFault("down"), "error"),
+            ("nan", None, "bad_output"),
+            ("shape", None, "bad_output"),
+        ],
+        ids=["value-error", "index-error", "injected", "non-finite", "wrong-shape"],
+    )
+    def test_reason_label(self, grid, exact, hist, failure, exc, reason):
+        instruments = BrowseInstrumentation()
+        broken = Broken(exact, failure, exc)
+        chain = FallbackChain([broken, SEulerApprox(hist)], instruments=instruments)
+        _, tier = chain.estimate_chunk_tiered(browsing_tile_batch(REGION, 4, 6), "n_o")
+        assert tier is chain.tiers[1]
+        samples = instruments.registry.get("repro_tier_failures_total").samples()
+        assert [(sample["labels"], sample["value"]) for sample in samples] == [
+            ({"tier": broken.name, "reason": reason}, 1.0)
+        ]
 
 
 class TestWavePlan:
@@ -612,23 +495,6 @@ class TestWavePlan:
         assert result.is_complete and result.valid_fraction == 1.0
         assert not result.full_resolution
         assert (result.levels == 3).all()
-
-    def test_a_wave_never_outgrows_the_attempt_timeout(self, wide):
-        """0.1 ms per tile: each 4-row chunk of a 32x64 raster takes
-        25.6 ms, inside the 50 ms attempt limit, but one merged attempt
-        would take 204.8 ms and fail the healthy primary over."""
-        clock = FakeClock()
-        primary = PerTileLatency(wide, clock, per_tile=1e-4)
-        service = ResilientBrowsingService(
-            [primary, wide], WIDE, chunk_rows=4, attempt_timeout=0.05,
-            retry=RetryPolicy(attempts=1), clock=clock, sleep=lambda s: None,
-        )
-        want = service.browse(WIDE_REGION, rows=32, cols=64).counts
-        result = service.browse(WIDE_REGION, rows=32, cols=64, deadline=10.0)
-        assert primary.calls == 16
-        primary_tier, fallback_tier = service.chain.tiers
-        assert primary_tier.failures == 0 and fallback_tier.attempts == 0
-        np.testing.assert_array_equal(result.counts, want)
 
     def test_cold_service_chunks_and_prefills(self, wide, pyramid):
         instruments = BrowseInstrumentation()

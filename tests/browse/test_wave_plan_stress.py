@@ -5,8 +5,8 @@ has cores, with the interpreter's switch interval cut to
 a microsecond so threads interleave inside the cost update.  Every
 raster must equal a direct ``estimate_batch`` over its tiles, and the
 service's :class:`~repro.browse.resilience.ChunkCost` must account for
-every chunk the chain answered and every tile in them: a lost update
-in its read-modify-write breaks the count.
+every chunk the estimator answered and every tile in them: a lost
+update in its read-modify-write breaks the count.
 
 Straight-line ``+=`` has no thread-switch point, so the stress alone
 can miss a missing lock; a second test forces a switch inside
@@ -28,6 +28,7 @@ from repro.euler.simple import SEulerApprox
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
+from repro.testing.faults import FaultSchedule, FaultyBatchEstimator
 from repro.workloads.tiles import browsing_tile_batch
 
 from tests.conftest import random_dataset
@@ -58,7 +59,9 @@ def test_shared_cost_state_counts_every_chunk(estimator):
         ).reshape(shape)
         for shape in SHAPES
     }
-    service = ResilientBrowsingService(estimator, GRID, chunk_rows=2)
+    # A fault-free wrapper counts every estimate_batch call under a lock.
+    counting = FaultyBatchEstimator(estimator, FaultSchedule())
+    service = ResilientBrowsingService(counting, GRID, chunk_rows=2)
     errors: list[str] = []
     answered_tiles = [0] * NUM_THREADS
     barrier = threading.Barrier(NUM_THREADS)
@@ -100,9 +103,8 @@ def test_shared_cost_state_counts_every_chunk(estimator):
 
     assert not stuck, f"threads still running after {JOIN_TIMEOUT_S}s: {stuck}"
     assert not errors, errors[:5]
-    (tier,) = service.chain.tiers
     cost = service.chunk_cost
-    assert cost.chunks == tier.successes
+    assert cost.chunks == counting.calls
     assert cost.tiles == warm.counts.size + sum(answered_tiles)
     assert cost.seconds_per_tile is not None and cost.seconds_per_tile > 0.0
 

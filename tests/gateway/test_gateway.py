@@ -485,9 +485,9 @@ class TestFinishedRasters:
         assert stats["reused_results"] == 1
 
     def test_fallback_tier_raster_is_recomputed(self, estimator):
-        # Both attempts of the default retry policy fail on the primary
-        # tier, so the first raster is the second tier's answer.
-        faulty = FaultyBatchEstimator(estimator, FaultSchedule(script=("error", "error")))
+        # The primary tier fails its one call for the first raster, so
+        # that raster is the second tier's answer.
+        faulty = FaultyBatchEstimator(estimator, FaultSchedule(script=("error",)))
         (fallback, primary, again), stats = serve(
             make_gateway([faulty, estimator]), request(), request(), request()
         )

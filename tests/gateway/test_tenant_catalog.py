@@ -87,9 +87,9 @@ class TestIsolation:
         assert a is not b
         assert a.delta is not None
         assert a.delta is not b.delta
-        # The breakers are per-tenant too: one tenant tripping a tier
-        # open must not skip it for the neighbour.
+        # So is the chain, and with it each service's learned chunk cost.
         assert a.chain is not b.chain
+        assert a.chunk_cost is not b.chunk_cost
 
     def test_shared_cache_is_the_same_object_across_tenants(self, estimator):
         from repro.cache import TileResultCache

@@ -1,6 +1,7 @@
 """End-to-end zoned builds: bit-parity, the merge pass, reports, metrics."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -161,6 +162,41 @@ class TestSpillDirOwnership:
         with pytest.raises(OSError, match="chunk 6"):
             build_zoned(source, grid, zones=64, memory_mb=1, spill_dir=spill_dir)
         assert saves
+        assert list(spill_dir.iterdir()) == [keep]
+
+    def test_builds_sharing_a_spill_dir_keep_their_own_logs(self, tmp_path):
+        """Two builds of same-named sources spill into one caller's
+        directory at once: neither touches the other's spill logs, both
+        match the direct build bit for bit, and the directory keeps
+        exactly what it held before."""
+        sources = [SyntheticChunkSource("sp_skew", 20_000, 500, seed=3) for _ in range(2)]
+        grid = Grid(sources[0].extent, 180, 90)
+        direct = EulerHistogram.from_dataset(sources[0].materialize(), grid)
+        spill_dir = tmp_path / "spills"
+        spill_dir.mkdir()
+        keep = spill_dir / "unrelated.npz"
+        keep.write_bytes(b"not ours")
+        results, errors = [None, None], []
+
+        def build(slot):
+            try:
+                results[slot] = build_zoned(
+                    sources[slot], grid, zones=64, memory_mb=1, spill_dir=spill_dir
+                )
+            except Exception as exc:  # reported below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=build, args=(slot,), daemon=True) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not [t.name for t in threads if t.is_alive()]
+        assert not errors, errors
+        for result in results:
+            assert result.report.spills > 0
+            np.testing.assert_array_equal(result.histogram.buckets(), direct.buckets())
+            assert result.histogram.num_objects == direct.num_objects
         assert list(spill_dir.iterdir()) == [keep]
 
 
