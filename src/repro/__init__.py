@@ -38,7 +38,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.browse": (
             "AttributeCatalog",
             "BrowseResult",
-            "DeltaSource",
             "DeltaTracker",
             "FallbackChain",
             "GeoBrowsingService",
@@ -84,7 +83,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.errors": (
             "BrowseError",
             "CatalogAlignmentError",
-            "DeadlineExceededError",
             "EstimatorFailedError",
             "InvalidRegionError",
             "OverloadedError",
@@ -212,11 +210,9 @@ __all__ = [
     "TileResultCache",
     "CacheKey",
     "DeltaTracker",
-    "DeltaSource",
     "BrowseError",
     "CatalogAlignmentError",
     "InvalidRegionError",
-    "DeadlineExceededError",
     "EstimatorFailedError",
     "SummaryCorruptError",
     "OverloadedError",

@@ -2,7 +2,7 @@
 resilient serving layer."""
 
 from repro.browse.catalog import AttributeCatalog, SummedEstimator
-from repro.browse.delta import DeltaPlan, DeltaSource, DeltaTracker, plan_delta
+from repro.browse.delta import DeltaPlan, DeltaTracker, plan_delta
 from repro.browse.refine import PyramidSource, RefinementStep
 from repro.browse.resilience import FallbackChain, ResilientBrowsingService
 from repro.browse.service import (
@@ -20,7 +20,6 @@ __all__ = [
     "FallbackChain",
     "resolve_browse_request",
     "DeltaPlan",
-    "DeltaSource",
     "DeltaTracker",
     "plan_delta",
     "PyramidSource",

@@ -19,7 +19,7 @@ identical* to full recomputation, never approximate:
 - **Same answering scope.**  The previous raster must have been answered
   by the same estimator over the same summary object *at the same
   generation* and for the same relation field.  The scope rides on every
-  result as a :class:`~repro.cache.CacheKey` (``BrowseResult.delta``), so
+  result as a :class:`~repro.cache.CacheKey` (``BrowseResult.scope``), so
   a maintained histogram's insert/delete bumps the generation and
   disables reuse -- stale counts are never copied, exactly like the tile
   cache's generation invalidation.
@@ -34,15 +34,14 @@ identical* to full recomputation, never approximate:
   and a deterministic estimator gives it the same count by definition.
 
 Tiles outside the overlap, tiles the previous raster never answered
-(deadline NaNs) and tiles answered by a degraded fallback tier are
-excluded from the mapping; they fall through to the normal serving path
-(cache probe, then estimation).
+(deadline NaNs) and tiles a pyramid level served (``previous.levels``)
+are excluded from the mapping; they fall through to the normal serving
+path (cache probe, then estimation).
 
 :class:`DeltaTracker` is the per-service memory that makes this
 hands-free: it remembers the last result per *session key* so a service
 can answer ``browse(..., session="user-42")`` incrementally without the
-client threading results back in.  An explicit ``previous=`` hint
-overrides the tracker, for clients that manage their own history.
+client threading results back in.
 """
 
 from __future__ import annotations
@@ -56,24 +55,7 @@ import numpy as np
 from repro.cache.keys import CacheKey
 from repro.grid.tiles_math import TileQuery
 
-__all__ = ["DeltaPlan", "DeltaSource", "DeltaTracker", "plan_delta"]
-
-
-@dataclass(frozen=True)
-class DeltaSource:
-    """What makes a result's tiles reusable by a later raster.
-
-    ``scope`` is the answering scope (summary identity *and generation*,
-    estimator label, relation field) -- the same quadruple the tile cache
-    keys on.  ``reusable`` optionally restricts reuse to a subset of the
-    raster's tiles: the resilient service marks tiles answered by a
-    degraded fallback tier non-reusable, because delta reuse must stay
-    bit-identical to what the *primary* path would answer.  ``None``
-    means every finite tile may be copied.
-    """
-
-    scope: CacheKey
-    reusable: np.ndarray | None = None
+__all__ = ["DeltaPlan", "DeltaTracker", "plan_delta"]
 
 
 @dataclass(frozen=True)
@@ -83,16 +65,16 @@ class DeltaPlan:
     ``reused`` is the new raster's flat (row-major) boolean mask of tiles
     answerable by copying.  Two copy representations exist:
 
-    - ``block`` (the common case -- every overlapping tile of the
-      previous raster is reusable): the overlap is one contiguous
+    - ``block`` (the common case -- every tile of the previous raster
+      was answered at full resolution): the overlap is one contiguous
       rectangle, recorded as ``(r0, r1, c0, c1, dr, dc)`` -- new raster
       rows ``r0:r1`` x cols ``c0:c1`` copy from the previous raster
       shifted by ``(dr, dc)``.  :meth:`fill` is then two strided slice
       views and one memcpy, no index arrays.
-    - ``source`` (set when reuse is restricted to a tile subset, e.g.
-      fallback-degraded tiles of a resilient raster): for each flat
-      position the flat index of the matching previous tile, applied by
-      fancy indexing where ``reused`` is ``True``.
+    - ``source`` (set when the previous raster left tiles unanswered or
+      pyramid-served): for each flat position the flat index of the
+      matching previous tile, applied by fancy indexing where ``reused``
+      is ``True``.
     """
 
     shape: tuple[int, int]
@@ -145,8 +127,7 @@ def plan_delta(
     answered tile lands inside the new raster; otherwise the
     :class:`DeltaPlan` mapping every reusable tile to its source.
     """
-    source_info: DeltaSource | None = getattr(previous, "delta", None)
-    if source_info is None or source_info.scope != scope:
+    if previous.scope != scope:
         return None
     extent = _tile_extent(region, rows, cols)
     prev_rows, prev_cols = previous.counts.shape
@@ -168,14 +149,14 @@ def plan_delta(
     if r0 >= r1 or c0 >= c1:
         return None
 
-    # Only copy tiles the previous raster actually answered: finite
-    # counts, marked valid, and (when restricted) answered by a path
-    # whose values the primary would reproduce.  When nothing restricts
-    # the previous raster, the whole overlap rectangle is reusable and
-    # the plan is a pure block copy -- no per-tile index arrays.
+    # Only copy tiles the previous raster answered at full resolution:
+    # finite counts, marked valid and not served from a pyramid level.
+    # When the previous raster is all of that, the whole overlap
+    # rectangle is reusable and the plan is a pure block copy -- no
+    # per-tile index arrays.
     if (
         previous.valid is None
-        and source_info.reusable is None
+        and previous.levels is None
         and bool(np.isfinite(previous.counts).all())
     ):
         reused = np.zeros((rows, cols), dtype=bool)
@@ -198,8 +179,8 @@ def plan_delta(
     answered = np.isfinite(previous.counts.reshape(-1))
     if previous.valid is not None:
         answered &= previous.valid.reshape(-1)
-    if source_info.reusable is not None:
-        answered &= source_info.reusable.reshape(-1)
+    if previous.levels is not None:
+        answered &= previous.levels.reshape(-1) < 0
     reused &= answered[source]
     if not reused.any():
         return None

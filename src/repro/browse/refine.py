@@ -13,8 +13,8 @@ serving-path face of :class:`~repro.euler.pyramid.HistogramPyramid`:
   that still divides the requested ``rows x cols`` raster evenly (so a
   coarse tile's count broadcasts onto a whole block of fine tiles).
   Steps at the full requested resolution are excluded on purpose: the
-  authoritative answer always comes from the service's primary chain on
-  the finest grid, never from the pyramid.
+  authoritative answer always comes from the service's estimator on the
+  finest grid, never from the pyramid.
 - :meth:`PyramidSource.raster` answers one step: a vectorised tile batch
   on the step's level, broadcast up to the requested raster shape, plus a
   per-tile error bound (the coarse tile's intersect count -- no fine tile
@@ -22,13 +22,14 @@ serving-path face of :class:`~repro.euler.pyramid.HistogramPyramid`:
   of objects touching the coarse tile).
 
 :class:`~repro.browse.resilience.ResilientBrowsingService` uses the plan
-as a *degradation tier*: under a deadline the coarsest step gives a
+as its one degrade path: under a deadline the coarsest step gives a
 complete, valid raster almost immediately, finer steps replace it while
 budget remains, and the fine chunk path overwrites whatever it reaches in
-time.  Pyramid-served tiles are coarse-but-valid: they are never written
-to the tile cache and never reused by viewport deltas (the same rule
-degraded fallback tiers follow), because a coarse count must not outlive
-the interaction that produced it.
+time; a chunk the estimator fails is answered from the coarsest step.
+Pyramid-served tiles are coarse-but-valid: they are never written to the
+tile cache, reused by viewport deltas or kept as a finished raster,
+because a coarse count must not outlive the interaction that produced
+it.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class PyramidSource:
         finest tiling that both the level can answer with aligned queries
         and the requested raster can absorb by block broadcast.  Steps
         are kept only when strictly coarser than the requested resolution
-        (the primary chain owns the finest answer) and strictly finer
+        (the service's estimator owns the finest answer) and strictly finer
         than the previous kept step (each round must add information).
         Returns an empty ladder when no level helps.
         """

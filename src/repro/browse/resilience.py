@@ -2,10 +2,10 @@
 
 The paper's motivating interaction (Section 1) answers a whole raster of
 tile queries -- hundreds of trial queries -- from one summary.  Both
-public services answer it here:
+public services answer it here with one estimator:
 :class:`ResilientBrowsingService` configures every stage, and
 :class:`~repro.browse.service.GeoBrowsingService` is the same pipeline
-with one estimator, no pyramid and one chunk per raster.
+with no pyramid and one chunk per raster.
 
 :meth:`ResilientBrowsingService.browse` runs these stages in order; each
 opens one span on the request trace and feeds
@@ -20,14 +20,14 @@ opens one span on the request trace and feeds
    coarse-first raster for the open tiles from a
    :class:`~repro.browse.refine.PyramidSource`;
 5. ``waves`` -- the open tiles in chunks, one after another on the
-   calling thread, each through the :class:`FallbackChain` (one
-   ``chunk`` span and stage sample per chunk); the deadline is checked
-   before every chunk;
+   calling thread, each one validated ``estimate_batch`` call through
+   the :class:`FallbackChain` (one ``chunk`` span and stage sample per
+   chunk); the deadline is checked before every chunk;
 6. ``assemble`` -- the :class:`BrowseResult` with its validity mask,
-   delta scope and pyramid annotation.
+   answering scope and pyramid annotation.
 
 Tile corners are built only for the tiles that reach the cache or the
-chain.  Stages whose layer is not configured -- or that have no open
+estimator.  Stages whose layer is not configured -- or that have no open
 tiles left -- are skipped.
 
 Waves are sized from the remaining budget.  The service learns a
@@ -42,29 +42,28 @@ when a pyramid and a deadline are given.  Each request runs on the one
 thread that called :meth:`ResilientBrowsingService.browse`; concurrent
 requests share the service's cost and cache, which are lock-guarded.
 
-The failure story of the chain:
+An Euler tile costs a constant number of lookups into one in-process
+summary (paper Section 5.2), so a chunk's answer -- or its failure --
+depends only on the query.  The service therefore asks its estimator
+once per chunk and degrades along one axis, the pyramid:
 
 - **Deadlines.**  When the budget runs out between chunks, the
   remaining chunks are left NaN and the result carries a validity mask
-  -- a partial choropleth beats a timeout page.  Row chunks are the
-  granularity under pressure; when the whole raster fits the budget it
-  is one chunk.
-- **Fallback chain.**  Each tier is asked at most once per chunk, in
-  order (e.g. the exact evaluator first, S-EulerApprox as the cheap
-  degradation; append ``ScalarBatchFallback(primary)`` to degrade the
-  batch path to the scalar loop).  A tile costs a constant number of
-  lookups into an in-process summary, so a chunk's answer -- or its
-  failure -- depends only on the query, and asking the same tier again
-  would recompute the same failure.  An exception, a wrong shape or a
-  non-finite count falls through to the next tier, so NaN corruption
-  never reaches the client.
+  -- a partial choropleth beats a timeout page.  With a pyramid, those
+  tiles keep the coarse counts of the prefill instead.  Row chunks are
+  the granularity under pressure; when the whole raster fits the budget
+  it is one chunk.
+- **Failures.**  An exception, a wrong shape or a non-finite count
+  fails the chunk, so NaN corruption never reaches the client.  With a
+  pyramid, the chunk is rescued from the coarsest aligned level;
+  without one, the service raises
+  :class:`~repro.errors.EstimatorFailedError` chained from the cause --
+  never a bare ``ValueError``.
 
-All failures surface through the structured taxonomy of
-:mod:`repro.errors`; if every tier fails a chunk the service raises
-:class:`~repro.errors.EstimatorFailedError` carrying the per-tier causes
--- never a bare ``ValueError`` -- unless a pyramid level rescues the
-chunk.  The clock is injectable so the whole layer is deterministic
-under test (see :mod:`repro.testing.faults`).
+A tile is reusable -- by the tile cache, a later viewport delta or the
+gateway's finished rasters -- exactly when it is valid and not
+pyramid-served.  The clock is injectable so the whole layer is
+deterministic under test (see :mod:`repro.testing.faults`).
 """
 
 from __future__ import annotations
@@ -75,18 +74,14 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.browse.delta import DeltaSource, DeltaTracker, plan_delta
+from repro.browse.delta import DeltaTracker, plan_delta
 from repro.browse.refine import PyramidSource
 from repro.cache import CacheKey, TileResultCache, backing_summary, summary_generation, summary_token
-from repro.errors import (
-    DeadlineExceededError,
-    EstimatorFailedError,
-    InvalidRegionError,
-)
+from repro.errors import EstimatorFailedError, InvalidRegionError
 from repro.euler.base import Level2BatchEstimator, Level2Estimator, as_batch_estimator
 from repro.euler.estimates import RELATION_FIELDS
 from repro.euler.pyramid import HistogramPyramid
@@ -128,11 +123,11 @@ class BrowseResult:
     ``result.telemetry.render()``.  It is excluded from equality so
     result comparison stays about the raster.
 
-    ``delta`` records the scope this raster was answered under (summary
-    identity and generation, estimator, relation field) plus which tiles
-    are safe to copy, enabling :mod:`repro.browse.delta` reuse when the
-    result is passed back as the ``previous=`` hint of a later browse.
-    Like ``telemetry`` it is excluded from equality.
+    ``scope`` is the scope this raster was answered under (summary
+    identity and generation, estimator, relation field); a later raster
+    under the same scope may copy its valid full-resolution tiles
+    (:mod:`repro.browse.delta`).  Like ``telemetry`` it is excluded from
+    equality.
 
     ``levels`` and ``error_bound`` are the pyramid-refinement annotation
     (:mod:`repro.browse.refine`): per tile, the pyramid level that
@@ -148,7 +143,7 @@ class BrowseResult:
     counts: np.ndarray
     valid: np.ndarray | None = field(default=None)
     telemetry: RequestTrace | None = field(default=None, compare=False, repr=False)
-    delta: DeltaSource | None = field(default=None, compare=False, repr=False)
+    scope: CacheKey | None = field(default=None, compare=False, repr=False)
     levels: np.ndarray | None = field(default=None, compare=False, repr=False)
     error_bound: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -258,6 +253,10 @@ WAVE_HEADROOM = 4.0
 #: Weight an older chunk keeps in :class:`ChunkCost` per newer chunk.
 COST_DECAY = 0.9
 
+#: Fraction of the deadline budget the pyramid prefill may spend
+#: refining before it yields to the fine chunk path.
+REFINE_FRACTION = 0.35
+
 
 class ChunkCost:
     """A service's measured seconds per tile, learned from its chunks.
@@ -307,14 +306,13 @@ class ChunkCost:
 
 
 class FallbackChain:
-    """Answers tile-batch chunks through an ordered estimator chain.
+    """Answers tile-batch chunks with one validated ``estimate_batch``
+    call each.
 
-    ``tiers`` holds the batch-adapted estimators, primary first.  Each
-    chunk calls every tier's ``estimate_batch`` at most once, in order,
-    until one answers: an exception, a wrong shape or a non-finite count
-    falls through to the next tier.  When every tier fails, the chunk
-    raises :class:`~repro.errors.EstimatorFailedError` with the per-tier
-    causes.  With instruments, each failure counts into
+    ``tiers`` is a one-tuple: the batch-adapted estimator.  An exception,
+    a wrong shape or a non-finite count fails the chunk with
+    :class:`~repro.errors.EstimatorFailedError`, chained from the cause.
+    With instruments, each failure counts into
     ``repro_tier_failures_total{tier,reason}``: ``error`` when
     ``estimate_batch`` raised, ``bad_output`` when the chain rejected
     its answer.
@@ -322,16 +320,12 @@ class FallbackChain:
 
     def __init__(
         self,
-        estimators: Sequence[Level2Estimator],
+        estimator: Level2Estimator,
         *,
         instruments: BrowseInstrumentation | None = None,
     ) -> None:
-        if not estimators:
-            raise ValueError("a fallback chain needs at least one estimator")
         self._obs = instruments
-        self.tiers: tuple[Level2BatchEstimator, ...] = tuple(
-            as_batch_estimator(estimator) for estimator in estimators
-        )
+        self.tiers: tuple[Level2BatchEstimator] = (as_batch_estimator(estimator),)
 
     def estimate_chunk_tiered(
         self,
@@ -340,67 +334,51 @@ class FallbackChain:
         *,
         trace: RequestTrace | None = None,
     ) -> tuple[np.ndarray, Level2BatchEstimator]:
-        """Answer one chunk of tile queries, falling through the chain.
+        """Answer one chunk of tile queries.
 
         Returns the float64 counts for ``field_name``, one per query, and
-        the tier that answered -- callers caching results need to know
-        whether the answer is authoritative (primary tier) or degraded.
-        Raises :class:`~repro.errors.EstimatorFailedError` when no tier
-        can answer.  When a trace is given, every tier called is
-        recorded as an ``attempt:<tier>`` span with its outcome.
+        the estimator that answered them.  When a trace is given, the
+        call is recorded as an ``attempt:<estimator>`` span with its
+        outcome.
         """
-        causes: list[BaseException] = []
-        for tier in self.tiers:
-            span_cm = (
-                trace.span(f"attempt:{tier.name}") if trace is not None else nullcontext()
-            )
-            reason = "error"
-            try:
-                with span_cm:
-                    estimates = tier.estimate_batch(batch)
-                    # From here on a failure is the chain rejecting the answer.
-                    reason = "bad_output"
-                    values = np.asarray(getattr(estimates, field_name), dtype=np.float64)
-                    if values.shape != (len(batch),):
-                        raise ValueError(
-                            f"estimator {tier.name!r} returned shape {values.shape} "
-                            f"for a {len(batch)}-query chunk"
-                        )
-                    if not np.isfinite(values).all():
-                        bad = int(np.count_nonzero(~np.isfinite(values)))
-                        raise ValueError(
-                            f"estimator {tier.name!r} returned {bad} non-finite count(s)"
-                        )
-            except Exception as exc:
-                causes.append(exc)
-                if self._obs is not None:
-                    self._obs.tier_failures.labels(tier=tier.name, reason=reason).inc()
-                continue
-            return values, tier
-        raise EstimatorFailedError(
-            f"all {len(self.tiers)} estimator tier(s) failed for a "
-            f"{len(batch)}-tile chunk: "
-            + "; ".join(f"{t.name}: {c}" for t, c in zip(self.tiers, causes)),
-            causes=tuple(causes),
-        )
+        (tier,) = self.tiers
+        span_cm = trace.span(f"attempt:{tier.name}") if trace is not None else nullcontext()
+        reason = "error"
+        try:
+            with span_cm:
+                estimates = tier.estimate_batch(batch)
+                # From here on a failure is the chain rejecting the answer.
+                reason = "bad_output"
+                values = np.asarray(getattr(estimates, field_name), dtype=np.float64)
+                if values.shape != (len(batch),):
+                    raise ValueError(f"returned shape {values.shape}")
+                if not np.isfinite(values).all():
+                    bad = int(np.count_nonzero(~np.isfinite(values)))
+                    raise ValueError(f"returned {bad} non-finite count(s)")
+        except Exception as exc:
+            if self._obs is not None:
+                self._obs.tier_failures.labels(tier=tier.name, reason=reason).inc()
+            raise EstimatorFailedError(
+                f"estimator {tier.name!r} failed a {len(batch)}-tile chunk: {exc}"
+            ) from exc
+        return values, tier
 
 
 class ResilientBrowsingService:
-    """A browsing service with deadlines, fallbacks and partial answers.
+    """A browsing service with deadlines, a pyramid and partial answers.
 
     Runs the staged browse pipeline (see the module docstring) with
-    every layer configurable: the raster is answered in chunks through a
-    :class:`FallbackChain` under a per-request deadline -- one chunk
-    when the measured cost fits the remaining budget, row chunks
-    otherwise.
+    every layer configurable: the raster is answered in chunks by one
+    estimator under a per-request deadline -- one chunk when the
+    measured cost fits the remaining budget, row chunks otherwise.
     :class:`~repro.browse.service.GeoBrowsingService` is this class
-    configured with one estimator and one chunk per raster.
+    configured with one chunk per raster.
 
     Parameters
     ----------
-    estimators:
-        The fallback chain's tiers, primary first (a single estimator
-        works too).
+    estimator:
+        The Level-2 estimator answering every chunk, adapted to the
+        batch protocol (:func:`~repro.euler.base.as_batch_estimator`).
     grid:
         The service's evaluation grid.
     chunk_rows:
@@ -415,16 +393,16 @@ class ResilientBrowsingService:
     instruments:
         An optional :class:`~repro.obs.instruments.BrowseInstrumentation`;
         when given, every request is traced (the trace rides on
-        ``BrowseResult.telemetry``), tier failures and tile outcomes are
-        recorded, and its accuracy probe (if any) samples each answered
-        raster.  ``None`` (the default) keeps the path uninstrumented.
+        ``BrowseResult.telemetry``), estimator failures and tile outcomes
+        are recorded, and its accuracy probe (if any) samples each
+        answered raster.  ``None`` (the default) keeps the path
+        uninstrumented.
     cache:
         An optional :class:`~repro.cache.TileResultCache`.  The raster is
         probed once, vectorised, before any chunk runs; hit tiles are
         answered immediately (they survive even a zero deadline) and
-        only miss tiles reach the fallback chain.  Only *primary-tier*
-        answers are cached -- a degraded (fallback) answer must not keep
-        serving after the primary recovers.  Keys carry the primary
+        only miss tiles reach the estimator.  Only the estimator's
+        answers are cached, never pyramid counts.  Keys carry the
         summary's generation, so maintained-histogram updates invalidate
         stale entries for free.
     delta:
@@ -433,29 +411,24 @@ class ResilientBrowsingService:
         tiles (same scope/generation, tile extents and lattice-aligned
         offset) are copied and marked valid *before* any deadline check
         runs, so a pan's overlap survives even a zero budget; only the
-        fresh band walks the cache-probe/fallback-chain path.  Only tiles
-        answered by the primary tier (or copied from ones that were) are
-        ever reused -- a degraded tier's counts must not outlive the
-        interaction that produced them.
+        fresh band walks the cache-probe/estimator path.  Pyramid-served
+        and unanswered tiles are never copied.
     pyramid:
         An optional :class:`~repro.euler.pyramid.HistogramPyramid` (or a
         prebuilt :class:`~repro.browse.refine.PyramidSource`) whose
-        finest grid must equal the service grid.  It becomes a new
-        degradation tier: under a deadline the fine path may miss (a
-        cold service, or a tight or expired budget), every tile not
-        already answered by delta/cache is first served from the coarsest
+        finest grid must equal the service grid -- the service's one
+        degrade path.  Under a deadline the fine path may miss (a cold
+        service, or a tight or expired budget), every tile not already
+        answered by delta/cache is first served from the coarsest
         aligned pyramid level -- a complete, coarse-but-valid raster
         almost immediately -- then refined level-by-level while elapsed
-        time stays under ``refine_fraction`` of the budget, and the fine
-        chunk path overwrites whatever it reaches in time.  A chunk whose
-        fallback chain is exhausted is likewise rescued from the coarsest
-        level instead of failing the request.  Pyramid-served tiles carry
+        time stays under :data:`REFINE_FRACTION` of the budget, and the
+        fine chunk path overwrites whatever it reaches in time.  A chunk
+        the estimator fails is likewise rescued from the coarsest level
+        instead of failing the request.  Pyramid-served tiles carry
         their level and error bound on the result (``levels`` /
         ``error_bound``) and are *never* written to the tile cache or
         reused by viewport deltas.
-    refine_fraction:
-        Fraction of the deadline budget the refinement ladder may spend
-        before yielding to the fine chunk path (default 0.35).
     """
 
     #: The ``service`` label on every metric this service records.
@@ -463,7 +436,7 @@ class ResilientBrowsingService:
 
     def __init__(
         self,
-        estimators: Level2Estimator | Sequence[Level2Estimator],
+        estimator: Level2Estimator,
         grid: Grid,
         *,
         chunk_rows: int = 4,
@@ -472,12 +445,9 @@ class ResilientBrowsingService:
         cache: TileResultCache | None = None,
         delta: DeltaTracker | None = None,
         pyramid: HistogramPyramid | PyramidSource | None = None,
-        refine_fraction: float = 0.35,
     ) -> None:
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be at least 1")
-        if not 0.0 < refine_fraction <= 1.0:
-            raise ValueError("refine_fraction must be in (0, 1]")
         if pyramid is not None and not isinstance(pyramid, PyramidSource):
             pyramid = PyramidSource(pyramid, grid=grid)
         elif isinstance(pyramid, PyramidSource) and pyramid.grid != grid:
@@ -485,10 +455,7 @@ class ResilientBrowsingService:
                 "the pyramid source's finest grid must equal the service grid"
             )
         self._pyramid = pyramid
-        self._refine_fraction = refine_fraction
-        if isinstance(estimators, Level2Estimator):
-            estimators = [estimators]
-        self._chain = FallbackChain(estimators, instruments=instruments)
+        self._chain = FallbackChain(estimator, instruments=instruments)
         self._grid = grid
         #: Raster rows per chunk under pressure; ``None`` answers every
         #: raster as one chunk.
@@ -508,12 +475,12 @@ class ResilientBrowsingService:
 
     @property
     def chain(self) -> FallbackChain:
-        """The fallback chain answering chunks."""
+        """The chain answering chunks."""
         return self._chain
 
     @property
     def estimator_name(self) -> str:
-        """The primary tier's label."""
+        """The estimator's label."""
         return self._chain.tiers[0].name
 
     @property
@@ -537,9 +504,9 @@ class ResilientBrowsingService:
         return self._cost
 
     def cache_key(self, field_name: str) -> CacheKey:
-        """The cache key for this service's *primary-tier* answers: the
-        primary summary's identity token and current generation plus the
-        primary estimator's label."""
+        """The scope of this service's answers for ``field_name``: the
+        summary's identity token and current generation plus the
+        estimator's label."""
         return CacheKey(
             summary_id=self._summary_token,
             generation=summary_generation(self._summary),
@@ -555,8 +522,6 @@ class ResilientBrowsingService:
         relation: str = "overlap",
         *,
         deadline: float | None = None,
-        on_deadline: str = "partial",
-        previous: BrowseResult | None = None,
         session: str = "default",
     ) -> BrowseResult:
         """Run one browsing interaction through the staged pipeline.
@@ -576,26 +541,15 @@ class ResilientBrowsingService:
             Per-request budget in seconds on the service clock; ``None``
             means unbounded.  The budget is checked before each chunk,
             so a chunk in flight is never abandoned; when the whole
-            raster fits it, the raster is one chunk.
-        on_deadline:
-            ``"partial"`` (default) returns whatever was answered, with
-            unanswered tiles NaN and marked ``False`` in the result's
-            validity mask; ``"raise"`` raises
-            :class:`~repro.errors.DeadlineExceededError` instead.
-        previous:
-            An explicit viewport-delta hint: a result whose overlapping
-            tiles are copied when it is tile-compatible with this request
-            (see :mod:`repro.browse.delta`).  Overrides the tracker.
+            raster fits it, the raster is one chunk.  Tiles left when it
+            runs out are NaN and marked ``False`` in the result's
+            validity mask, unless a pyramid level served them.
         session:
             The session key under the service's
             :class:`~repro.browse.delta.DeltaTracker` (when one is
-            configured): the session's last raster is the implicit
-            ``previous``, and this result replaces it.
+            configured): the session's last raster is planned against
+            for tile reuse, and this result replaces it.
         """
-        if on_deadline not in ("partial", "raise"):
-            raise ValueError(
-                f"on_deadline must be 'partial' or 'raise', got {on_deadline!r}"
-            )
         obs = self._obs
         trace = obs.new_trace() if obs is not None else None
         started = self._clock()
@@ -609,23 +563,17 @@ class ResilientBrowsingService:
             region, field_name = self._resolve(trace, region, rows, cols, relation)
             scope = self.cache_key(field_name)
             counts = np.full(rows * cols, np.nan)
-            # Tiles the primary path stands behind (delta copies, cache
-            # hits, primary-tier chunks): only these are ever cached or
-            # reused by a later viewport delta.
-            primary = np.zeros(rows * cols, dtype=bool)
-            if previous is not None or self._delta is not None:
-                reused = self._reuse_delta(
-                    trace, region, rows, cols, scope, previous, session, counts
-                )
+            valid = np.zeros(rows * cols, dtype=bool)
+            if self._delta is not None:
+                reused = self._reuse_delta(trace, region, rows, cols, scope, session, counts)
                 if reused is not None:
-                    primary |= reused
-            if self._cache is not None and not primary.all():
+                    valid |= reused
+            if self._cache is not None and not valid.all():
                 hits = self._probe_cache(
-                    trace, region, rows, cols, scope, np.flatnonzero(~primary), counts
+                    trace, region, rows, cols, scope, np.flatnonzero(~valid), counts
                 )
-                primary[hits] = True
-            valid = primary.copy()
-            open_tiles = np.flatnonzero(~primary)
+                valid[hits] = True
+            open_tiles = np.flatnonzero(~valid)
             levels = bounds = None
             if self._pyramid is not None:
                 levels = np.full(rows * cols, -1, dtype=np.int64)
@@ -646,12 +594,11 @@ class ResilientBrowsingService:
                     valid[open_tiles] = True
                 expired = self._run_waves(
                     trace, region, rows, cols, field_name, scope, started, deadline,
-                    on_deadline, plan, chunk_rows, open_tiles, counts, valid,
-                    primary, levels, bounds,
+                    plan, chunk_rows, open_tiles, counts, valid, levels, bounds,
                 )
             result = self._assemble(
                 trace, region, relation, rows, cols, scope, session,
-                counts, valid, primary, levels, bounds,
+                counts, valid, levels, bounds,
             )
         if obs is not None:
             elapsed = self._clock() - started
@@ -716,12 +663,12 @@ class ResilientBrowsingService:
 
     def _reuse_delta(
         self, trace, region: TileQuery, rows: int, cols: int, scope: CacheKey,
-        previous: BrowseResult | None, session: str, counts: np.ndarray,
+        session: str, counts: np.ndarray,
     ) -> np.ndarray | None:
-        """Copy the tiles this raster shares with ``previous`` (or the
-        session's last raster) into ``counts``; returns the flat mask of
-        copied tiles, ``None`` when nothing is reusable."""
-        candidate = previous if previous is not None else self._delta.lookup(session)
+        """Copy the tiles this raster shares with the session's last
+        raster into ``counts``; returns the flat mask of copied tiles,
+        ``None`` when nothing is reusable."""
+        candidate = self._delta.lookup(session)
         with self._stage(trace, "delta"):
             plan = None
             if candidate is not None:
@@ -766,15 +713,15 @@ class ResilientBrowsingService:
         finer levels replace it while elapsed time stays inside the
         refinement budget.  Writes ``counts``/``levels``/``bounds``;
         returns whether any level was served.  The tiles stay open for
-        the chunk waves -- a coarse count is never primary, so it never
-        reaches the cache or a later viewport delta."""
+        the chunk waves; a coarse count never reaches the cache or a
+        later viewport delta."""
         obs = self._obs
         whole_raster = open_tiles.size == counts.size
         rounds = 0
         with self._stage(trace, "pyramid", tiles=open_tiles.size) as span:
             for step in self._pyramid.plan(region, rows, cols):
                 if rounds and (
-                    self._clock() - started >= deadline * self._refine_fraction
+                    self._clock() - started >= deadline * REFINE_FRACTION
                 ):
                     break
                 step_counts, step_bound = self._pyramid.raster(
@@ -807,16 +754,14 @@ class ResilientBrowsingService:
 
     def _run_waves(
         self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
-        scope: CacheKey, started: float, deadline: float | None, on_deadline: str,
-        plan: str, chunk_rows: int, open_tiles: np.ndarray, counts: np.ndarray,
-        valid: np.ndarray, primary: np.ndarray, levels: np.ndarray | None,
-        bounds: np.ndarray | None,
+        scope: CacheKey, started: float, deadline: float | None, plan: str,
+        chunk_rows: int, open_tiles: np.ndarray, counts: np.ndarray,
+        valid: np.ndarray, levels: np.ndarray | None, bounds: np.ndarray | None,
     ) -> bool:
-        """Answer ``open_tiles`` in chunks of ``chunk_rows`` rows through
-        the fallback chain, one after another, checking the deadline
-        before each chunk.  Writes every answered chunk into the raster
-        arrays and caches primary-tier answers; returns whether the
-        deadline expired."""
+        """Answer ``open_tiles`` in chunks of ``chunk_rows`` rows, one
+        after another, checking the deadline before each chunk.  Writes
+        every answered chunk into the raster arrays and caches the
+        estimator's answers; returns whether the deadline expired."""
         obs = self._obs
         coarse = None
         with self._stage(trace, "waves", tiles=open_tiles.size, plan=plan) as span:
@@ -833,24 +778,13 @@ class ResilientBrowsingService:
                 if deadline is not None and self._clock() - started >= deadline:
                     if obs is not None:
                         obs.deadline_expirations.labels(service=self._service).inc()
-                    # A pyramid-prefilled raster is complete (coarse but
-                    # valid everywhere), so even ``on_deadline="raise"``
-                    # degrades instead of raising.
-                    if on_deadline == "raise" and not valid.all():
-                        answered = int(valid.reshape(rows, cols).all(axis=1).sum())
-                        raise DeadlineExceededError(
-                            f"deadline of {deadline:.3f}s expired after answering "
-                            f"{answered} of {rows} raster rows",
-                            answered_rows=answered,
-                            total_rows=rows,
-                        )
                     return True
-                batch, values, tier = self._estimate_chunk(
+                batch, values = self._estimate_chunk(
                     trace, region, rows, cols, field_name, idx
                 )
                 if values is None:
-                    # Exhausted chain: coarse-but-valid from the coarsest
-                    # pyramid level, never primary or cached.
+                    # A failed chunk: coarse-but-valid from the coarsest
+                    # pyramid level, never cached.
                     if coarse is None:
                         step = self._pyramid.plan(region, rows, cols)[0]
                         step_counts, step_bound = self._pyramid.raster(
@@ -871,13 +805,8 @@ class ResilientBrowsingService:
                     if levels is not None:
                         levels[idx] = -1
                         bounds[idx] = 0.0
-                    # Only authoritative answers are cached or reused: a
-                    # degraded tier's counts must not keep serving once
-                    # the primary recovers.
-                    if tier is self._chain.tiers[0]:
-                        primary[idx] = True
-                        if self._cache is not None:
-                            self._cache.store(scope, batch, values)
+                    if self._cache is not None:
+                        self._cache.store(scope, batch, values)
                 counts[idx] = values
                 valid[idx] = True
         return False
@@ -885,40 +814,39 @@ class ResilientBrowsingService:
     def _estimate_chunk(
         self, trace, region: TileQuery, rows: int, cols: int, field_name: str,
         idx: np.ndarray,
-    ) -> tuple[TileQueryBatch, np.ndarray | None, Level2BatchEstimator | None]:
-        """One chunk through the fallback chain: its corner batch, its
-        values and the answering tier.  The values are ``None`` when the
-        chain is exhausted but a pyramid level can rescue the chunk.  An
-        answered chunk's seconds on the service clock feed the cost the
-        wave plan predicts from."""
+    ) -> tuple[TileQueryBatch, np.ndarray | None]:
+        """One chunk through the chain: its corner batch and its values.
+        The values are ``None`` when the estimator failed but a pyramid
+        level can rescue the chunk.  An answered chunk's seconds on the
+        service clock feed the cost the wave plan predicts from."""
         chunk_started = self._clock()
         batch = browsing_tile_batch_at(region, rows, cols, idx)
         band = f"{int(idx[0]) // cols}:{int(idx[-1]) // cols + 1}"
         with self._stage(trace, "chunk", rows=band, tiles=idx.size):
             try:
-                values, tier = self._chain.estimate_chunk_tiered(
+                values, _ = self._chain.estimate_chunk_tiered(
                     batch, field_name, trace=trace
                 )
             except EstimatorFailedError:
                 if self._pyramid is None or not self._pyramid.plan(region, rows, cols):
                     raise
-                return batch, None, None
+                return batch, None
         self._cost.observe(self._clock() - chunk_started, idx.size)
-        return batch, values, tier
+        return batch, values
 
     def _assemble(
         self, trace, region: TileQuery, relation: str, rows: int, cols: int,
         scope: CacheKey, session: str, counts: np.ndarray, valid: np.ndarray,
-        primary: np.ndarray, levels: np.ndarray | None, bounds: np.ndarray | None,
+        levels: np.ndarray | None, bounds: np.ndarray | None,
     ) -> BrowseResult:
-        """The result raster with its validity mask, delta scope and --
+        """The result raster with its validity mask, answering scope and --
         when a pyramid level answered a tile the chunks never overwrote --
         its refinement annotation; remembered for the session's next
         viewport delta."""
         with self._stage(trace, "assemble"):
             # Read-only: one result may reach many clients (coalesced
             # followers, reused finished rasters) and session trackers.
-            for array in (counts, valid, primary, levels, bounds):
+            for array in (counts, valid, levels, bounds):
                 if array is not None:
                     array.setflags(write=False)
             coarse = levels is not None and bool((levels >= 0).any())
@@ -928,10 +856,7 @@ class ResilientBrowsingService:
                 counts=counts.reshape(rows, cols),
                 valid=None if valid.all() else valid.reshape(rows, cols),
                 telemetry=trace,
-                delta=DeltaSource(
-                    scope=scope,
-                    reusable=None if primary.all() else primary.reshape(rows, cols),
-                ),
+                scope=scope,
                 levels=levels.reshape(rows, cols) if coarse else None,
                 error_bound=bounds.reshape(rows, cols) if coarse else None,
             )

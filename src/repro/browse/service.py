@@ -13,8 +13,8 @@ same way, which is how the examples show estimate-vs-exact side by side.
 It is a constructor, not a second implementation: the raster is answered
 by the staged pipeline of
 :class:`~repro.browse.resilience.ResilientBrowsingService` (resolve ->
-delta -> cache probe -> chunk waves -> assemble), configured with one
-estimator and no pyramid.  Every raster is one chunk: a single
+delta -> cache probe -> chunk waves -> assemble), configured with no
+pyramid.  Every raster is one chunk: a single
 vectorised ``estimate_batch`` per raster -- a constant number of numpy
 gathers regardless of ``rows x cols``.  Estimators without a
 native batch path are adapted via
@@ -47,17 +47,17 @@ __all__ = ["GeoBrowsingService", "BrowseResult", "RELATION_FIELDS", "resolve_bro
 class GeoBrowsingService(ResilientBrowsingService):
     """Browse a dataset summary with tiled relation queries.
 
-    The browse pipeline with one estimator, configured for the plain
-    case.  Its failure contract:
+    The browse pipeline configured for the plain case.  Its failure
+    contract:
 
     - **One call.**  Each raster is one chunk and gets exactly one
-      ``estimate_batch`` call.  There is no fallback tier, and no state
-      carries a failure from one request to the next.
+      ``estimate_batch`` call, and no state carries a failure from one
+      request to the next.
     - **Taxonomy errors only.**  A malformed request raises
       :class:`~repro.errors.InvalidRegionError`.  An estimator exception
       or a non-finite count raises
-      :class:`~repro.errors.EstimatorFailedError` with the cause in
-      ``causes``; a NaN never reaches a raster.
+      :class:`~repro.errors.EstimatorFailedError` chained from the
+      cause; a NaN never reaches a raster.
 
     Pass a :class:`~repro.obs.instruments.BrowseInstrumentation` as
     ``instruments`` to record request counts, per-stage timings and tile
@@ -84,7 +84,7 @@ class GeoBrowsingService(ResilientBrowsingService):
     ) -> None:
         self._service = "plain"
         super().__init__(
-            [estimator],
+            estimator,
             grid,
             instruments=instruments,
             cache=cache,

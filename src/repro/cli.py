@@ -634,7 +634,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             TileResultCache(int(args.cache_mb * (1 << 20))) if args.cache_mb > 0 else None
         )
         service = ResilientBrowsingService(
-            [SEulerApprox(histogram)],
+            SEulerApprox(histogram),
             histogram.grid,
             chunk_rows=args.chunk_rows,
             instruments=instruments,

@@ -6,6 +6,8 @@ that used to leak out of validation, estimation and persistence code.  A
 server wraps its request handler in ``except BrowseError`` and maps the
 subclass to a response code; anything *outside* this taxonomy escaping
 the stack is a bug, which is what the fault-injection suite asserts.
+A missed deadline is not a failure: the browse returns what it answered,
+with a validity mask, or a coarse raster from the pyramid.
 
 The taxonomy lives at the package root (not under ``repro.browse``)
 because the persistence layer (``repro.euler.histogram``,
@@ -23,7 +25,6 @@ __all__ = [
     "BrowseError",
     "CatalogAlignmentError",
     "InvalidRegionError",
-    "DeadlineExceededError",
     "EstimatorFailedError",
     "SummaryCorruptError",
     "OverloadedError",
@@ -43,32 +44,13 @@ class InvalidRegionError(BrowseError, ValueError):
     """
 
 
-class DeadlineExceededError(BrowseError):
-    """The per-request deadline expired before the raster was complete.
-
-    Raised only when the caller asked for ``on_deadline="raise"``; the
-    default policy returns a partial raster with a validity mask instead.
-    """
-
-    def __init__(self, message: str, *, answered_rows: int = 0, total_rows: int = 0) -> None:
-        super().__init__(message)
-        #: Raster rows answered before the deadline expired.
-        self.answered_rows = answered_rows
-        #: Raster rows requested.
-        self.total_rows = total_rows
-
-
 class EstimatorFailedError(BrowseError):
-    """Every estimator in the fallback chain failed for some chunk.
+    """The estimator could not answer a chunk, and no pyramid level could
+    rescue it.
 
-    ``causes`` holds the per-estimator exceptions of the final chunk
-    attempt, in chain order, for post-mortems.
+    The estimator raised, returned the wrong shape or returned a
+    non-finite count; that failure is chained as ``__cause__``.
     """
-
-    def __init__(self, message: str, *, causes: tuple[BaseException, ...] = ()) -> None:
-        super().__init__(message)
-        #: The underlying per-estimator exceptions, in chain order.
-        self.causes = causes
 
 
 class OverloadedError(BrowseError):

@@ -4,18 +4,18 @@ A multi-tenant gateway serves many organisations from the same summary
 artifacts.  The catalog separates what is *shared* from what must be
 *isolated*:
 
-- **Shared: the summaries and estimator chains.**  A dataset is
-  registered once as a blueprint (estimator chain + grid + optional
-  tile cache).  Estimators are immutable readers over the summary
-  arrays and the :class:`~repro.cache.TileResultCache` is keyed by
-  summary identity and generation, so sharing them across tenants is
-  safe and collapses memory to one copy per dataset.
+- **Shared: the summaries and estimators.**  A dataset is registered
+  once as a blueprint (one estimator + grid + optional tile cache).
+  Estimators are immutable readers over the summary arrays and the
+  :class:`~repro.cache.TileResultCache` is keyed by summary identity and
+  generation, so sharing them across tenants is safe and collapses
+  memory to one copy per dataset.
 - **Isolated: serving state.**  Every ``(tenant, dataset)`` pair gets
   its *own* :class:`~repro.browse.resilience.ResilientBrowsingService`
   -- its own learned chunk cost and its own session-keyed
-  :class:`~repro.browse.delta.DeltaTracker` with a per-tenant session
-  bound, so one tenant's pan storm evicts only its own reuse state,
-  never a neighbour's.
+  :class:`~repro.browse.delta.DeltaTracker` holding at most
+  :data:`DELTA_SESSIONS_PER_TENANT` sessions, so one tenant's pan storm
+  evicts only its own reuse state, never a neighbour's.
 - **Quotas.**  Each tenant carries a concurrency quota: the number of
   requests it may have in flight through the gateway at once.  The
   quota is enforced by the gateway *before* admission triage, so a
@@ -40,20 +40,23 @@ from repro.obs.instruments import BrowseInstrumentation
 
 __all__ = ["DatasetBlueprint", "TenantCatalog", "TenantState"]
 
+#: Sessions each tenant's delta tracker remembers per dataset.
+DELTA_SESSIONS_PER_TENANT = 64
+
 
 @dataclass(frozen=True)
 class DatasetBlueprint:
     """One registered dataset: the shared ingredients of its services.
 
-    ``estimators`` is the fallback chain (primary first) every tenant's
-    service is built from; ``cache`` is the shared tile-result cache
-    (``None`` disables caching); ``service_kwargs`` is forwarded to each
+    ``estimator`` answers every tenant's service built from it; ``cache``
+    is the shared tile-result cache (``None`` disables caching);
+    ``service_kwargs`` is forwarded to each
     :class:`~repro.browse.resilience.ResilientBrowsingService`
     (``chunk_rows``, ``pyramid``, ...).
     """
 
     name: str
-    estimators: tuple[Level2Estimator, ...]
+    estimator: Level2Estimator
     grid: Grid
     cache: TileResultCache | None = None
     service_kwargs: dict = field(default_factory=dict)
@@ -111,16 +114,8 @@ class TenantCatalog:
     tracker are per-tenant) and eager failure beats a 500 at request time.
     """
 
-    def __init__(
-        self,
-        *,
-        instruments: BrowseInstrumentation | None = None,
-        delta_sessions_per_tenant: int = 64,
-    ) -> None:
-        if delta_sessions_per_tenant < 1:
-            raise ValueError("delta_sessions_per_tenant must be at least 1")
+    def __init__(self, *, instruments: BrowseInstrumentation | None = None) -> None:
         self._instruments = instruments
-        self._delta_sessions = delta_sessions_per_tenant
         self._blueprints: dict[str, DatasetBlueprint] = {}
         self._tenants: dict[str, TenantState] = {}
         self._services: dict[tuple[str, str], ResilientBrowsingService] = {}
@@ -133,18 +128,16 @@ class TenantCatalog:
     def register_dataset(
         self,
         name: str,
-        estimators: Level2Estimator | Sequence[Level2Estimator],
+        estimator: Level2Estimator,
         grid: Grid,
         *,
         cache: TileResultCache | None = None,
         **service_kwargs,
     ) -> DatasetBlueprint:
         """Register one dataset's shared serving ingredients."""
-        if isinstance(estimators, Level2Estimator):
-            estimators = (estimators,)
         blueprint = DatasetBlueprint(
             name=name,
-            estimators=tuple(estimators),
+            estimator=estimator,
             grid=grid,
             cache=cache,
             service_kwargs=dict(service_kwargs),
@@ -179,10 +172,10 @@ class TenantCatalog:
             for dataset in wanted:
                 bp = self._blueprints[dataset]
                 self._services[(name, dataset)] = ResilientBrowsingService(
-                    list(bp.estimators),
+                    bp.estimator,
                     bp.grid,
                     cache=bp.cache,
-                    delta=DeltaTracker(max_sessions=self._delta_sessions),
+                    delta=DeltaTracker(max_sessions=DELTA_SESSIONS_PER_TENANT),
                     instruments=self._instruments,
                     **bp.service_kwargs,
                 )

@@ -16,8 +16,8 @@ the same summaries.  One request's life:
    exhaustion raises :class:`~repro.errors.TenantQuotaExceededError`
    with a retry hint, leaving other tenants untouched.
 3. **Finished rasters.**  A request identical to one whose raster
-   already came back complete, at full resolution and answered by the
-   primary tier on every tile is answered with that raster right here,
+   already came back complete and at full resolution -- answered by the
+   estimator on every tile -- is answered with that raster right here,
    on the event loop: no queue slot, no executor hop.  The gateway
    keeps such rasters in a byte-bounded LRU map
    (:data:`FINISHED_RASTER_BYTES`) under the coalescing key below,
@@ -28,8 +28,9 @@ the same summaries.  One request's life:
    whose budget cannot cover it are shed *now* with
    :class:`~repro.errors.OverloadedError` (retry-after hint attached)
    instead of being admitted to time out; under pressure short of
-   shedding, the effective deadline is shrunk so the resilience layer
-   degrades (partial rasters with validity masks) rather than rejects.
+   shedding, the effective deadline is shrunk so the browse degrades
+   (coarse pyramid tiles, or partial rasters with validity masks) rather
+   than rejects.
 5. **Coalescing.**  Concurrent identical computations -- same answering
    scope (summary identity *and generation*, estimator, relation field),
    same region cells, same tiling -- share one in-flight task via keyed
@@ -69,7 +70,6 @@ from repro.browse.resilience import ResilientBrowsingService
 from repro.browse.service import BrowseResult, resolve_browse_request
 from repro.errors import (
     BrowseError,
-    DeadlineExceededError,
     EstimatorFailedError,
     InvalidRegionError,
     OverloadedError,
@@ -81,6 +81,7 @@ from repro.gateway.catalog import TenantCatalog
 from repro.geometry.rect import Rect
 from repro.grid.tiles_math import TileQuery
 from repro.obs.instruments import BrowseInstrumentation
+from repro.obs.registry import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
 __all__ = [
     "Gateway",
@@ -212,7 +213,6 @@ class GatewayResponse:
 _WIRE_CODES: tuple[tuple[str, type[BrowseError]], ...] = (
     ("tenant_quota_exceeded", TenantQuotaExceededError),
     ("overloaded", OverloadedError),
-    ("deadline_exceeded", DeadlineExceededError),
     ("estimator_failed", EstimatorFailedError),
     ("summary_corrupt", SummaryCorruptError),
     ("invalid_region", InvalidRegionError),
@@ -224,7 +224,7 @@ def encode_error(exc: BrowseError) -> dict:
     """The taxonomy failure as a JSON-safe wire document.
 
     Carries the code, the message, and the subclass's structured fields
-    (``retry_after_s``, ``tenant``, ``answered_rows``/``total_rows``);
+    (``retry_after_s``, ``tenant``);
     :func:`decode_error` reverses it exactly, which is what lets a
     remote client re-raise the same taxonomy type the gateway caught.
     """
@@ -238,9 +238,6 @@ def encode_error(exc: BrowseError) -> dict:
         doc["retry_after_s"] = exc.retry_after_s
     if isinstance(exc, TenantQuotaExceededError):
         doc["tenant"] = exc.tenant
-    if isinstance(exc, DeadlineExceededError):
-        doc["answered_rows"] = exc.answered_rows
-        doc["total_rows"] = exc.total_rows
     return doc
 
 
@@ -256,12 +253,6 @@ def decode_error(doc: dict) -> BrowseError:
         )
     if code == "overloaded":
         return OverloadedError(message, retry_after_s=doc.get("retry_after_s"))
-    if code == "deadline_exceeded":
-        return DeadlineExceededError(
-            message,
-            answered_rows=doc.get("answered_rows", 0),
-            total_rows=doc.get("total_rows", 0),
-        )
     if code == "estimator_failed":
         return EstimatorFailedError(message)
     if code == "summary_corrupt":
@@ -269,6 +260,48 @@ def decode_error(doc: dict) -> BrowseError:
     if code == "invalid_region":
         return InvalidRegionError(message)
     return BrowseError(message)
+
+
+class _GatewayMetrics:
+    """The ``repro_gateway_*`` families, declared on the registry a
+    gateway's instruments record into.  Declaration is idempotent by
+    name, so gateways sharing a registry share the families, and a
+    registry no gateway records into exports none of them."""
+
+    def __init__(self, r: MetricsRegistry) -> None:
+        self.requests = r.counter(
+            "repro_gateway_requests_total",
+            help="Gateway requests by tenant and outcome (ok, degraded, shed, quota, error)",
+            labels=("tenant", "outcome"),
+        )
+        self.shed = r.counter(
+            "repro_gateway_shed_total",
+            help="Requests shed, by site (queue_full, deadline, dispatch_expired)",
+            labels=("reason",),
+        )
+        self.coalesced = r.counter(
+            "repro_gateway_coalesced_total",
+            help="Computation sharing (leader = started one, follower = rode one in flight, reused = answered from a finished one)",
+            labels=("role",),
+        )
+        self.queue_depth = r.gauge(
+            "repro_gateway_queue_depth",
+            help="Computations admitted and not yet completed",
+        )
+        self.degrade_factor = r.gauge(
+            "repro_gateway_degrade_factor",
+            help="Budget fraction the last admission preserved (1.0 = full quality)",
+        )
+        self.queue_wait = r.histogram(
+            "repro_gateway_queue_wait_seconds",
+            help="Admission-to-dispatch wait per computation",
+            buckets=DEFAULT_LATENCY_BUCKETS,
+        )
+        self.service_seconds = r.histogram(
+            "repro_gateway_service_seconds",
+            help="Executor service time per computation",
+            buckets=DEFAULT_LATENCY_BUCKETS,
+        )
 
 
 def _session_key(request: TileRequest) -> str:
@@ -296,7 +329,8 @@ class Gateway:
         one (on by default).
     instruments:
         Optional :class:`~repro.obs.instruments.BrowseInstrumentation`;
-        records the ``repro_gateway_*`` metric families.
+        the ``repro_gateway_*`` metric families are declared on its
+        registry and recorded there.
     clock:
         Injectable monotonic seconds.
     admission:
@@ -320,7 +354,7 @@ class Gateway:
         self._catalog = catalog
         self._workers = workers
         self._clock = clock
-        self._obs = instruments
+        self._obs = None if instruments is None else _GatewayMetrics(instruments.registry)
         self._coalesce = coalesce
         if admission is None:
             window = ServiceTimeWindow(clock=clock)
@@ -403,7 +437,7 @@ class Gateway:
         except BrowseError as exc:
             self._note_error(exc)
             if obs is not None:
-                obs.gateway_requests.labels(
+                obs.requests.labels(
                     tenant=request.tenant, outcome=self._outcome_of(exc)
                 ).inc()
             return GatewayResponse(
@@ -420,7 +454,7 @@ class Gateway:
         if status == "degraded":
             self.stats["degraded_responses"] += 1
         if obs is not None:
-            obs.gateway_requests.labels(
+            obs.requests.labels(
                 tenant=request.tenant, outcome=status
             ).inc()
         return GatewayResponse(
@@ -503,7 +537,7 @@ class Gateway:
             self._finished.move_to_end(key)
             self.stats["reused_results"] += 1
             if obs is not None:
-                obs.gateway_coalesced.labels(role="reused").inc()
+                obs.coalesced.labels(role="reused").inc()
             service.delta.remember(_session_key(request), result)
             return result, {
                 "coalesced": True,
@@ -524,7 +558,7 @@ class Gateway:
         if not decision.admitted:
             self.stats[f"shed_{decision.reason}"] += 1
             if obs is not None:
-                obs.gateway_shed.labels(reason=decision.reason).inc()
+                obs.shed.labels(reason=decision.reason).inc()
             raise OverloadedError(
                 f"request shed at admission ({decision.reason}): estimated "
                 f"queue wait {decision.estimated_wait_s:.3f}s exceeds the "
@@ -542,7 +576,7 @@ class Gateway:
         if decision.coarse:
             self.stats["coarse_admissions"] += 1
         if obs is not None:
-            obs.gateway_degrade_factor.set(decision.degrade_factor)
+            obs.degrade_factor.set(decision.degrade_factor)
 
         # Coalescing: identical in-flight computations share one task.
         task = self._inflight.get(key) if self._coalesce else None
@@ -553,18 +587,18 @@ class Gateway:
             )
             self._pending += 1
             if obs is not None:
-                obs.gateway_queue_depth.set(self._pending)
+                obs.queue_depth.set(self._pending)
             task.add_done_callback(lambda t, k=key: self._on_done(k, t))
             if self._coalesce:
                 self._inflight[key] = task
                 self.stats["coalesced_leaders"] += 1
                 if obs is not None:
-                    obs.gateway_coalesced.labels(role="leader").inc()
+                    obs.coalesced.labels(role="leader").inc()
         else:
             coalesced = True
             self.stats["coalesced_followers"] += 1
             if obs is not None:
-                obs.gateway_coalesced.labels(role="follower").inc()
+                obs.coalesced.labels(role="follower").inc()
 
         # Shield: the computation belongs to the gateway, not to any one
         # waiter.  Cancelling this request (client gone) must not cancel
@@ -643,30 +677,29 @@ class Gateway:
         except OverloadedError:
             self.stats["shed_dispatch"] += 1
             if self._obs is not None:
-                self._obs.gateway_shed.labels(reason="dispatch_expired").inc()
+                self._obs.shed.labels(reason="dispatch_expired").inc()
             raise
         self._window.observe(service_s)
         self.stats["completed"] += 1
         if self._obs is not None:
-            self._obs.gateway_queue_wait.observe(queue_wait)
-            self._obs.gateway_service_seconds.observe(service_s)
+            self._obs.queue_wait.observe(queue_wait)
+            self._obs.service_seconds.observe(service_s)
         if self._coalesce:
             self._keep(result)
         return result, queue_wait, service_s
 
     def _keep(self, result: BrowseResult) -> None:
-        """File a finished raster for reuse when it may be reused: the
-        same rasters the tile cache and viewport deltas may reuse, i.e.
-        complete, at full resolution and primary-tier on every tile.  It
-        is keyed by the scope it was answered under, not the key taken
-        at admission, so it always sits under the summary generation
-        that answered it, even when an update landed while it queued.
-        A key already filed keeps its raster: the same scope gives the
-        same answer."""
-        key = (result.delta.scope, result.region, result.rows, result.cols, result.relation)
+        """File a finished raster for reuse when it is complete and at
+        full resolution -- the estimator's answer on every tile, which
+        is what the tile cache and viewport deltas may reuse too.  It is
+        keyed by the scope it was answered under, not the key taken at
+        admission, so it always sits under the summary generation that
+        answered it, even when an update landed while it queued.  A key
+        already filed keeps its raster: the same scope gives the same
+        answer."""
+        key = (result.scope, result.region, result.rows, result.cols, result.relation)
         if (
             key in self._finished
-            or result.delta.reusable is not None
             or not (result.is_complete and result.full_resolution)
             or result.counts.nbytes > FINISHED_RASTER_BYTES
         ):
@@ -680,7 +713,7 @@ class Gateway:
     def _on_done(self, key: tuple, task: asyncio.Task) -> None:
         self._pending -= 1
         if self._obs is not None:
-            self._obs.gateway_queue_depth.set(self._pending)
+            self._obs.queue_depth.set(self._pending)
         if self._inflight.get(key) is task:
             del self._inflight[key]
         # Consume the exception so a computation whose waiters were all

@@ -1,9 +1,12 @@
 """The serving stack's pre-wired metric families.
 
 :class:`BrowseInstrumentation` is the bundle both browsing services and
-the fallback chain record into: one registry, every family declared once
-up front (so the hot path never re-validates metric names), plus a trace
-factory on the same clock.  Passing one instance to
+their estimator chain record into: one registry, every family declared
+once up front (so the hot path never re-validates metric names), plus a
+trace factory on the same clock.  A
+:class:`~repro.gateway.gateway.Gateway` given the bundle declares its
+own ``repro_gateway_*`` families on the same registry, so a snapshot
+without a gateway exports none of them.  Passing one instance to
 :class:`~repro.browse.service.GeoBrowsingService` or
 :class:`~repro.browse.resilience.ResilientBrowsingService` turns the
 whole stack observable; passing nothing keeps the uninstrumented fast
@@ -30,13 +33,6 @@ name                                                   type       labels
 ``repro_pyramid_rescued_chunks_total``                 counter    service
 ``repro_tier_failures_total``                          counter    tier, reason (error, bad_output)
 ``repro_persistence_ops_total``                        counter    kind, op, outcome
-``repro_gateway_requests_total``                       counter    tenant, outcome
-``repro_gateway_shed_total``                           counter    reason
-``repro_gateway_coalesced_total``                      counter    role (leader, follower, reused)
-``repro_gateway_queue_depth``                          gauge      --
-``repro_gateway_degrade_factor``                       gauge      --
-``repro_gateway_queue_wait_seconds``                   histogram  --
-``repro_gateway_service_seconds``                      histogram  --
 ``repro_ingest_objects_total``                         counter    source
 ``repro_ingest_chunks_total``                          counter    source, path
 ``repro_ingest_spills_total``                          counter    source
@@ -179,48 +175,14 @@ class BrowseInstrumentation:
         )
         self.pyramid_rescues = r.counter(
             "repro_pyramid_rescued_chunks_total",
-            help="Chunks whose exhausted fallback chain was rescued from the coarsest pyramid level",
+            help="Chunks the estimator failed that were rescued from the coarsest pyramid level",
             labels=("service",),
         )
         self.tier_failures = r.counter(
             "repro_tier_failures_total",
-            help="Chunks a tier failed (error: estimate_batch raised; bad_output: "
-            "wrong shape or non-finite counts); a tier is called only for the "
-            "chunks the tier before it failed",
+            help="Chunks the estimator failed (error: estimate_batch raised; "
+            "bad_output: wrong shape or non-finite counts)",
             labels=("tier", "reason"),
-        )
-        self.gateway_requests = r.counter(
-            "repro_gateway_requests_total",
-            help="Gateway requests by tenant and outcome (ok, degraded, shed, quota, error)",
-            labels=("tenant", "outcome"),
-        )
-        self.gateway_shed = r.counter(
-            "repro_gateway_shed_total",
-            help="Requests shed, by site (queue_full, deadline, dispatch_expired)",
-            labels=("reason",),
-        )
-        self.gateway_coalesced = r.counter(
-            "repro_gateway_coalesced_total",
-            help="Computation sharing (leader = started one, follower = rode one in flight, reused = answered from a finished one)",
-            labels=("role",),
-        )
-        self.gateway_queue_depth = r.gauge(
-            "repro_gateway_queue_depth",
-            help="Computations admitted and not yet completed",
-        )
-        self.gateway_degrade_factor = r.gauge(
-            "repro_gateway_degrade_factor",
-            help="Budget fraction the last admission preserved (1.0 = full quality)",
-        )
-        self.gateway_queue_wait = r.histogram(
-            "repro_gateway_queue_wait_seconds",
-            help="Admission-to-dispatch wait per computation",
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self.gateway_service_seconds = r.histogram(
-            "repro_gateway_service_seconds",
-            help="Executor service time per computation",
-            buckets=DEFAULT_LATENCY_BUCKETS,
         )
 
     def new_trace(self) -> RequestTrace:

@@ -1,9 +1,9 @@
 """Deterministic fault injection for resilience testing.
 
 The resilience layer (:mod:`repro.browse.resilience`) promises specific
-degradation behaviour -- fallback to the next tier after a failed call,
-partial rasters under a deadline, NaN corruption never reaching a
-client.  Those promises are only testable against an estimator that
+degradation behaviour -- a failed chunk rescued from the pyramid or
+raised as a taxonomy error, partial rasters under a deadline, NaN
+corruption never reaching a client.  Those promises are only testable against an estimator that
 fails *on cue*:
 :class:`FaultyEstimator` wraps any real estimator and injects exceptions,
 latency and NaN-corrupted counts according to a :class:`FaultSchedule`,

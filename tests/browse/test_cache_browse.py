@@ -13,6 +13,7 @@ from repro.browse.service import RELATION_FIELDS, GeoBrowsingService
 from repro.cache import TileResultCache
 from repro.euler.histogram import EulerHistogram
 from repro.euler.maintained import MaintainedEulerHistogram
+from repro.euler.pyramid import HistogramPyramid
 from repro.euler.simple import SEulerApprox
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
@@ -33,6 +34,12 @@ def data():
 @pytest.fixture(scope="module")
 def hist(data):
     return EulerHistogram.from_dataset(data, GRID)
+
+
+@pytest.fixture(scope="module")
+def pyramid(data):
+    # 12x8 -> 6x4 -> 3x2: level 2 answers a 4x6 raster coarse.
+    return HistogramPyramid(data, GRID, min_cells=2)
 
 
 @st.composite
@@ -116,7 +123,7 @@ class TestResilientCache:
     def test_cache_hits_survive_a_zero_deadline(self, hist):
         estimator = SEulerApprox(hist)
         cache = TileResultCache()
-        service = ResilientBrowsingService([estimator], GRID, cache=cache)
+        service = ResilientBrowsingService(estimator, GRID, cache=cache)
         region = TileQuery(0, 12, 0, 8)
 
         warm = service.browse(region, 4, 6)  # populates the cache
@@ -124,50 +131,55 @@ class TestResilientCache:
         assert cold_deadline.valid is None or cold_deadline.valid.all()
         np.testing.assert_array_equal(cold_deadline.counts, warm.counts)
 
-    def test_degraded_answers_are_not_cached(self, hist):
-        """With the primary hard-down, the fallback answers every chunk
-        -- and none of it may enter the cache under the primary's key."""
-        primary = FaultyBatchEstimator(
+    def test_degraded_answers_are_not_cached(self, hist, pyramid):
+        """With the estimator hard-down, the pyramid answers every chunk
+        -- and none of it may enter the cache under the estimator's
+        key."""
+        failing = FaultyBatchEstimator(
             SEulerApprox(hist), FaultSchedule(script=["error"] * 1000, cycle=True)
         )
-        fallback = SEulerApprox(hist)
         cache = TileResultCache()
-        service = ResilientBrowsingService([primary, fallback], GRID, cache=cache)
+        service = ResilientBrowsingService(failing, GRID, cache=cache, pyramid=pyramid)
         region = TileQuery(0, 12, 0, 8)
         result = service.browse(region, 4, 6)
-        assert result.valid is None or result.valid.all()
-        assert len(cache) == 0, "degraded (fallback-tier) answers were cached"
+        assert result.is_complete and not result.full_resolution
+        assert len(cache) == 0, "degraded (pyramid-served) answers were cached"
 
-        # Second request: still all fallback, still nothing cached.
+        # Second request: still all pyramid, still nothing cached.
         service.browse(region, 4, 6)
         assert len(cache) == 0
         assert cache.hits == 0
 
-    def test_primary_recovery_fills_the_cache(self, hist):
-        primary = FaultyBatchEstimator(
+    def test_primary_recovery_fills_the_cache(self, hist, pyramid):
+        failing = FaultyBatchEstimator(
             SEulerApprox(hist), FaultSchedule(script=["error"])  # fails once
         )
-        fallback = SEulerApprox(hist)
         cache = TileResultCache()
         service = ResilientBrowsingService(
-            [primary, fallback],
+            failing,
             GRID,
             cache=cache,
             chunk_rows=2,
+            pyramid=pyramid,
         )
         region = TileQuery(0, 12, 0, 8)
         reference = GeoBrowsingService(SEulerApprox(hist), GRID).browse(region, 4, 6)
+        first = service.browse(region, 4, 6)
+        # The recovered estimator answered the second chunk, and only
+        # those tiles were cached.
+        assert (first.levels[:2] >= 0).all()
+        np.testing.assert_array_equal(first.counts[2:], reference.counts[2:])
+        assert len(cache) == 12
         result = service.browse(region, 4, 6)
         np.testing.assert_array_equal(result.counts, reference.counts)
-        # The recovered primary answered at least one chunk.
-        assert len(cache) > 0
+        assert len(cache) == 24
 
     def test_chunked_resilient_parity(self, hist):
         """A cold service's 2-row chunks answer bit-identically to one
         chunk per raster."""
         estimator = SEulerApprox(hist)
         expected = GeoBrowsingService(estimator, GRID).browse(TileQuery(0, 12, 0, 8), 8, 12)
-        chunked = ResilientBrowsingService([estimator], GRID, chunk_rows=2)
+        chunked = ResilientBrowsingService(estimator, GRID, chunk_rows=2)
         got = chunked.browse(TileQuery(0, 12, 0, 8), 8, 12)
         assert chunked.chunk_cost.chunks == 4
         np.testing.assert_array_equal(got.counts, expected.counts)
@@ -190,7 +202,7 @@ class TestCacheMetrics:
     def test_resilient_service_records_hits_misses_and_shards(self, hist):
         instruments = BrowseInstrumentation()
         service = ResilientBrowsingService(
-            [SEulerApprox(hist)],
+            SEulerApprox(hist),
             GRID,
             cache=TileResultCache(),
             instruments=instruments,

@@ -1,15 +1,16 @@
 """Threaded stress test: many workers hammering one shared resilient
 service with the cache and fault injector both enabled.
 
-Both tiers wrap the same summary, so every fully-answered raster --
-whichever tier answered, cached or not -- must equal the fault-free
-reference bit for bit.  The test asserts that under concurrency, plus
-the cache's byte bound and the absence of any raised error.
+A faulted chunk fails its request with ``EstimatorFailedError``; every
+raster that does come back -- cached or not -- must equal the
+fault-free reference bit for bit.  The test asserts that under
+concurrency, plus the cache's byte bound and the absence of any other
+raised error.
 
 A warm service answers a raster whose tiles all miss as one chunk, and
 cached tiles never reach the injector.  So the workers cycle through
 every relation as well as every shape: each of the 15 cache scopes
-costs the primary at least one chunk call, which is past the seeded
+costs the estimator at least one chunk call, which is past the seeded
 schedule's first fault whatever the thread interleaving.  One-row
 chunks add a call per row while the service is cold, and the
 interpreter's switch interval is cut to a microsecond so requests
@@ -24,6 +25,7 @@ import pytest
 from repro.browse.resilience import ResilientBrowsingService
 from repro.browse.service import RELATION_FIELDS, GeoBrowsingService
 from repro.cache import TileResultCache
+from repro.errors import EstimatorFailedError
 from repro.euler.histogram import EulerHistogram
 from repro.euler.simple import SEulerApprox
 from repro.geometry.rect import Rect
@@ -60,15 +62,16 @@ def test_threaded_stress_with_faults_cache_and_shards(hist):
         for relation in RELATIONS
     }
 
-    primary = FaultyBatchEstimator(
+    faulty = FaultyBatchEstimator(
         SEulerApprox(hist),
         FaultSchedule(seed=5, error_rate=0.15, nan_rate=0.1),
         sleep=lambda _s: None,
     )
     cache = TileResultCache()
-    service = ResilientBrowsingService([primary, estimator], GRID, cache=cache, chunk_rows=1)
+    service = ResilientBrowsingService(faulty, GRID, cache=cache, chunk_rows=1)
 
     errors: list[str] = []
+    served: list[int] = []
     barrier = threading.Barrier(NUM_WORKERS)
 
     def worker(worker_id: int) -> None:
@@ -77,11 +80,15 @@ def test_threaded_stress_with_faults_cache_and_shards(hist):
             for i in range(REQUESTS_PER_WORKER):
                 shape = SHAPES[(worker_id + i) % len(SHAPES)]
                 relation = RELATIONS[(worker_id + i) % len(RELATIONS)]
-                result = service.browse(TileQuery(0, 12, 0, 8), *shape, relation)
+                try:
+                    result = service.browse(TileQuery(0, 12, 0, 8), *shape, relation)
+                except EstimatorFailedError:
+                    continue
                 if result.valid is not None and not result.valid.all():
                     errors.append("partial result without a deadline")
                 elif not np.array_equal(result.counts, references[(shape, relation)]):
                     errors.append(f"{relation} raster diverged on {shape}")
+                served.append(worker_id)
         except Exception as exc:
             errors.append(repr(exc))
 
@@ -102,7 +109,8 @@ def test_threaded_stress_with_faults_cache_and_shards(hist):
     stuck = [t.name for t in threads if t.is_alive()]
     assert not stuck, f"threads still running after {JOIN_TIMEOUT_S}s: {stuck}"
     assert not errors, errors[:5]
-    assert primary.injected["error"] + primary.injected["nan"] > 0, (
+    assert served, "every request failed; the parity check is vacuous"
+    assert faulty.injected["error"] + faulty.injected["nan"] > 0, (
         "the fault injector never fired; the stress test is vacuous"
     )
     assert cache.nbytes <= cache.capacity_bytes

@@ -120,7 +120,7 @@ def test_plain_and_resilient_forms_agree(
         for result in (a, b, c):
             assert result.valid is None
             np.testing.assert_array_equal(result.counts, want)
-            assert result.delta.reusable is None
+            assert result.levels is None
         # One chunk, no coarse prefill, nothing left coarse.
         assert c.levels is None
         stages = {span.name: span for span in c.telemetry.spans}

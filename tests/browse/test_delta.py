@@ -14,6 +14,7 @@ from repro.browse.service import RELATION_FIELDS, GeoBrowsingService
 from repro.cache import TileResultCache
 from repro.euler.histogram import EulerHistogram
 from repro.euler.maintained import MaintainedEulerHistogram
+from repro.euler.pyramid import HistogramPyramid
 from repro.euler.simple import SEulerApprox
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
@@ -35,6 +36,12 @@ def data():
 @pytest.fixture(scope="module")
 def hist(data):
     return EulerHistogram.from_dataset(data, GRID)
+
+
+@pytest.fixture(scope="module")
+def pyramid(data):
+    # 24x16 -> 12x8 -> 6x4: level 2 answers a 4x6 raster over 12x8 cells.
+    return HistogramPyramid(data, GRID)
 
 
 @st.composite
@@ -115,8 +122,8 @@ class TestDeltaParity:
     def test_resilient_delta_parity(self, hist, trace):
         relation, steps = trace
         estimator = SEulerApprox(hist)
-        cold = ResilientBrowsingService([estimator], GRID)
-        delta = ResilientBrowsingService([estimator], GRID, delta=DeltaTracker())
+        cold = ResilientBrowsingService(estimator, GRID)
+        delta = ResilientBrowsingService(estimator, GRID, delta=DeltaTracker())
         for region, rows, cols in steps:
             expected = cold.browse(region, rows, cols, relation)
             got = delta.browse(region, rows, cols, relation)
@@ -150,13 +157,6 @@ class TestDeltaReuse:
         service.browse(TileQuery(0, 12, 0, 8), 4, 6, session="a")
         assert reused.value == 1
 
-    def test_explicit_previous_hint_overrides_the_tracker(self, hist):
-        service = GeoBrowsingService(SEulerApprox(hist), GRID)
-        first = service.browse(TileQuery(0, 12, 0, 8), 8, 12)
-        expected = service.browse(TileQuery(2, 14, 0, 8), 8, 12)
-        hinted = service.browse(TileQuery(2, 14, 0, 8), 8, 12, previous=first)
-        np.testing.assert_array_equal(hinted.counts, expected.counts)
-
     def test_incompatible_retile_counts_as_incompatible(self, hist):
         instruments = BrowseInstrumentation()
         service = GeoBrowsingService(
@@ -174,7 +174,7 @@ class TestPlanDelta:
     def test_unrestricted_overlap_is_a_block_plan(self, hist):
         service = GeoBrowsingService(SEulerApprox(hist), GRID)
         prev = service.browse(TileQuery(0, 12, 0, 8), 8, 12)
-        plan = plan_delta(prev, TileQuery(2, 14, 1, 9), 8, 12, prev.delta.scope)
+        plan = plan_delta(prev, TileQuery(2, 14, 1, 9), 8, 12, prev.scope)
         assert plan is not None and plan.block is not None and plan.source is None
         assert plan.n_reused == 7 * 10
         r0, r1, c0, c1, dr, dc = plan.block
@@ -184,7 +184,7 @@ class TestPlanDelta:
         service = GeoBrowsingService(SEulerApprox(hist), GRID)
         prev = service.browse(TileQuery(0, 12, 0, 8), 8, 12)
         cold = service.browse(TileQuery(3, 15, 2, 10), 8, 12)
-        plan = plan_delta(prev, TileQuery(3, 15, 2, 10), 8, 12, prev.delta.scope)
+        plan = plan_delta(prev, TileQuery(3, 15, 2, 10), 8, 12, prev.scope)
         counts = np.full(8 * 12, np.nan)
         plan.fill(counts, prev.counts)
         np.testing.assert_array_equal(
@@ -195,24 +195,24 @@ class TestPlanDelta:
     def test_misaligned_offset_is_rejected(self, hist):
         service = GeoBrowsingService(SEulerApprox(hist), GRID)
         prev = service.browse(TileQuery(0, 12, 0, 8), 4, 6)  # 2x2-cell tiles
-        assert plan_delta(prev, TileQuery(1, 13, 0, 8), 4, 6, prev.delta.scope) is None
+        assert plan_delta(prev, TileQuery(1, 13, 0, 8), 4, 6, prev.scope) is None
 
     def test_different_tile_extents_are_rejected(self, hist):
         service = GeoBrowsingService(SEulerApprox(hist), GRID)
         prev = service.browse(TileQuery(0, 12, 0, 8), 4, 6)
-        assert plan_delta(prev, TileQuery(0, 12, 0, 8), 2, 3, prev.delta.scope) is None
+        assert plan_delta(prev, TileQuery(0, 12, 0, 8), 2, 3, prev.scope) is None
 
     def test_disjoint_viewports_are_rejected(self, hist):
         service = GeoBrowsingService(SEulerApprox(hist), GRID)
         prev = service.browse(TileQuery(0, 6, 0, 4), 4, 6)
-        assert plan_delta(prev, TileQuery(12, 18, 8, 12), 4, 6, prev.delta.scope) is None
+        assert plan_delta(prev, TileQuery(12, 18, 8, 12), 4, 6, prev.scope) is None
 
     def test_scope_mismatch_is_rejected(self, hist):
         service = GeoBrowsingService(SEulerApprox(hist), GRID)
         prev = service.browse(TileQuery(0, 12, 0, 8), 4, 6, relation="overlap")
         contains = service.browse(TileQuery(0, 12, 0, 8), 4, 6, relation="contains")
         assert (
-            plan_delta(prev, TileQuery(0, 12, 0, 8), 4, 6, contains.delta.scope) is None
+            plan_delta(prev, TileQuery(0, 12, 0, 8), 4, 6, contains.scope) is None
         )
 
 
@@ -260,7 +260,7 @@ class TestResilientDelta:
         """Tiles copied from the previous raster are valid before any
         estimation work, so even deadline=0 serves them complete."""
         service = ResilientBrowsingService(
-            [SEulerApprox(hist)], GRID, delta=DeltaTracker()
+            SEulerApprox(hist), GRID, delta=DeltaTracker()
         )
         region = TileQuery(0, 12, 0, 8)
         warm = service.browse(region, 4, 6)
@@ -268,25 +268,25 @@ class TestResilientDelta:
         assert rushed.valid is None or rushed.valid.all()
         np.testing.assert_array_equal(rushed.counts, warm.counts)
 
-    def test_degraded_tiles_are_not_reused(self, hist):
-        """A raster answered by the fallback tier must not seed reuse:
-        the next interaction recomputes rather than copy degraded
-        counts."""
-        primary = FaultyBatchEstimator(
+    def test_degraded_tiles_are_not_reused(self, hist, pyramid):
+        """A raster the pyramid answered for a failing estimator must not
+        seed reuse: the next interaction recomputes rather than copy
+        coarse counts."""
+        failing = FaultyBatchEstimator(
             SEulerApprox(hist), FaultSchedule(script=["error"] * 1000, cycle=True)
         )
-        fallback = SEulerApprox(hist)
         instruments = BrowseInstrumentation()
         service = ResilientBrowsingService(
-            [primary, fallback],
+            failing,
             GRID,
             delta=DeltaTracker(),
+            pyramid=pyramid,
             instruments=instruments,
         )
         region = TileQuery(0, 12, 0, 8)
         first = service.browse(region, 4, 6)
-        assert first.delta is not None
-        assert first.delta.reusable is not None and not first.delta.reusable.any()
+        assert first.is_complete and (first.levels >= 0).all()
+        assert plan_delta(first, region, 4, 6, first.scope) is None
         service.browse(region, 4, 6)
         assert (
             instruments.delta_rasters.labels(
@@ -295,23 +295,25 @@ class TestResilientDelta:
             == 0
         )
 
-    def test_partial_degradation_reuses_only_primary_tiles(self, hist):
-        """One failed chunk: its tiles answer via the fallback and are
-        excluded from the reusable mask; the rest stay reusable."""
-        primary = FaultyBatchEstimator(
+    def test_partial_degradation_reuses_only_primary_tiles(self, hist, pyramid):
+        """One failed chunk: its tiles answer from the pyramid and are
+        never copied; the estimator's tiles stay reusable."""
+        failing = FaultyBatchEstimator(
             SEulerApprox(hist), FaultSchedule(script=["error"])  # first chunk fails
         )
-        fallback = SEulerApprox(hist)
         service = ResilientBrowsingService(
-            [primary, fallback],
+            failing,
             GRID,
             delta=DeltaTracker(),
+            pyramid=pyramid,
             chunk_rows=2,
         )
         region = TileQuery(0, 12, 0, 8)
         result = service.browse(region, 4, 6)
-        assert result.delta is not None and result.delta.reusable is not None
-        assert result.delta.reusable.any() and not result.delta.reusable.all()
+        assert (result.levels[:2] >= 0).all() and (result.levels[2:] == -1).all()
+        plan = plan_delta(result, region, 4, 6, result.scope)
+        reused = plan.reused.reshape(4, 6)
+        assert not reused[:2].any() and reused[2:].all()
 
 
 class TestDeltaTracker:

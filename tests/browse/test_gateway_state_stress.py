@@ -62,7 +62,7 @@ def test_threaded_sessions_with_shared_cache_and_bounded_delta(hist):
     trackers = [DeltaTracker(max_sessions=MAX_SESSIONS) for _ in range(2)]
     tenants = [
         ResilientBrowsingService(
-            [SEulerApprox(hist)], GRID, cache=cache, delta=tracker
+            SEulerApprox(hist), GRID, cache=cache, delta=tracker
         )
         for tracker in trackers
     ]

@@ -1,6 +1,6 @@
-"""The pyramid refinement tier: coarse-first serving under deadlines.
+"""The pyramid refinement path: coarse-first serving under deadlines.
 
-Acceptance properties of the degradation tier:
+Acceptance properties of the one degrade path:
 
 - a zero-budget browse still returns a *complete* raster, served from
   the coarsest aligned pyramid level with per-tile level and error-bound
@@ -10,21 +10,19 @@ Acceptance properties of the degradation tier:
   tile and the annotation is dropped;
 - coarse-but-valid tiles never seed the tile cache and are never reused
   by viewport deltas;
-- a chunk whose fallback chain is exhausted is rescued from the coarsest
-  level instead of failing the request;
-- ``on_deadline="raise"`` degrades instead of raising when the pyramid
-  made the raster complete.
+- a chunk the estimator fails is rescued from the coarsest level instead
+  of failing the request.
 """
 
 import numpy as np
 import pytest
 
-from repro.browse.delta import DeltaTracker
+from repro.browse.delta import DeltaTracker, plan_delta
 from repro.browse.refine import PyramidSource
 from repro.browse.resilience import ResilientBrowsingService
 from repro.browse.service import GeoBrowsingService
 from repro.cache import TileResultCache
-from repro.errors import DeadlineExceededError, EstimatorFailedError
+from repro.errors import EstimatorFailedError
 from repro.euler.histogram import EulerHistogram
 from repro.euler.pyramid import HistogramPyramid
 from repro.euler.simple import SEulerApprox
@@ -84,8 +82,8 @@ class TestPyramidSource:
             (2, 8, 16),
             (1, 16, 32),
         ]
-        # Level 0 would be the requested resolution itself: the primary
-        # chain owns that answer, so the ladder must not contain it.
+        # Level 0 would be the requested resolution itself: the service's
+        # estimator owns that answer, so the ladder must not contain it.
         assert all(s.level > 0 for s in steps)
         # Each kept step strictly refines the previous one.
         tiles = [s.tiles for s in steps]
@@ -183,9 +181,9 @@ class TestCoarseNeverReused:
         tracker = DeltaTracker()
         service = make_service(estimator, grid, pyramid, delta=tracker)
         first = service.browse(REGION, rows=32, cols=64, deadline=0.0, session="s")
-        # Every tile is coarse: nothing is marked reusable.
-        assert first.delta.reusable is not None
-        assert not first.delta.reusable.any()
+        # Every tile is coarse: nothing is reusable.
+        assert first.levels is not None and (first.levels >= 0).all()
+        assert plan_delta(first, REGION, 32, 64, first.scope) is None
         # A repeat of the same viewport must be served from the pyramid
         # again, not copied from the remembered coarse raster.
         second = service.browse(REGION, rows=32, cols=64, deadline=0.0, session="s")
@@ -206,8 +204,8 @@ class TestChainExhaustedRescue:
         assert not result.full_resolution
         assert (result.levels == 3).all()
         assert (result.error_bound >= 0).all()
-        # Rescued tiles are not primary: nothing is delta-reusable.
-        assert not result.delta.reusable.any()
+        # Rescued tiles are coarse: nothing is delta-reusable.
+        assert plan_delta(result, REGION, 32, 64, result.scope) is None
 
     def test_rescued_tiles_never_seed_the_cache(self, estimator, grid, pyramid):
         flaky = FaultyBatchEstimator(
@@ -240,34 +238,7 @@ class TestChainExhaustedRescue:
         assert rescues.labels(service="resilient").value > 0
 
 
-class TestDeadlineRaiseDegrades:
-    def test_raise_mode_returns_coarse_complete_raster(self, estimator, grid, pyramid):
-        service = make_service(estimator, grid, pyramid)
-        result = service.browse(
-            REGION, rows=32, cols=64, deadline=0.0, on_deadline="raise"
-        )
-        assert result.is_complete and not result.full_resolution
-
-    def test_raise_mode_still_raises_without_a_pyramid(self, estimator, grid):
-        service = ResilientBrowsingService(estimator, grid)
-        with pytest.raises(DeadlineExceededError):
-            service.browse(REGION, rows=32, cols=64, deadline=0.0, on_deadline="raise")
-
-    def test_raise_mode_still_raises_when_no_level_aligns(self, estimator, grid, pyramid):
-        service = make_service(estimator, grid, pyramid)
-        # rows=1, cols=1 plans an empty ladder: nothing prefills, so the
-        # zero budget must surface as the usual deadline error.
-        with pytest.raises(DeadlineExceededError):
-            service.browse(REGION, rows=1, cols=1, deadline=0.0, on_deadline="raise")
-
-
 class TestValidation:
-    def test_refine_fraction_validated(self, estimator, grid, pyramid):
-        with pytest.raises(ValueError, match="refine_fraction"):
-            make_service(estimator, grid, pyramid, refine_fraction=0.0)
-        with pytest.raises(ValueError, match="refine_fraction"):
-            make_service(estimator, grid, pyramid, refine_fraction=1.5)
-
     def test_pyramid_property_exposes_the_source(self, estimator, grid, pyramid):
         service = make_service(estimator, grid, pyramid)
         assert isinstance(service.pyramid, PyramidSource)

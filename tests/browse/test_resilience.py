@@ -12,11 +12,9 @@ from repro.browse.resilience import FallbackChain, ResilientBrowsingService
 from repro.browse.service import GeoBrowsingService
 from repro.errors import (
     BrowseError,
-    DeadlineExceededError,
     EstimatorFailedError,
     InvalidRegionError,
 )
-from repro.euler.base import ScalarBatchFallback
 from repro.euler.estimates import Level2CountsBatch
 from repro.euler.histogram import EulerHistogram
 from repro.euler.pyramid import HistogramPyramid
@@ -239,77 +237,64 @@ class TestFaultyEstimator:
 
 
 class TestFallbackChain:
-    def test_failing_primary_falls_back_to_complete_raster(self, grid, exact, hist):
-        """Acceptance: FaultyEstimator failures on the primary still yield
-        a complete raster, answered by the fallback."""
-        primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",) * 10))
+    @pytest.fixture
+    def coarse(self, grid, data):
+        # 12x8 -> 6x4 -> 3x2: level 2 answers a 4x6 raster coarse.
+        return HistogramPyramid(data, grid, min_cells=2)
+
+    def test_failing_primary_falls_back_to_complete_raster(self, grid, exact, coarse):
+        """Acceptance: FaultyEstimator failures on the estimator still
+        yield a complete raster, answered by the pyramid."""
+        failing = FaultyBatchEstimator(exact, FaultSchedule(script=("error",) * 10))
         service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=2, clock=FakeClock(),
+            failing, grid, chunk_rows=2, pyramid=coarse, clock=FakeClock(),
         )
         result = service.browse(REGION, rows=4, cols=6)
         assert result.is_complete and result.valid is None
-        expected = GeoBrowsingService(SEulerApprox(hist), grid).browse(
-            REGION, rows=4, cols=6
-        )
-        np.testing.assert_array_equal(result.counts, expected.counts)
+        assert (result.levels == 2).all()
+        step = service.pyramid.plan(REGION, 4, 6)[0]
+        expected, _ = service.pyramid.raster(step, 4, 6, "n_o")
+        np.testing.assert_array_equal(result.counts, expected)
 
-    def test_a_failed_tier_is_called_once_and_the_next_answers(self, grid, exact, hist):
-        """A primary that fails one chunk is not asked again for it: the
-        second tier answers, with one call on each tier."""
-        primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",)))
-        fallback = FaultyBatchEstimator(SEulerApprox(hist), FaultSchedule())
-        chain = FallbackChain([primary, fallback])
-        batch = browsing_tile_batch(REGION, 4, 6)
-        values, tier = chain.estimate_chunk_tiered(batch, "n_o")
-        assert tier is chain.tiers[1]
-        assert (primary.calls, fallback.calls) == (1, 1)
-        np.testing.assert_array_equal(values, SEulerApprox(hist).estimate_batch(batch).n_o)
-
-    def test_nan_corruption_never_reaches_the_client(self, grid, exact, hist):
-        primary = FaultyBatchEstimator(exact, FaultSchedule(script=("nan",) * 10, seed=2))
+    def test_a_failed_tier_is_called_once_and_the_next_answers(self, grid, exact, coarse):
+        """An estimator that fails a chunk is not asked again for it: the
+        pyramid answers, with one estimator call per chunk."""
+        failing = FaultyBatchEstimator(exact, FaultSchedule(script=("error",)))
         service = ResilientBrowsingService(
-            [primary, SEulerApprox(hist)], grid, chunk_rows=2, clock=FakeClock(),
+            failing, grid, chunk_rows=2, pyramid=coarse, clock=FakeClock(),
+        )
+        result = service.browse(REGION, rows=4, cols=6)
+        assert failing.calls == 2
+        assert (result.levels[:2] == 2).all() and (result.levels[2:] == -1).all()
+        np.testing.assert_array_equal(
+            result.counts[2:], reference_counts(exact, grid)[2:]
+        )
+
+    def test_nan_corruption_never_reaches_the_client(self, grid, exact, coarse):
+        corrupt = FaultyBatchEstimator(exact, FaultSchedule(script=("nan",) * 10, seed=2))
+        service = ResilientBrowsingService(
+            corrupt, grid, chunk_rows=2, pyramid=coarse, clock=FakeClock(),
         )
         result = service.browse(REGION, rows=4, cols=6)
         assert result.is_complete
         assert np.isfinite(result.counts).all()
 
-    def test_all_estimators_failing_raises_estimator_failed(self, grid, exact, hist):
-        """Acceptance: exhausting the chain raises EstimatorFailedError --
-        never a bare ValueError/KeyError."""
-        chain = [
-            FaultyBatchEstimator(exact, FaultSchedule(script=("error",), cycle=True)),
-            FaultyBatchEstimator(
-                SEulerApprox(hist), FaultSchedule(script=("nan",), cycle=True, seed=9)
-            ),
-        ]
-        service = ResilientBrowsingService(chain, grid, chunk_rows=2, clock=FakeClock())
+    def test_all_estimators_failing_raises_estimator_failed(self, grid, exact):
+        """Acceptance: a failed chunk without a pyramid raises
+        EstimatorFailedError -- never a bare ValueError/KeyError."""
+        failing = FaultyBatchEstimator(exact, FaultSchedule(script=("error",), cycle=True))
+        service = ResilientBrowsingService(failing, grid, chunk_rows=2, clock=FakeClock())
         with pytest.raises(EstimatorFailedError) as excinfo:
             service.browse(REGION, rows=4, cols=6)
         assert isinstance(excinfo.value, BrowseError)
-        assert len(excinfo.value.causes) == 2
-        assert isinstance(excinfo.value.causes[0], InjectedFault)
-
-    def test_scalar_loop_as_last_resort_tier(self, grid, exact, hist):
-        """The scalar loop rides the chain as a ScalarBatchFallback tier."""
-        primary = FaultyBatchEstimator(exact, FaultSchedule(script=("error",), cycle=True))
-        service = ResilientBrowsingService(
-            [primary, ScalarBatchFallback(SEulerApprox(hist))], grid, chunk_rows=4,
-            clock=FakeClock(),
-        )
-        result = service.browse(REGION, rows=4, cols=6)
-        assert result.is_complete
-        expected = GeoBrowsingService(ScalarBatchFallback(SEulerApprox(hist)), grid).browse(
-            REGION, rows=4, cols=6
-        )
-        np.testing.assert_array_equal(result.counts, expected.counts)
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
 
 
 class TestDeadlines:
     def test_zero_deadline_yields_fully_masked_partial(self, grid, exact):
         """Acceptance: a ~0 deadline yields a partial raster whose
         validity mask marks the unanswered chunks."""
-        service = ResilientBrowsingService([exact], grid, chunk_rows=2, clock=FakeClock())
+        service = ResilientBrowsingService(exact, grid, chunk_rows=2, clock=FakeClock())
         result = service.browse(REGION, rows=4, cols=6, deadline=0.0)
         assert not result.is_complete
         assert result.valid is not None and not result.valid.any()
@@ -323,7 +308,7 @@ class TestDeadlines:
             FaultSchedule(script=("latency",), cycle=True, latency=0.6),
             sleep=clock.advance,
         )
-        service = ResilientBrowsingService([slow], grid, chunk_rows=1, clock=clock)
+        service = ResilientBrowsingService(slow, grid, chunk_rows=1, clock=clock)
         result = service.browse(REGION, rows=4, cols=6, deadline=1.0)
         assert result.valid is not None
         np.testing.assert_array_equal(result.valid.all(axis=1), [True, True, False, False])
@@ -333,44 +318,32 @@ class TestDeadlines:
             result.counts[:2], reference_counts(exact, grid, rows=4, cols=6)[:2]
         )
 
-    def test_on_deadline_raise(self, grid, exact):
-        service = ResilientBrowsingService([exact], grid, clock=FakeClock())
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            service.browse(REGION, rows=4, cols=6, deadline=0.0, on_deadline="raise")
-        assert excinfo.value.answered_rows == 0
-        assert excinfo.value.total_rows == 4
-
     def test_unbounded_request_matches_plain_service(self, grid, exact):
-        service = ResilientBrowsingService([exact], grid, chunk_rows=3, clock=FakeClock())
+        service = ResilientBrowsingService(exact, grid, chunk_rows=3, clock=FakeClock())
         result = service.browse(REGION, rows=4, cols=6, relation="contains")
         np.testing.assert_array_equal(
             result.counts, reference_counts(exact, grid, relation="contains")
         )
 
     def test_partial_raster_renders_unanswered_tiles(self, grid, exact):
-        service = ResilientBrowsingService([exact], grid, clock=FakeClock())
+        service = ResilientBrowsingService(exact, grid, clock=FakeClock())
         art = service.browse(REGION, rows=4, cols=6, deadline=0.0).render_ascii()
         assert "?" in art and "nan" not in art
-
-    def test_bad_on_deadline_value(self, grid, exact):
-        service = ResilientBrowsingService([exact], grid, clock=FakeClock())
-        with pytest.raises(ValueError):
-            service.browse(REGION, rows=4, cols=6, on_deadline="explode")
 
 
 class TestErrorTaxonomy:
     def test_unknown_relation_is_invalid_region(self, grid, exact):
-        service = ResilientBrowsingService([exact], grid, clock=FakeClock())
+        service = ResilientBrowsingService(exact, grid, clock=FakeClock())
         with pytest.raises(InvalidRegionError):
             service.browse(REGION, rows=4, cols=6, relation="touches")
 
     def test_misaligned_world_rect_is_invalid_region(self, grid, exact):
-        service = ResilientBrowsingService([exact], grid, clock=FakeClock())
+        service = ResilientBrowsingService(exact, grid, clock=FakeClock())
         with pytest.raises(InvalidRegionError):
             service.browse(Rect(0.25, 11.75, 0.0, 8.0), rows=4, cols=6)
 
     def test_impossible_tiling_is_invalid_region(self, grid, exact):
-        service = ResilientBrowsingService([exact], grid, clock=FakeClock())
+        service = ResilientBrowsingService(exact, grid, clock=FakeClock())
         with pytest.raises(InvalidRegionError):
             service.browse(REGION, rows=5, cols=7)
 
@@ -389,7 +362,7 @@ class TestErrorTaxonomy:
         faulty = FaultyBatchEstimator(exact, FaultSchedule(script=("nan",)))
         with pytest.raises(EstimatorFailedError) as excinfo:
             GeoBrowsingService(faulty, grid).browse(REGION, rows=4, cols=6)
-        (cause,) = excinfo.value.causes
+        cause = excinfo.value.__cause__
         assert isinstance(cause, ValueError) and "non-finite" in str(cause)
         assert faulty.calls == 1
 
@@ -397,8 +370,7 @@ class TestErrorTaxonomy:
         faulty = FaultyBatchEstimator(exact, FaultSchedule(script=("error",)))
         with pytest.raises(EstimatorFailedError) as excinfo:
             GeoBrowsingService(faulty, grid).browse(REGION, rows=4, cols=6)
-        (cause,) = excinfo.value.causes
-        assert isinstance(cause, InjectedFault)
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
         assert faulty.calls == 1
 
     def test_every_chain_failure_is_a_browse_error(self, grid, exact):
@@ -406,7 +378,7 @@ class TestErrorTaxonomy:
         primary = FaultyBatchEstimator(
             exact, FaultSchedule(seed=11, error_rate=0.5, nan_rate=0.5)
         )
-        service = ResilientBrowsingService([primary], grid, chunk_rows=1, clock=FakeClock())
+        service = ResilientBrowsingService(primary, grid, chunk_rows=1, clock=FakeClock())
         for _ in range(5):
             try:
                 result = service.browse(REGION, rows=4, cols=6)
@@ -454,12 +426,12 @@ class TestFailureReasons:
         ],
         ids=["value-error", "index-error", "injected", "non-finite", "wrong-shape"],
     )
-    def test_reason_label(self, grid, exact, hist, failure, exc, reason):
+    def test_reason_label(self, grid, exact, failure, exc, reason):
         instruments = BrowseInstrumentation()
         broken = Broken(exact, failure, exc)
-        chain = FallbackChain([broken, SEulerApprox(hist)], instruments=instruments)
-        _, tier = chain.estimate_chunk_tiered(browsing_tile_batch(REGION, 4, 6), "n_o")
-        assert tier is chain.tiers[1]
+        chain = FallbackChain(broken, instruments=instruments)
+        with pytest.raises(EstimatorFailedError):
+            chain.estimate_chunk_tiered(browsing_tile_batch(REGION, 4, 6), "n_o")
         samples = instruments.registry.get("repro_tier_failures_total").samples()
         assert [(sample["labels"], sample["value"]) for sample in samples] == [
             ({"tier": broken.name, "reason": reason}, 1.0)
@@ -554,7 +526,7 @@ class TestWavePlan:
             FaultSchedule(script=("latency",), cycle=True, latency=0.6),
             sleep=clock.advance,
         )
-        service = ResilientBrowsingService([slow], grid, chunk_rows=1, clock=clock)
+        service = ResilientBrowsingService(slow, grid, chunk_rows=1, clock=clock)
         service.browse(REGION, rows=4, cols=6)
         assert service.chunk_cost.seconds_per_tile == pytest.approx(0.1)
         result = service.browse(REGION, rows=4, cols=6, deadline=1.0)

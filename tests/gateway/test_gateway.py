@@ -21,6 +21,7 @@ from repro.browse.service import GeoBrowsingService
 from repro.cache import TileResultCache
 from repro.euler.histogram import EulerHistogram
 from repro.euler.maintained import MaintainedEulerHistogram
+from repro.euler.pyramid import HistogramPyramid
 from repro.euler.simple import SEulerApprox
 from repro.gateway.admission import AdmissionController, ServiceTimeWindow
 from repro.gateway.catalog import TenantCatalog
@@ -28,6 +29,7 @@ from repro.gateway.gateway import Gateway, TileRequest
 from repro.geometry.rect import Rect
 from repro.grid.grid import Grid
 from repro.grid.tiles_math import TileQuery
+from repro.obs import parse_prometheus_text, to_prometheus_text
 from repro.obs.instruments import BrowseInstrumentation
 from repro.testing.faults import FaultSchedule, FaultyBatchEstimator
 
@@ -39,8 +41,12 @@ OTHER_REGION = TileQuery(0, 8, 0, 8)
 
 
 @pytest.fixture(scope="module")
-def estimator():
-    data = random_dataset(np.random.default_rng(5), GRID, 400)
+def data():
+    return random_dataset(np.random.default_rng(5), GRID, 400)
+
+
+@pytest.fixture(scope="module")
+def estimator(data):
     return SEulerApprox(EulerHistogram.from_dataset(data, GRID))
 
 
@@ -103,9 +109,10 @@ def make_gateway(
     coalesce=True,
     admission=None,
     instruments=None,
+    pyramid=None,
 ):
     catalog = TenantCatalog(instruments=instruments)
-    catalog.register_dataset("main", estimator, GRID, cache=cache)
+    catalog.register_dataset("main", estimator, GRID, cache=cache, pyramid=pyramid)
     for name, quota in tenants:
         catalog.add_tenant(name, quota=quota)
     return Gateway(
@@ -228,10 +235,29 @@ class TestServing:
                 await gateway.close()
 
         asyncio.run(main())
-        ok = instruments.gateway_requests.labels(tenant="acme", outcome="ok")
-        err = instruments.gateway_requests.labels(tenant="ghost", outcome="error")
-        assert ok.value == 1
-        assert err.value == 1
+        requests = instruments.registry.get("repro_gateway_requests_total")
+        assert requests.labels(tenant="acme", outcome="ok").value == 1
+        assert requests.labels(tenant="ghost", outcome="error").value == 1
+
+    def test_gateway_families_are_exported_only_with_a_gateway(self, estimator):
+        browse_only = BrowseInstrumentation()
+        GeoBrowsingService(estimator, GRID, instruments=browse_only).browse(REGION, 4, 4)
+        samples = parse_prometheus_text(to_prometheus_text(browse_only.registry))
+        assert samples
+        assert not [key for key in samples if key.startswith("repro_gateway_")]
+
+        instruments = BrowseInstrumentation()
+        serve(make_gateway(estimator, instruments=instruments), request())
+        families = {f.name for f in instruments.registry if f.name.startswith("repro_gateway_")}
+        assert families == {
+            "repro_gateway_requests_total",
+            "repro_gateway_shed_total",
+            "repro_gateway_coalesced_total",
+            "repro_gateway_queue_depth",
+            "repro_gateway_degrade_factor",
+            "repro_gateway_queue_wait_seconds",
+            "repro_gateway_service_seconds",
+        }
 
 
 class TestFrontDoor:
@@ -433,7 +459,7 @@ class TestFinishedRasters:
     def test_reuse_has_its_own_coalesced_role(self, estimator):
         instruments = BrowseInstrumentation()
         serve(make_gateway(estimator, instruments=instruments), request(), request())
-        coalesced = instruments.gateway_coalesced
+        coalesced = instruments.registry.get("repro_gateway_coalesced_total")
         assert coalesced.labels(role="leader").value == 1
         assert coalesced.labels(role="reused").value == 1
         assert coalesced.labels(role="follower").value == 0
@@ -484,18 +510,24 @@ class TestFinishedRasters:
         assert stats["completed"] == 2
         assert stats["reused_results"] == 1
 
-    def test_fallback_tier_raster_is_recomputed(self, estimator):
-        # The primary tier fails its one call for the first raster, so
-        # that raster is the second tier's answer.
+    def test_fallback_tier_raster_is_recomputed(self, estimator, data):
+        # The estimator fails its one call for the first raster's first
+        # chunk, so the pyramid answers those tiles: a degraded raster,
+        # never kept as a finished one.
         faulty = FaultyBatchEstimator(estimator, FaultSchedule(script=("error",)))
-        (fallback, primary, again), stats = serve(
-            make_gateway([faulty, estimator]), request(), request(), request()
+        # 16x16 -> 8x8 -> 4x4: level 2 answers an 8x8 raster coarse.
+        pyramid = HistogramPyramid(data, GRID)
+        (rescued, full, again), stats = serve(
+            make_gateway(faulty, pyramid=pyramid),
+            request(rows=8, cols=8),
+            request(rows=8, cols=8),
+            request(rows=8, cols=8),
         )
-        assert fallback.status == "ok"
-        assert fallback.result.delta.reusable is not None
-        assert not primary.coalesced
-        assert primary.result.delta.reusable is None
-        assert again.result is primary.result
+        assert rescued.status == "degraded"
+        assert rescued.result.is_complete and not rescued.result.full_resolution
+        assert not full.coalesced
+        assert full.status == "ok"
+        assert again.result is full.result
         assert stats["completed"] == 2
         assert stats["reused_results"] == 1
 
